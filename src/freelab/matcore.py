@@ -21,12 +21,7 @@ import numpy as np
 from . import rng
 
 _HERM_TOL = 0.0  # Hermiticity is exact by construction, not approximate
-_JACOBI_SWEEP_CAP = 100
-_JACOBI_OFF_TOL = 1e-12
-
-
-class JacobiConvergenceError(RuntimeError):
-    """Cyclic Jacobi failed to reach the off-diagonal tolerance."""
+_CERT_MARGIN = 1e-9  # relative; well above the rounding error in forming ||x^2||_F
 
 
 class SamplingStallError(RuntimeError):
@@ -206,100 +201,50 @@ def from_coords(c: np.ndarray, k: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Cyclic Jacobi eigenvalues
-
-
-def _jacobi_stack(stack: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a (m, k, k) Hermitian stack by cyclic Jacobi.
-
-    Threshold sweeps: each sweep visits every (p, q) pair in row order
-    and applies the phase-plus-rotation update wherever the off-diagonal
-    entry exceeds a small per-sweep threshold; entries below it are
-    rotated by angle zero (no-op).  Terminates when the off-diagonal
-    Frobenius mass of every matrix drops below 1e-12 of its norm, and
-    raises after 100 sweeps otherwise.
-    """
-    a = np.array(stack, dtype=np.complex128)
-    if a.ndim == 2:
-        a = a[None]
-    m, k, _ = a.shape
-    if k == 1:
-        return a[:, 0, 0].real.copy()[:, None]
-    norm = np.linalg.norm(a.reshape(m, -1), axis=1)
-    goal = _JACOBI_OFF_TOL * np.maximum(norm, 1e-300)
-    offmask = ~np.eye(k, dtype=bool)
-    for _ in range(_JACOBI_SWEEP_CAP):
-        # direct off-diagonal sum; subtracting diag from the total norm
-        # would cancel catastrophically near convergence
-        off = np.sqrt(np.einsum("mij,ij->m", np.abs(a) ** 2, offmask))
-        if np.all(off <= goal):
-            diag = np.einsum("mii->mi", a).real
-            return np.sort(diag, axis=1)
-        thresh = goal / (k * k)
-        for p in range(k - 1):
-            for q in range(p + 1, k):
-                apq = a[:, p, q]
-                absb = np.abs(apq)
-                act = absb > thresh
-                if not np.any(act):
-                    continue
-                safe = np.where(absb > 0, absb, 1.0)
-                ph = np.where(absb > 0, apq / safe, 1.0)
-                app = a[:, p, p].real
-                aqq = a[:, q, q].real
-                theta = (aqq - app) / (2.0 * safe)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    t = np.where(
-                        theta >= 0,
-                        1.0 / (theta + np.sqrt(theta * theta + 1.0)),
-                        -1.0 / (-theta + np.sqrt(theta * theta + 1.0)),
-                    )
-                t = np.where(act, t, 0.0)
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                phc = np.conj(ph)
-                colp = a[:, :, p].copy()
-                colq = a[:, :, q].copy()
-                a[:, :, p] = c[:, None] * colp - (s * phc)[:, None] * colq
-                a[:, :, q] = s[:, None] * colp + (c * phc)[:, None] * colq
-                rowp = a[:, p, :].copy()
-                rowq = a[:, q, :].copy()
-                a[:, p, :] = c[:, None] * rowp - (s * ph)[:, None] * rowq
-                a[:, q, :] = s[:, None] * rowp + (c * ph)[:, None] * rowq
-                zeroed = np.where(act, 0.0, a[:, p, q])
-                a[:, p, q] = zeroed
-                a[:, q, p] = np.conj(zeroed)
-                a[:, p, p] = a[:, p, p].real
-                a[:, q, q] = a[:, q, q].real
-    raise JacobiConvergenceError(
-        f"off-diagonal mass above tolerance after {_JACOBI_SWEEP_CAP} sweeps"
-    )
+# Eigenvalues and operator-norm tests
 
 
 def eigenvalues(m: SelfAdjointMatrix) -> np.ndarray:
-    """Ascending eigenvalues via cyclic Jacobi rotations."""
-    return _jacobi_stack(m.array[None])[0]
+    """Ascending eigenvalues (LAPACK Hermitian eigen-solve)."""
+    return np.linalg.eigvalsh(m.array)
 
 
 def operator_norms(stack: np.ndarray) -> np.ndarray:
     """max |eigenvalue| for each matrix in a (m, k, k) Hermitian stack."""
-    ev = _jacobi_stack(stack)
+    ev = np.linalg.eigvalsh(stack)
     return np.maximum(np.abs(ev[:, 0]), np.abs(ev[:, -1]))
 
 
-def norms_leq(stack: np.ndarray, radius: float) -> np.ndarray:
+def frobenius_norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a (m, k, k) stack, with no complex temporary."""
+    re = np.ascontiguousarray(stack, dtype=np.complex128).view(np.float64)
+    return np.sqrt(np.einsum("mij,mij->m", re, re))
+
+
+def norms_leq(stack: np.ndarray, radius: float, sq_frob=None) -> np.ndarray:
     """Boolean mask: operator norm <= radius, per stack entry.
 
-    Frobenius shortcut: ||x||_op <= ||x||_F, so entries whose Frobenius
-    norm already fits need no eigenvalue solve; only the unresolved band
-    goes through Jacobi.
+    Three tests in order, each taking only what the previous left open:
+    the Frobenius bound ||x||_op <= ||x||_F; the x^4 certificate
+    ||x||_op <= (Tr x^4)^(1/4) = ||x^2||_F^(1/2), held to
+    radius * (1 - _CERT_MARGIN) so that rounding in x^2 cannot certify a
+    norm above the radius; and an eigen-solve of the band neither
+    resolves.  ``sq_frob`` gives ||x^2||_F per entry when the caller
+    already holds the squares; otherwise the band's squares are formed here.
     """
-    m = stack.shape[0]
-    frob = np.linalg.norm(stack.reshape(m, -1), axis=1)
-    out = frob <= radius
-    band = ~out
-    if np.any(band):
-        out[band] = operator_norms(stack[band]) <= radius
+    out = frobenius_norms(stack) <= radius
+    band = np.flatnonzero(~out)
+    if band.size:
+        if sq_frob is None:
+            sub = stack[band]
+            sq = frobenius_norms(sub @ sub)
+        else:
+            sq = sq_frob[band]
+        cert = sq <= (radius * (1.0 - _CERT_MARGIN)) ** 2
+        out[band[cert]] = True
+        rest = band[~cert]
+        if rest.size:
+            out[rest] = operator_norms(stack[rest]) <= radius
     return out
 
 
@@ -319,10 +264,9 @@ def gue_stack(k: int, count: int, variance: float, seed: int, start: int = 0) ->
     if variance <= 0:
         raise ValueError("variance must be positive")
     block = 2 * ((k * k + 1) // 2)
-    coords = np.empty((count, k * k))
     # one contiguous counter range; per-sample blocks are aligned inside it
     flat = rng.normals(seed, block * start, block * count).reshape(count, block)
-    coords[:] = flat[:, : k * k]
+    coords = flat[:, : k * k]
     coords *= math.sqrt(variance / k)
     return from_coords(coords, k)
 

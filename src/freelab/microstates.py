@@ -411,43 +411,89 @@ def _spec_words(spec: TracialSpec, l: int):
     return words, np.array([spec.target(w) for w in words])
 
 
-def _word_trace_batch(words, targets, xstack, n_x, yarrs, eps):
-    """Mask over samples: every word traces within eps of target."""
-    count, _, k, _ = xstack.shape
-    ok = np.ones(count, dtype=bool)
+def _letter(i, xs, yarrs):
+    """Letter i (1-based) over the rows of xs; a Y letter as one (1, k, k) matrix."""
+    n = xs.shape[1]
+    return xs[:, i - 1] if i <= n else yarrs[i - 1 - n][None]
+
+
+def _product(cache, word, xs, yarrs):
+    """Product of the letters of ``word``, extending its longest cached prefix.
+
+    Every prefix of length >= 2 formed on the way is cached, so words that
+    share a prefix share its matmuls.
+    """
+    j = len(word)
+    while j > 1 and word[:j] not in cache:
+        j -= 1
+    acc = cache[word[:j]] if j > 1 else _letter(word[0], xs, yarrs)
+    for i in range(j, len(word)):
+        acc = acc @ _letter(word[i], xs, yarrs)
+        cache[word[: i + 1]] = acc
+    return acc
+
+
+def _trace_filter(words, targets, xstack, yarrs, eps):
+    """Rows of xstack whose every word traces strictly within eps of its target.
+
+    A word uv with |u| = ceil(|uv|/2) is traced as tr(uv) = sum(u * v^T),
+    so only products up to half the depth are formed.  Rejected rows are
+    dropped after each word, but copied out only once the survivors are at
+    most half the rows held: a chunk that mostly survives is never copied.
+    Returns the surviving row indices, their X matrices and, when the
+    filter formed every x_i^2, the ||x_i^2||_F of their matrices in order.
+    """
+    n, k = xstack.shape[1], xstack.shape[-1]
+    rows, xs, cache = np.arange(len(xstack)), xstack, {}
+    ok = np.ones(len(rows), dtype=bool)
     for w, tgt in zip(words, targets):
-        cur = None
-        for letter in w:
-            if letter <= n_x:
-                a = xstack[:, letter - 1]
-            else:
-                a = yarrs[letter - 1 - n_x][None]
-            cur = a if cur is None else cur @ a
-        tr = np.einsum("...ii->...", cur) / k
-        dev = np.abs(tr - tgt)
-        if dev.shape == ():
-            if not dev < eps:
-                ok[:] = False
+        h = (len(w) + 1) // 2
+        u = _product(cache, w[:h], xs, yarrs)
+        if len(w) == 1:
+            tr = np.einsum("...ii->...", u)
         else:
-            ok &= dev < eps
-        if not ok.any():
-            break
-    return ok
+            tr = np.einsum("...ij,...ji->...", u, _product(cache, w[h:], xs, yarrs))
+        ok &= np.abs(tr / k - tgt) < eps
+        live = np.count_nonzero(ok)
+        if not live:
+            return rows[:0], xs[:0], None
+        if 2 * live <= len(ok):
+            rows, xs = rows[ok], xs[ok]
+            # products with an X letter carry the rows; Y-only ones do not
+            cache = {key: a[ok] if min(key) <= n else a for key, a in cache.items()}
+            ok = np.ones(live, dtype=bool)
+    squares = [cache.get((i, i)) for i in range(1, n + 1)]
+    sq = None
+    if all(a is not None for a in squares):
+        sq = np.stack([matcore.frobenius_norms(a) for a in squares], axis=1)[ok].reshape(-1)
+    if not ok.all():
+        rows, xs = rows[ok], xs[ok]
+    return rows, xs, sq
 
 
-def _member_mask(xstack, spec, p, yarrs=None, n_x=None):
-    n_x = xstack.shape[1] if n_x is None else n_x
-    count, _, k, _ = xstack.shape
-    flat = xstack.reshape(count * xstack.shape[1], k, k)
-    mask = matcore.norms_leq(flat, p.radius).reshape(count, -1).all(axis=1)
+def _member_mask(xstack, spec, p, yarrs=None):
+    """Mask over the (count, n, k, k) X rows: microstate membership.
+
+    A row is a member when every word of length 1..l traces strictly
+    within eps of its target and every X matrix has operator norm <= R;
+    a Y tuple with a norm above R rejects every row.  The word filter runs
+    first, on the whole chunk, and the norm test sees only its survivors:
+    matcore.norms_leq takes the Frobenius bound, then the x^4 certificate
+    ||x||_op <= ||x^2||_F^(1/2) from the squares the filter formed, and
+    eigen-solves only what neither resolves.
+    """
+    count, n, k, _ = xstack.shape
+    mask = np.zeros(count, dtype=bool)
     if yarrs is not None and len(yarrs):
         if not matcore.norms_leq(np.asarray(yarrs), p.radius).all():
-            return np.zeros(count, dtype=bool)
-    if p.l == 0 or not mask.any():
-        return mask
-    words, targets = _spec_words(spec, p.l)
-    sub = xstack[mask]
-    mask[mask] = _word_trace_batch(words, targets, sub, n_x, yarrs, p.eps)
+            return mask
+    rows, xs, sq = np.arange(count), xstack, None
+    if p.l:
+        words, targets = _spec_words(spec, p.l)
+        rows, xs, sq = _trace_filter(words, targets, xstack, yarrs, p.eps)
+        if not rows.size:
+            return mask
+    mask[rows] = matcore.norms_leq(xs.reshape(-1, k, k), p.radius, sq).reshape(-1, n).all(axis=1)
     return mask
 
 
@@ -458,7 +504,7 @@ def is_microstate(t: matcore.MatrixTuple, spec: TracialSpec, p: MicrostateParams
     if t.dim != p.k:
         raise ValueError(f"tuple dimension {t.dim} != k={p.k}")
     stack = t.stack()[None]
-    return bool(_member_mask(stack, spec, p, n_x=spec.letters)[0])
+    return bool(_member_mask(stack, spec, p)[0])
 
 
 def is_relative_microstate(
@@ -515,7 +561,7 @@ def _ball_volume(spec, p, yarr, nsamples, seed, threads) -> VolumeEstimate:
             ],
             axis=1,
         )
-        return int(_member_mask(stack, spec, p, yarrs=yarr, n_x=n).sum())
+        return int(_member_mask(stack, spec, p, yarrs=yarr).sum())
 
     accepted = sum(_run_chunks(work, _chunk_starts(nsamples), threads))
     if accepted == 0:
@@ -551,7 +597,7 @@ def _importance_volume(spec, p, yarr, nsamples, seed, threads) -> VolumeEstimate
             ],
             axis=1,
         )
-        mask = _member_mask(stack, spec, p, yarrs=yarr, n_x=n)
+        mask = _member_mask(stack, spec, p, yarrs=yarr)
         if not mask.any():
             return (0, float("-inf"), 0.0, 0.0)
         sub = stack[mask]

@@ -1,4 +1,4 @@
-"""Matrix-layer tests: exact Hermiticity, word traces, Jacobi, samplers."""
+"""Matrix-layer tests: exact Hermiticity, word traces, eigenvalues, norm tests, samplers."""
 
 import math
 
@@ -111,12 +111,61 @@ def test_one_by_one_shapes():
     assert list(matcore.norms_leq(stack, 2.0)) == [True, False]
 
 
-def test_jacobi_matches_lapack_oracle():
+def test_eigenvalues_match_trace_moments_and_char_poly():
+    # oracle independent of any eigen-solver: sum(lam) = Tr x,
+    # sum(lam^2) = Tr x^2, and det(x - lam_i) / prod_{j != i}(lam_j - lam_i),
+    # which equals the distance from lam_i to the true eigenvalue to first order
     for k in (2, 5, 16):
         m = _rand_herm(k, 400 + k)
-        assert np.allclose(
-            matcore.eigenvalues(m), np.linalg.eigvalsh(m.array), atol=1e-10
-        )
+        x = m.array
+        ev = matcore.eigenvalues(m)
+        scale = np.linalg.norm(x)
+        assert (np.diff(ev) >= 0).all()
+        assert abs(ev.sum() - np.trace(x).real) < 1e-10 * scale
+        assert abs(np.sum(ev**2) - np.trace(x @ x).real) < 1e-10 * scale**2
+        for i, lam in enumerate(ev):
+            _, logdet = np.linalg.slogdet(x - lam * np.eye(k))
+            gaps = np.log(np.abs(np.delete(ev, i) - lam)).sum()
+            assert logdet - gaps < math.log(1e-9 * scale)
+
+
+def _counting_eigen_solve(monkeypatch):
+    calls = []
+    real = matcore.operator_norms
+
+    def counted(stack):
+        calls.append(len(stack))
+        return real(stack)
+
+    monkeypatch.setattr(matcore, "operator_norms", counted)
+    return calls
+
+
+def test_certificate_band_falls_back_to_the_eigen_solve(monkeypatch):
+    # x = 3 I at k=16: ||x||_F = 12 and (Tr x^4)^(1/4) = 6 both exceed R = 4,
+    # so only the eigen-solve sees ||x||_op = 3
+    calls = _counting_eigen_solve(monkeypatch)
+    stack = np.stack([3.0 * np.eye(16), 5.0 * np.eye(16)]).astype(complex)
+    assert list(matcore.norms_leq(stack, 4.0)) == [True, False]
+    assert calls == [2]
+    sq_frob = matcore.frobenius_norms(stack @ stack)
+    assert list(matcore.norms_leq(stack, 4.0, sq_frob)) == [True, False]
+    assert calls == [2, 2]
+
+
+def test_certificate_resolves_the_frobenius_band_without_an_eigen_solve(monkeypatch):
+    # x = I at k=16: ||x||_F = 4 > R = 3, but (Tr x^4)^(1/4) = 2 <= R;
+    # a GUE draw at k=16 with R between its certificate and its Frobenius norm
+    calls = _counting_eigen_solve(monkeypatch)
+    g = matcore.gue_stack(16, 1, 1.0, seed=12)
+    cert = matcore.frobenius_norms(g @ g)[0] ** 0.5
+    frob = matcore.frobenius_norms(g)[0]
+    assert cert < frob
+    radius = 0.5 * (cert + frob)
+    assert matcore.norms_leq(np.eye(16, dtype=complex)[None], 3.0).all()
+    assert matcore.norms_leq(g, radius).all()
+    assert matcore.norms_leq(g, radius, matcore.frobenius_norms(g @ g)).all()
+    assert calls == []
 
 
 def test_gue_second_moment_mean():
@@ -143,7 +192,7 @@ def test_gue_spectrum_matches_semicircle():
     # KS distance between the ESD at k=256 and the semicircle CDF
     k = 256
     x = matcore.gue_stack(k, 1, 1.0, seed=31415)[0]
-    ev = np.sort(matcore._jacobi_stack(x[None])[0])
+    ev = matcore.eigenvalues(SelfAdjointMatrix(x))
 
     def semicirc_cdf(t):
         t = np.clip(t / 2.0, -1.0, 1.0)

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freelab import matcore, microstates as ms, rng, spectra
 from freelab.microstates import MicrostateParams, TracialSpec
@@ -210,6 +211,48 @@ def test_membership_windows_are_nested_in_eps_and_l():
     assert 0 < sum(deep) <= sum(loose)
     assert all(l for t, l in zip(tight, loose) if t)
     assert all(l for d, l in zip(deep, loose) if d)
+
+
+def _naive_member_mask(xstack, spec, p, yarrs=None):
+    """Reference membership: eigvalsh norms, left-to-right word products."""
+    words, targets = ms._spec_words(spec, p.l) if p.l else ((), ())
+    out = []
+    for row in xstack:
+        mats = list(row) + ([] if yarrs is None else list(yarrs))
+        ok = all(np.abs(np.linalg.eigvalsh(a)).max() <= p.radius for a in mats)
+        for w, tgt in zip(words, targets):
+            prod = mats[w[0] - 1]
+            for letter in w[1:]:
+                prod = prod @ mats[letter - 1]
+            ok = ok and abs(np.trace(prod) / p.k - tgt) < p.eps
+        out.append(ok)
+    return np.array(out, dtype=bool)
+
+
+@given(
+    n=st.sampled_from([1, 2]),
+    with_y=st.booleans(),
+    k=st.integers(1, 6),
+    l=st.integers(0, 4),
+    eps=st.floats(0.2, 1.5),
+    radius=st.floats(0.8, 3.0),
+    variance=st.floats(0.3, 2.5),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_member_mask_matches_the_naive_reference(n, with_y, k, l, eps, radius, variance, seed):
+    # radii 0.8..3 put GUE draws at k <= 6 on every side of the Frobenius
+    # bound, the x^4 certificate and the operator norm
+    factors = [semicircle(), two_atom(), semicircle()][: n + with_y]
+    spec = TracialSpec.free_model(n, int(with_y), 4, factors, list(range(n + with_y)))
+    p = MicrostateParams(k=k, l=l, eps=eps, radius=radius)
+    count = 48
+    xstack = np.stack(
+        [matcore.gue_stack(k, count, variance, rng.derive(seed, i)) for i in range(n)], axis=1
+    )
+    yarrs = matcore.gue_stack(k, 1, 0.5, rng.derive(seed, 99)) if with_y else None
+    got = ms._member_mask(xstack, spec, p, yarrs=yarrs)
+    assert (got == _naive_member_mask(xstack, spec, p, yarrs)).all()
 
 
 def test_membership_validation_errors():
