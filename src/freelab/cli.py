@@ -192,12 +192,11 @@ def _validate_spec_doc(doc: dict):
         if bad:
             continue
         c = ms.canonical_word(word)
-        if c in seen and abs(seen[c] - v) > 1e-9:
-            problems.append(
-                f"{label}: word {list(word)} is a tracial symmetry conflict "
-                f"({seen[c]} vs {v})"
-            )
-        seen[c] = v
+        if c in seen and abs(seen[c][1] - v) > ms._TARGET_TOL:
+            same = seen[c][0] == word
+            what = "repeated with a different value" if same else "a tracial symmetry conflict"
+            problems.append(f"{label}: word {list(word)} is {what} ({seen[c][1]} vs {v})")
+        seen[c] = (word, v)
     return problems
 
 

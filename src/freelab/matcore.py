@@ -188,16 +188,60 @@ def to_coords(h: np.ndarray) -> np.ndarray:
 
 
 def from_coords(c: np.ndarray, k: int) -> np.ndarray:
-    """Inverse of :func:`to_coords`; returns (..., k, k) exactly Hermitian."""
+    """Inverse of :func:`to_coords`; returns (..., k, k) exactly Hermitian.
+
+    Entry (i, i) is the diagonal coordinate; entry (i, j), i < j, is
+    (c_re * 1/sqrt(2), c_im * 1/sqrt(2)) with one rounding per part, and
+    (j, i) is its exact conjugate.  Every sampler builds its matrices
+    through the same gather (:func:`_hermitian_into`).
+    """
     c = np.asarray(c, dtype=np.float64)
     lead = c.shape[:-1]
-    iu, ju = np.triu_indices(k, 1)
-    out = np.zeros(lead + (k, k), dtype=np.complex128)
-    vals = (c[..., k::2] + 1j * c[..., k + 1 :: 2]) * _INV_SQRT2
-    out[..., iu, ju] = vals
-    out[..., ju, iu] = np.conj(vals)
-    out[..., np.arange(k), np.arange(k)] = c[..., :k]
+    ext = np.empty(lead + (_ext_width(k),))
+    ext[..., : k * k] = c
+    out = np.empty(lead + (k, k), dtype=np.complex128)
+    _hermitian_into(ext, k, out)
     return out
+
+
+def _ext_width(k: int) -> int:
+    # k^2 coordinates, k(k-1)/2 negated imaginary parts, one zero
+    return k * k + k * (k - 1) // 2 + 1
+
+
+@lru_cache(maxsize=64)
+def _gather_index(k: int) -> np.ndarray:
+    """(k, 2k) index into the extended coordinate row, one per float of a row
+    of the complex (k, k) output: real and imaginary part of each entry."""
+    kk = k * k
+    iu, ju = np.triu_indices(k, 1)
+    pos = k + 2 * np.arange(iu.size)  # real part of pair p; the imaginary follows
+    d = np.arange(k)
+    idx = np.empty((k, k, 2), dtype=np.intp)
+    idx[d, d] = np.stack([d, np.full(k, _ext_width(k) - 1)], axis=1)
+    idx[iu, ju] = np.stack([pos, pos + 1], axis=1)
+    idx[ju, iu] = np.stack([pos, kk + np.arange(iu.size)], axis=1)
+    idx = idx.reshape(k, 2 * k)
+    idx.setflags(write=False)
+    return idx
+
+
+def _hermitian_into(ext: np.ndarray, k: int, out: np.ndarray) -> None:
+    """Write the Hermitian matrices of (..., E) extended rows into (..., k, k) ``out``.
+
+    On entry the first k^2 entries of each row hold lambda coordinates
+    (the rest is scratch, E = :func:`_ext_width`).  The off-diagonal
+    coordinates are scaled by 1/sqrt(2) in place, their imaginary parts
+    negated into the scratch columns, the last column zeroed, and one
+    ``np.take`` along :func:`_gather_index` fills the float64 view of
+    ``out`` (which may be a strided view, such as ``stack[:, i]``).
+    """
+    kk = k * k
+    ext[..., k:kk] *= _INV_SQRT2
+    np.negative(ext[..., k + 1 : kk : 2], out=ext[..., kk:-1])
+    ext[..., -1] = 0.0
+    # the index is in range by construction; mode="raise" would buffer out
+    np.take(ext, _gather_index(k), axis=-1, out=out.view(np.float64), mode="clip")
 
 
 # ---------------------------------------------------------------------------
@@ -252,23 +296,64 @@ def norms_leq(stack: np.ndarray, radius: float, sq_frob=None) -> np.ndarray:
 # Samplers
 
 
-def gue_stack(k: int, count: int, variance: float, seed: int, start: int = 0) -> np.ndarray:
+# Rows of a sampler's sub-block hold about this many normals, so the
+# words, Box-Muller and gather temporaries of one sub-block stay cache-sized
+# at large k while a whole chunk is one sub-block at small k.
+_SUBBLOCK_NORMALS = 2**16
+
+
+def _fill_stack(out, count, k, seed, start, block, finish) -> np.ndarray:
+    """Sampler loop shared by :func:`gue_stack` and :func:`ball_stack`.
+
+    Sample ``index`` reads the counter block [B*(start+index), B*(start+index+1))
+    with B = ``block``.  Per sub-block of rows, the first 2*ceil(k^2/2)
+    words of each block become normals in an extended row, ``finish(e, w)``
+    turns the first k^2 into lambda coordinates in place, and
+    :func:`_hermitian_into` writes the matrices into ``out``.
+    """
+    if out is None:
+        out = np.empty((count, k, k), dtype=np.complex128)
+    elif out.shape != (count, k, k) or out.dtype != np.complex128:
+        raise ValueError(f"out must be complex128 of shape {(count, k, k)}")
+    npairs = 2 * ((k * k + 1) // 2)
+    rows = max(1, min(count, _SUBBLOCK_NORMALS // block))
+    ext = np.empty((rows, _ext_width(k)))
+    for r0 in range(0, count, rows):
+        m = min(rows, count - r0)
+        e = ext[:m]
+        w = rng.words(seed, block * (start + r0), block * m).reshape(m, block)
+        rng.normals_from_words(w[:, :npairs], out=e[:, :npairs])
+        finish(e, w)
+        _hermitian_into(e, k, out[r0 : r0 + m])
+    return out
+
+
+def gue_stack(
+    k: int, count: int, variance: float, seed: int, start: int = 0, out=None
+) -> np.ndarray:
     """(count, k, k) Hermitian GUE stack with E[tau(x^2)] = variance.
 
     In lambda coordinates the law is iid N(0, variance/k) on all k^2
     coordinates (diagonal entries N(0, v/k), off-diagonal real and
     imaginary parts N(0, v/2k)).  Sample ``index`` consumes the counter
     block ``[B*(start+index), B*(start+index+1))`` with block size
-    B = 2*ceil(k^2/2), so disjoint index ranges are independent.
+    B = 2*ceil(k^2/2), so disjoint index ranges are independent.  Each
+    coordinate is normal * sqrt(variance/k), placed as in :func:`from_coords`.
+    Each sample reads only its own counter block and each element goes
+    through the same operations in the same order, so neither the
+    sub-blocks of :func:`_fill_stack`, a split of ``[start, start+count)``,
+    nor filling ``out`` (a complex128 (count, k, k) array or strided view)
+    can change a draw.
     """
     if variance <= 0:
         raise ValueError("variance must be positive")
-    block = 2 * ((k * k + 1) // 2)
-    # one contiguous counter range; per-sample blocks are aligned inside it
-    flat = rng.normals(seed, block * start, block * count).reshape(count, block)
-    coords = flat[:, : k * k]
-    coords *= math.sqrt(variance / k)
-    return from_coords(coords, k)
+    kk = k * k
+    scale = math.sqrt(variance / k)
+
+    def finish(e, w):
+        e[:, :kk] *= scale
+
+    return _fill_stack(out, count, k, seed, start, 2 * ((kk + 1) // 2), finish)
 
 
 def sample_gue(k: int, variance: float, seed: int, index: int = 0) -> SelfAdjointMatrix:
@@ -288,24 +373,30 @@ def ball_log_volume(k: int, radius: float) -> float:
     return 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0) + d * math.log(rho)
 
 
-def ball_stack(k: int, count: int, radius: float, seed: int, start: int = 0) -> np.ndarray:
+def ball_stack(
+    k: int, count: int, radius: float, seed: int, start: int = 0, out=None
+) -> np.ndarray:
     """(count, k, k) stack uniform in the HS ball of radius R*sqrt(k).
 
     Gaussian direction times U^(1/d) radius in lambda coordinates.
     Sample ``index`` uses counter block size B = 2*ceil(k^2/2) + 2; the
-    word at offset B-2 feeds the radius uniform (B-1 is spare).
+    word at offset B-2 feeds the radius uniform (B-1 is spare).  Each
+    coordinate is g * (rho * u^(1/d) / |g|), then placed as in
+    :func:`from_coords`; as for :func:`gue_stack`, sub-blocking, a split
+    of the counter range, or filling ``out`` cannot change a draw.
     """
     d = k * k
     npairs = 2 * ((d + 1) // 2)
-    block = npairs + 2
     rho = radius * math.sqrt(k)
-    w = rng.words(seed, block * start, block * count).reshape(count, block)
-    g = rng.normals_from_words(w[:, :npairs])[:, :d]
-    u = rng.uniforms_from_words(w[:, npairs])
-    r = np.linalg.norm(g, axis=1)
-    r[r == 0.0] = 1.0  # measure-zero guard
-    coords = g * (rho * u ** (1.0 / d) / r)[:, None]
-    return from_coords(coords, k)
+
+    def finish(e, w):
+        g = e[:, :d]
+        u = rng.uniforms_from_words(w[:, npairs])
+        r = np.linalg.norm(g, axis=1)
+        r[r == 0.0] = 1.0  # measure-zero guard
+        g *= (rho * u ** (1.0 / d) / r)[:, None]
+
+    return _fill_stack(out, count, k, seed, start, npairs + 2, finish)
 
 
 def sample_ball(k: int, n: int, radius: float, seed: int) -> MatrixTuple:

@@ -348,7 +348,15 @@ class TracialSpec:
                 ]
                 return cls.matrix_model(n, m, l_max, mats)
             raise ValueError(f"unknown generator kind {g.get('kind')!r}")
-        targets = {tuple(e["word"]): float(e["value"]) for e in d.get("targets", [])}
+        targets: Dict[Tuple[int, ...], float] = {}
+        repeats = []
+        for e in d.get("targets", []):
+            w, v = tuple(e["word"]), float(e["value"])
+            if w in targets and abs(targets[w] - v) > _TARGET_TOL:
+                repeats.append(f"{list(w)} ({targets[w]} vs {v})")
+            targets[w] = v
+        if repeats:
+            raise ValueError("repeated word with different values: " + ", ".join(repeats))
         return cls.from_targets(n, m, l_max, targets)
 
     def save(self, path: str) -> None:
@@ -554,13 +562,11 @@ def _ball_volume(spec, p, yarr, nsamples, seed, threads) -> VolumeEstimate:
 
     def work(c0):
         count = min(_CHUNK, nsamples - c0)
-        stack = np.stack(
-            [
-                matcore.ball_stack(k, count, radii[i], rng.derive(seed, 0xBA11, i), start=c0)
-                for i in range(n)
-            ],
-            axis=1,
-        )
+        stack = np.empty((count, n, k, k), dtype=np.complex128)
+        for i in range(n):
+            matcore.ball_stack(
+                k, count, radii[i], rng.derive(seed, 0xBA11, i), start=c0, out=stack[:, i]
+            )
         return int(_member_mask(stack, spec, p, yarrs=yarr).sum())
 
     accepted = sum(_run_chunks(work, _chunk_starts(nsamples), threads))
@@ -590,13 +596,11 @@ def _importance_volume(spec, p, yarr, nsamples, seed, threads) -> VolumeEstimate
 
     def work(c0):
         count = min(_CHUNK, nsamples - c0)
-        stack = np.stack(
-            [
-                matcore.gue_stack(k, count, variances[i], rng.derive(seed, 0x6A55, i), start=c0)
-                for i in range(n)
-            ],
-            axis=1,
-        )
+        stack = np.empty((count, n, k, k), dtype=np.complex128)
+        for i in range(n):
+            matcore.gue_stack(
+                k, count, variances[i], rng.derive(seed, 0x6A55, i), start=c0, out=stack[:, i]
+            )
         mask = _member_mask(stack, spec, p, yarrs=yarr)
         if not mask.any():
             return (0, float("-inf"), 0.0, 0.0)

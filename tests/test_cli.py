@@ -250,6 +250,28 @@ def test_chi_mc_tracial_conflict_reported(tmp_path, capsys):
     assert "tracial symmetry conflict" in err
 
 
+def test_chi_mc_conflict_above_library_tolerance_is_a_usage_error(tmp_path, capsys):
+    # 1e-10 is above the library's target tolerance, so it must be caught as
+    # a spec problem (exit 2), not surface later as a computation failure
+    bad = {
+        "n": 2,
+        "m": 0,
+        "l_max": 2,
+        "targets": [
+            {"word": [1, 1], "value": 1.0},
+            {"word": [1, 1], "value": 3.0},
+            {"word": [1, 2], "value": 0.5},
+            {"word": [2, 1], "value": 0.5 + 1e-10},
+        ],
+    }
+    spec = write_json(tmp_path / "bad.json", bad)
+    code, out, err = run(capsys, "chi-mc", "--spec", spec, "--k", "2")
+    assert code == 2
+    assert out == ""
+    assert "word [1, 1] is repeated with a different value" in err
+    assert "word [2, 1] is a tracial symmetry conflict" in err
+
+
 def test_chi_mc_missing_file(capsys):
     code, _, err = run(capsys, "chi-mc", "--spec", "/nonexistent/spec.json")
     assert code == 2

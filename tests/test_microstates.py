@@ -534,3 +534,21 @@ def test_block_map_validation_errors():
     short = matcore.MatrixTuple(list(parts.mats[:3]))
     with pytest.raises(ValueError, match="do not fill"):
         ms.block_assemble(short, 2)
+
+
+def test_from_dict_rejects_repeated_word_with_different_values():
+    doc = {
+        "n": 2, "m": 0, "l_max": 2,
+        "targets": [
+            {"word": [1, 1], "value": 1.0},
+            {"word": [1], "value": 0.0},
+            {"word": [1, 1], "value": 3.0},
+            {"word": [1, 2], "value": 0.5},
+            {"word": [1, 2], "value": 0.25},
+        ],
+    }
+    with pytest.raises(ValueError, match=r"\[1, 1\] \(1.0 vs 3.0\).*\[1, 2\] \(0.5 vs 0.25\)"):
+        TracialSpec.from_dict(doc)
+    # a repeat within the target tolerance is the same target, not a conflict
+    doc["targets"] = [{"word": [1, 1], "value": 1.0}, {"word": [1, 1], "value": 1.0 + 1e-13}]
+    assert TracialSpec.from_dict(doc).target((1, 1)) == pytest.approx(1.0, abs=1e-12)
