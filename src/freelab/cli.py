@@ -10,7 +10,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import re
 import sys
@@ -22,34 +21,26 @@ class UsageError(Exception):
     """Bad flags or malformed input files; no partial output."""
 
 
-def _jf(x):
-    x = float(x)
-    if math.isinf(x):
-        return "-inf" if x < 0 else "inf"
-    if math.isnan(x):
-        return "nan"
-    return x
+def _render(args, doc, header, rows, lines) -> None:
+    """Write a command's result in args.format to args.out or stdout.
 
-
-def _fmt6(x) -> str:
-    x = float(x)
-    if math.isinf(x):
-        return "-inf" if x < 0 else "inf"
-    return f"{x:.6f}"
-
-
-def _cell(x) -> str:
-    """CSV cell: shortest round-trip float text, stable across runs."""
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "-inf" if x < 0 else "inf"
-        return repr(x)
-    return str(x)
-
-
-def _emit(text: str, out) -> None:
-    if out:
-        with open(out, "w") as fh:
+    ``doc`` is the JSON document, ``header`` and ``rows`` the CSV table,
+    ``lines`` the text report.  Non-finite floats reach JSON only as the
+    strings "inf", "-inf" and "nan"; CSV and text print them as Python
+    formats them.
+    """
+    if args.format == "json":
+        text = json.dumps(theorems.jsonable(doc), sort_keys=True, allow_nan=False) + "\n"
+    elif args.format == "csv":
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+        text = buf.getvalue()
+    else:
+        text = "\n".join(lines) + "\n"
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -114,90 +105,23 @@ def _cmd_chi_single(args) -> int:
         raise UsageError(str(e))
     energy = spectra.log_energy(mu)
     chi = spectra.chi_single(mu)
-    row = {"kind": mu.kind, "log_energy": _jf(energy), "chi_single": _jf(chi)}
+    row = {"kind": mu.kind, "log_energy": energy, "chi_single": chi}
+    lines = [
+        f"measure kind: {mu.kind}",
+        f"log_energy = {energy:.6f}",
+        f"chi_single = {chi:.6f} (quadrature)",
+    ]
     if args.field:
         f = _parse_field(args.field, _field_support(mu))
-        row["cov_correction"] = _jf(spectra.cov_correction(mu, f))
+        row["cov_correction"] = spectra.cov_correction(mu, f)
         row["field"] = args.field
-    if args.format == "json":
-        text = json.dumps(row, sort_keys=True) + "\n"
-    elif args.format == "csv":
-        cols = sorted(row)
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(cols)
-        w.writerow([_cell(row[c]) if isinstance(row[c], float) else row[c] for c in cols])
-        text = buf.getvalue()
-    else:
-        lines = [f"measure kind: {mu.kind}"]
-        lines.append(f"log_energy = {_fmt6(energy)}")
-        lines.append(f"chi_single = {_fmt6(chi)} (quadrature)")
-        if args.field:
-            lines.append(f"cov_correction[{args.field}] = {_fmt6(row['cov_correction'])}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+        lines.append(f"cov_correction[{args.field}] = {row['cov_correction']:.6f}")
+    header = sorted(row)
+    _render(args, row, header, [[row[c] for c in header]], lines)
     return 0
 
 
 # --- chi-mc ---------------------------------------------------------------------
-
-
-def _validate_spec_doc(doc: dict):
-    """Collect every bad word/target before handing off to the loader."""
-    problems = []
-    if not isinstance(doc, dict):
-        return ["specification document must be a JSON object"]
-    n = doc.get("n")
-    m = doc.get("m", 0)
-    l_max = doc.get("l_max")
-    if not isinstance(n, int) or n < 0:
-        problems.append("field 'n' must be a nonnegative integer")
-    if not isinstance(m, int) or m < 0:
-        problems.append("field 'm' must be a nonnegative integer")
-    if not isinstance(l_max, int) or l_max < 0:
-        problems.append("field 'l_max' must be a nonnegative integer")
-    if problems:
-        return problems
-    letters = n + m
-    if letters < 1:
-        problems.append("need at least one variable")
-    if "generator" in doc:
-        return problems
-    targets = doc.get("targets", [])
-    if not isinstance(targets, list):
-        return problems + ["field 'targets' must be a list of {word, value} entries"]
-    seen = {}
-    for num, entry in enumerate(targets, start=1):
-        label = f"targets[{num}]"
-        if not isinstance(entry, dict) or "word" not in entry or "value" not in entry:
-            problems.append(f"{label}: expected an object with 'word' and 'value'")
-            continue
-        raw = entry["word"]
-        if not isinstance(raw, list) or not all(isinstance(i, int) for i in raw):
-            problems.append(f"{label}: word must be a list of letter indices")
-            continue
-        word = tuple(raw)
-        bad = False
-        if any(i < 1 or i > letters for i in word):
-            problems.append(f"{label}: word {list(word)} has a letter out of range 1..{letters}")
-            bad = True
-        if len(word) > l_max:
-            problems.append(f"{label}: word {list(word)} is longer than l_max={l_max}")
-            bad = True
-        try:
-            v = float(entry["value"])
-        except (TypeError, ValueError):
-            problems.append(f"{label}: value {entry['value']!r} is not a number")
-            continue
-        if bad:
-            continue
-        c = ms.canonical_word(word)
-        if c in seen and abs(seen[c][1] - v) > ms._TARGET_TOL:
-            same = seen[c][0] == word
-            what = "repeated with a different value" if same else "a tracial symmetry conflict"
-            problems.append(f"{label}: word {list(word)} is {what} ({seen[c][1]} vs {v})")
-        seen[c] = (word, v)
-    return problems
 
 
 def _parse_k_list(text: str):
@@ -211,16 +135,18 @@ def _parse_k_list(text: str):
 
 
 def _cmd_chi_mc(args) -> int:
-    doc = _load_json(args.spec, "specification")
-    problems = _validate_spec_doc(doc)
-    if problems:
+    try:
+        spec = ms.TracialSpec.from_dict(_load_json(args.spec, "specification"))
+    except ms.SpecError as e:
         raise UsageError(
-            "invalid specification:\n" + "\n".join(f"  - {p}" for p in problems)
+            "invalid specification:\n" + "\n".join(f"  - {p}" for p in e.problems)
         )
-    spec = ms.TracialSpec.from_dict(doc)
     ks = _parse_k_list(args.k)
     radius = args.radius if args.radius is not None else ms.suggested_radius(spec)
-    params = ms.MicrostateParams(k=ks[0], l=args.l, eps=args.eps, radius=radius)
+    try:
+        params = ms.MicrostateParams(k=ks[0], l=args.l, eps=args.eps, radius=radius)
+    except ValueError as e:
+        raise UsageError(str(e))
     threads = _threads(args.threads)
     if spec.m == 0:
         est = ms.estimate_chi(
@@ -232,67 +158,35 @@ def _cmd_chi_mc(args) -> int:
             seed=args.seed, threads=threads,
         )
 
-    y_ids = {}
-    if est.y_used:
-        for part in re.split(r"; (?=k=\d+:)", est.y_used):
-            head, _, rest = part.partition(":")
-            if head.startswith("k="):
-                y_ids[int(head[2:])] = rest
-
-    rows = []
+    header = ["k", "l", "eps", "R", "N", "log_volume", "stderr", "normalized_chi", "y_id"]
+    rows, lines = [], []
     for pt in est.per_k:
+        stderr = pt.stderr * pt.k * pt.k
         rows.append(
-            {
-                "k": pt.k,
-                "l": args.l,
-                "eps": args.eps,
-                "R": radius,
-                "N": args.samples,
-                "log_volume": pt.log_volume,
-                "stderr": pt.stderr * pt.k * pt.k,
-                "normalized_chi": pt.value,
-                "y_id": y_ids.get(pt.k, ""),
-            }
+            [pt.k, args.l, args.eps, radius, args.samples, pt.log_volume, stderr,
+             pt.value, pt.y_id]
         )
-
-    if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        cols = ["k", "l", "eps", "R", "N", "log_volume", "stderr", "normalized_chi", "y_id"]
-        w.writerow(cols)
-        for r in rows:
-            w.writerow([_cell(r[c]) for c in cols])
-        text = buf.getvalue()
-    elif args.format == "json":
-        summary = {
-            "extrapolated": _jf(est.extrapolated),
-            "per_k": [
-                {key: (_jf(v) if isinstance(v, float) else v) for key, v in r.items()}
-                for r in rows
-            ],
-            "n": spec.n,
-            "m": spec.m,
-            "l": args.l,
-            "eps": args.eps,
-            "radius": radius,
-            "samples_per_k": args.samples,
-            "seed": args.seed,
-            "y_used": est.y_used,
-        }
-        text = json.dumps(summary, sort_keys=True) + "\n"
-    else:
-        lines = []
-        for r in rows:
-            tag = f" y={r['y_id']}" if r["y_id"] else ""
-            lines.append(
-                f"k={r['k']}: chi={_fmt6(r['normalized_chi'])} "
-                f"(log_volume={_fmt6(r['log_volume'])} +- {_fmt6(r['stderr'])}){tag}"
-            )
-        lines.append(f"extrapolated = {_fmt6(est.extrapolated)}")
-        if est.y_used:
-            lines.append(f"y candidates: {est.y_used}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+        tag = f" y={pt.y_id}" if pt.y_id else ""
+        lines.append(
+            f"k={pt.k}: chi={pt.value:.6f} "
+            f"(log_volume={pt.log_volume:.6f} +- {stderr:.6f}){tag}"
+        )
+    lines.append(f"extrapolated = {est.extrapolated:.6f}")
+    if est.y_used:
+        lines.append(f"y candidates: {est.y_used}")
+    doc = {
+        "extrapolated": est.extrapolated,
+        "per_k": [dict(zip(header, r)) for r in rows],
+        "n": spec.n,
+        "m": spec.m,
+        "l": args.l,
+        "eps": args.eps,
+        "radius": radius,
+        "samples_per_k": args.samples,
+        "seed": args.seed,
+        "y_used": est.y_used,
+    }
+    _render(args, doc, header, rows, lines)
     return 0
 
 
@@ -309,19 +203,8 @@ def _cmd_dq(args) -> int:
     except ncalg.PolyParseError as e:
         raise UsageError(str(e))
     result = ncalg.bipoly_text(ncalg.dquotient(poly, args.index))
-    if args.format == "json":
-        text = json.dumps(
-            {"poly": args.poly, "index": args.index, "result": result}, sort_keys=True
-        ) + "\n"
-    elif args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["poly", "index", "result"])
-        w.writerow([args.poly, args.index, result])
-        text = buf.getvalue()
-    else:
-        text = result + "\n"
-    _emit(text, args.out)
+    doc = {"poly": args.poly, "index": args.index, "result": result}
+    _render(args, doc, list(doc), [list(doc.values())], [result])
     return 0
 
 
@@ -365,26 +248,17 @@ def _cmd_check(args) -> int:
         (not r.passed) and (r.id in theorems.DETERMINISTIC_IDS) for r in reports
     )
 
-    if args.format == "json":
-        text = json.dumps([r.to_dict() for r in reports], sort_keys=True) + "\n"
-    elif args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["id", "relation", "lhs", "rhs", "tolerance", "passed", "statistical"])
-        for r in reports:
-            w.writerow(
-                [r.id, r.relation, _cell(float(r.lhs)), _cell(float(r.rhs)),
-                 _cell(float(r.tolerance)), r.passed, r.statistical]
-            )
-        text = buf.getvalue()
-    else:
-        lines = [theorems.report_text(r) for r in reports]
-        det = [r for r in reports if r.id in theorems.DETERMINISTIC_IDS]
-        if det:
-            gate = "PASS" if all(r.passed for r in det) else "FAIL"
-            lines.append(f"deterministic gate: {gate}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    header = ["id", "relation", "lhs", "rhs", "tolerance", "passed", "statistical"]
+    rows = [
+        [r.id, r.relation, float(r.lhs), float(r.rhs), float(r.tolerance), r.passed,
+         r.statistical]
+        for r in reports
+    ]
+    lines = [theorems.report_text(r) for r in reports]
+    det = [r for r in reports if r.id in theorems.DETERMINISTIC_IDS]
+    if det:
+        lines.append(f"deterministic gate: {'FAIL' if det_fail else 'PASS'}")
+    _render(args, [r.to_dict() for r in reports], header, rows, lines)
     return 3 if det_fail else 0
 
 

@@ -53,6 +53,9 @@ class SelfAdjointMatrix:
     @classmethod
     def hermitian_part(cls, raw) -> "SelfAdjointMatrix":
         raw = np.asarray(raw, dtype=np.complex128)
+        if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
+            # raw + raw^H would broadcast a 1 x k row into a k x k matrix
+            raise ValueError(f"expected a square matrix, got shape {raw.shape}")
         return cls((raw + raw.conj().T) / 2.0)
 
     @property

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -118,6 +119,7 @@ class FreeModel:
     def __init__(self, factors: Sequence[spectra.SpectralMeasure], assign: Sequence[int]):
         self.factors = list(factors)
         self.assign = tuple(int(a) for a in assign)
+        self.letters = len(self.assign)
         if not self.factors:
             raise ValueError("free model needs at least one factor")
         if any(a < 0 or a >= len(self.factors) for a in self.assign):
@@ -170,6 +172,7 @@ class MatrixModel:
         self.tuple = matcore.MatrixTuple(
             [matcore.SelfAdjointMatrix.hermitian_part(np.asarray(a)) for a in mats]
         )
+        self.letters = self.tuple.n
         self._cache: Dict[Tuple[int, ...], float] = {}
 
     def word_moment(self, word: Tuple[int, ...]) -> float:
@@ -183,41 +186,88 @@ class MatrixModel:
         return MatrixModel([self.tuple.mats[i - 1].array for i in letters])
 
 
-class TracialSpec:
-    """Target word traces for n X-letters followed by m Y-letters."""
+class SpecError(ValueError):
+    """An invalid tracial specification; ``problems`` lists every problem."""
 
-    def __init__(self, n: int, m: int, l_max: int, *, targets=None, generator=None):
-        self.n = int(n)
-        self.m = int(m)
-        self.l_max = int(l_max)
-        if self.n < 0 or self.m < 0 or self.n + self.m < 1:
-            raise ValueError("need at least one variable")
-        if self.l_max < 0:
-            raise ValueError("l_max must be >= 0")
-        if (targets is None) == (generator is None):
-            raise ValueError("provide exactly one of targets or generator")
+    def __init__(self, problems):
+        self.problems = list(problems)
+        super().__init__("invalid specification: " + "; ".join(self.problems))
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+class TracialSpec:
+    """Target word traces for n X-letters followed by m Y-letters.
+
+    ``targets`` is a mapping from words to values or a sequence of
+    (word, value) pairs; without targets or a generator the table is
+    empty.  Every rule on the fields and targets is checked here, and a
+    SpecError lists every problem found.
+    """
+
+    def __init__(self, n, m, l_max, *, targets=None, generator=None):
+        problems = [
+            f"field {name!r} must be a nonnegative integer"
+            for name, v in (("n", n), ("m", m), ("l_max", l_max))
+            if not _is_int(v) or v < 0
+        ]
+        if problems:
+            raise SpecError(problems)
+        self.n, self.m, self.l_max = int(n), int(m), int(l_max)
+        letters = self.n + self.m
+        if letters < 1:
+            problems.append("need at least one variable")
+        if targets is not None and generator is not None:
+            problems.append("give either targets or a generator, not both")
+        if generator is not None and generator.letters != letters:
+            problems.append(
+                f"the generator models {generator.letters} letters, not n + m = {letters}"
+            )
         self.generator = generator
         self.targets: Dict[Tuple[int, ...], float] = {}
-        if targets is not None:
-            letters = self.n + self.m
-            for word, value in targets.items():
-                w = tuple(int(i) for i in word)
-                if any(i < 1 or i > letters for i in w):
-                    raise ValueError(f"letter out of range in word {w}")
-                if len(w) > self.l_max:
-                    raise ValueError(f"word {w} longer than l_max={self.l_max}")
-                v = float(value)
-                if not w:
-                    if abs(v - 1.0) > _TARGET_TOL:
-                        raise ValueError("empty word must target 1")
-                    continue
-                c = canonical_word(w)
-                if c in self.targets and abs(self.targets[c] - v) > _TARGET_TOL:
-                    raise ValueError(
-                        f"tracial symmetry conflict at word {w}: "
-                        f"{self.targets[c]} vs {v}"
-                    )
-                self.targets[c] = v
+        seen: Dict[Tuple[int, ...], Tuple[str, Tuple[int, ...]]] = {}  # first entry per class
+        items = targets.items() if isinstance(targets, dict) else targets or ()
+        for num, (raw, value) in enumerate(items, start=1):
+            label = f"targets[{num}]"
+            if not isinstance(raw, (list, tuple)) or not all(_is_int(i) for i in raw):
+                problems.append(f"{label}: word {raw!r} is not a list of letter indices")
+                continue
+            word = tuple(int(i) for i in raw)
+            before = len(problems)
+            if any(i < 1 or i > letters for i in word):
+                problems.append(
+                    f"{label}: word {list(word)} has a letter out of range 1..{letters}"
+                )
+            if len(word) > self.l_max:
+                problems.append(f"{label}: word {list(word)} is longer than l_max={self.l_max}")
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                problems.append(f"{label}: value {value!r} is not a number")
+            elif not math.isfinite(value):
+                problems.append(f"{label}: value {value!r} is not finite")
+            if len(problems) > before:
+                continue
+            v = float(value)
+            if not word:
+                if abs(v - 1.0) > _TARGET_TOL:
+                    problems.append(f"{label}: the empty word must target 1, not {v}")
+                continue
+            c = canonical_word(word)
+            if c in self.targets and abs(self.targets[c] - v) > _TARGET_TOL:
+                first, w0 = seen[c]
+                what = (
+                    "repeated with a different value" if w0 == word
+                    else "a tracial symmetry conflict"
+                )
+                problems.append(
+                    f"{label}: word {list(word)} is {what} against {first} "
+                    f"{list(w0)} ({self.targets[c]} vs {v})"
+                )
+            self.targets[c] = v
+            seen.setdefault(c, (label, word))
+        if problems:
+            raise SpecError(problems)
         self._words_cache: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
 
     # factories -----------------------------------------------------------
@@ -228,14 +278,10 @@ class TracialSpec:
 
     @classmethod
     def free_model(cls, n, m, l_max, factors, assign) -> "TracialSpec":
-        if len(assign) != n + m:
-            raise ValueError("need one factor assignment per letter")
         return cls(n, m, l_max, generator=FreeModel(factors, assign))
 
     @classmethod
     def matrix_model(cls, n, m, l_max, mats) -> "TracialSpec":
-        if len(mats) != n + m:
-            raise ValueError("need one model matrix per letter")
         return cls(n, m, l_max, generator=MatrixModel(mats))
 
     # lookups ---------------------------------------------------------------
@@ -334,30 +380,36 @@ class TracialSpec:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TracialSpec":
-        n, m, l_max = int(d["n"]), int(d["m"]), int(d["l_max"])
+    def from_dict(cls, d) -> "TracialSpec":
+        """Specification from its JSON document.
+
+        The document's shape is checked here and every other rule in
+        ``__init__``; one SpecError lists every problem of both.
+        """
+        if not isinstance(d, dict):
+            raise SpecError(["specification document must be a JSON object"])
+        problems: List[str] = []
+        generator = None
         if "generator" in d:
-            g = d["generator"]
-            if g.get("kind") == "free":
-                factors = [spectra.measure_from_dict(f) for f in g["factors"]]
-                return cls.free_model(n, m, l_max, factors, g["assign"])
-            if g.get("kind") == "matrix":
-                mats = [
-                    np.array([[complex(re, im) for re, im in row] for row in mat])
-                    for mat in g["matrices"]
-                ]
-                return cls.matrix_model(n, m, l_max, mats)
-            raise ValueError(f"unknown generator kind {g.get('kind')!r}")
-        targets: Dict[Tuple[int, ...], float] = {}
-        repeats = []
-        for e in d.get("targets", []):
-            w, v = tuple(e["word"]), float(e["value"])
-            if w in targets and abs(targets[w] - v) > _TARGET_TOL:
-                repeats.append(f"{list(w)} ({targets[w]} vs {v})")
-            targets[w] = v
-        if repeats:
-            raise ValueError("repeated word with different values: " + ", ".join(repeats))
-        return cls.from_targets(n, m, l_max, targets)
+            generator = _generator_from_dict(d["generator"], problems)
+        targets = d.get("targets")
+        if isinstance(targets, list):
+            targets = [
+                (e.get("word"), e.get("value")) if isinstance(e, dict) else (e, None)
+                for e in targets
+            ]
+        elif targets is not None:
+            problems.append("field 'targets' must be a list of {word, value} entries")
+            targets = None
+        try:
+            spec = cls(
+                d.get("n"), d.get("m", 0), d.get("l_max"), targets=targets, generator=generator
+            )
+        except SpecError as e:
+            problems = e.problems + problems
+        if problems:
+            raise SpecError(problems)
+        return spec
 
     def save(self, path: str) -> None:
         with open(path, "w") as f:
@@ -368,6 +420,47 @@ class TracialSpec:
     def load(cls, path: str) -> "TracialSpec":
         with open(path) as f:
             return cls.from_dict(json.load(f))
+
+
+def _generator_from_dict(g, problems: List[str]):
+    """Model of a specification's generator block, or None after appending
+    its problems."""
+    kind = g.get("kind") if isinstance(g, dict) else None
+    if kind == "free":
+        docs, assign, before = g.get("factors"), g.get("assign"), len(problems)
+        factors = []
+        if not isinstance(docs, list):
+            problems.append("generator: field 'factors' must be a list of measures")
+        else:
+            for i, doc in enumerate(docs, start=1):
+                try:
+                    factors.append(spectra.measure_from_dict(doc))
+                except (TypeError, ValueError) as e:
+                    problems.append(f"generator: factors[{i}]: {e}")
+        if not isinstance(assign, list) or not all(_is_int(a) for a in assign):
+            problems.append("generator: field 'assign' must be a list of factor indices")
+        if len(problems) == before:
+            try:
+                return FreeModel(factors, assign)
+            except ValueError as e:
+                problems.append(f"generator: {e}")
+    elif kind == "matrix":
+        try:
+            return MatrixModel(
+                [
+                    np.array([[complex(re, im) for re, im in row] for row in mat])
+                    for mat in g.get("matrices")
+                ]
+            )
+        except (TypeError, ValueError) as e:
+            problems.append(
+                f"generator: field 'matrices' must hold square matrices of [re, im] entries ({e})"
+            )
+    elif isinstance(g, dict):
+        problems.append(f"generator: kind {kind!r} is neither 'free' nor 'matrix'")
+    else:
+        problems.append("field 'generator' must be an object with a 'kind'")
+    return None
 
 
 def suggested_radius(spec: TracialSpec) -> float:
@@ -406,10 +499,10 @@ class MicrostateParams:
             raise ValueError("k must be >= 1")
         if self.l < 0:
             raise ValueError("l must be >= 0")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be positive and finite, not {self.eps}")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError(f"radius must be positive and finite, not {self.radius}")
 
 
 def _spec_words(spec: TracialSpec, l: int):
@@ -684,6 +777,7 @@ class ChiPoint:
     log_volume: float
     value: float
     stderr: float
+    y_id: str = ""  # the winning Y-candidate of a relative estimate
 
 
 @dataclass
@@ -727,9 +821,11 @@ def _chi_point(spec, k, ve) -> ChiPoint:
     return ChiPoint(k, ve.log_volume, value, ve.stderr_log / (k * k))
 
 
-def _extrapolate(points: List[ChiPoint]) -> float:
-    finite = [pt.value - pt.stderr for pt in points if pt.value > float("-inf")]
-    return max(finite) if finite else float("-inf")
+def _extrapolate(points: List[ChiPoint]) -> Tuple[float, float]:
+    """The extrapolation max over k of (value - stderr), with the stderr of
+    the first k attaining it; (-inf, inf) when no k has a finite value."""
+    finite = [(pt.value - pt.stderr, pt.stderr) for pt in points if pt.value > float("-inf")]
+    return max(finite, key=lambda t: t[0]) if finite else (float("-inf"), float("inf"))
 
 
 def estimate_chi(
@@ -756,7 +852,7 @@ def estimate_chi(
         pts.append(_chi_point(spec, k, ve))
     return ChiEstimate(
         pts,
-        _extrapolate(pts),
+        _extrapolate(pts)[0],
         "",
         spec.n,
         params.l,
@@ -850,13 +946,16 @@ def estimate_chi_relative(
     if not ks or ks != sorted(ks):
         raise ValueError("k_list must be nonempty and ascending")
     pts = []
-    used = []
     for k in ks:
         p = MicrostateParams(k=k, l=params.l, eps=params.eps, radius=params.radius)
         cands = y_candidates(spec, p, y_pool, rng.derive(seed, 0x9CA, k))
         if not cands:
-            pts.append(ChiPoint(k, float("-inf"), float("-inf"), float("inf")))
-            used.append(f"k={k}:none (no {k}-dim Y-microstates found; empty sup)")
+            pts.append(
+                ChiPoint(
+                    k, float("-inf"), float("-inf"), float("inf"),
+                    f"none (no {k}-dim Y-microstates found; empty sup)",
+                )
+            )
             continue
         best = None
         best_desc = ""
@@ -868,11 +967,11 @@ def estimate_chi_relative(
                 best = ve
                 best_desc = desc
         pts.append(_chi_point(spec, k, best))
-        used.append(f"k={k}:{best_desc}")
+        pts[-1].y_id = best_desc
     return ChiEstimate(
         pts,
-        _extrapolate(pts),
-        "; ".join(used),
+        _extrapolate(pts)[0],
+        "; ".join(f"k={pt.k}:{pt.y_id}" for pt in pts),
         spec.n,
         params.l,
         params.eps,

@@ -408,18 +408,6 @@ class _Evaluator:
         return m
 
 
-def multiply(f: NcPoly, g: NcPoly) -> NcPoly:
-    return f * g
-
-
-def adjoint(f: NcPoly) -> NcPoly:
-    return f.adjoint()
-
-
-def is_selfadjoint(f: NcPoly) -> bool:
-    return f.is_selfadjoint()
-
-
 def evaluate(f: NcPoly, t: matcore.MatrixTuple, embed=None):
     """Value of f at the tuple.
 
@@ -545,25 +533,8 @@ def logabs_functional(jac: NcJacobian) -> float:
 # majorants ----------------------------------------------------------------
 
 
-def majorant_value(f: NcPoly, radii: Sequence[float]) -> float:
-    """Commutative majorant: coefficients to norm products, t_i to radii."""
-    if len(radii) != f.n:
-        raise ValueError("need one radius per indeterminate")
-    if any(r <= 0 for r in radii):
-        raise ValueError("radii must be positive")
-    total = 0.0
-    for (word, coefs), s in f.terms.items():
-        v = abs(s)
-        for slot in coefs:
-            for name, _ in slot:
-                v *= f.algebra.norm(name)
-        for letter in word:
-            v *= radii[letter - 1]
-        total += v
-    return total
-
-
 def _majorant_levels(f: NcPoly, radii: Sequence[float]) -> Dict[int, float]:
+    """Commutative majorant per degree: coefficients to norm products, t_i to radii."""
     levels: Dict[int, float] = {}
     for (word, coefs), s in f.terms.items():
         v = abs(s)
@@ -576,6 +547,24 @@ def _majorant_levels(f: NcPoly, radii: Sequence[float]) -> Dict[int, float]:
     return levels
 
 
+def _still_shrinks(levels: Dict[int, float]) -> bool:
+    """The last two nonzero levels shrink: their per-step ratio is below 1."""
+    nz = sorted(d for d, v in levels.items() if v > 0)
+    if len(nz) < 2:
+        return True
+    a, b = nz[-2], nz[-1]
+    return (levels[b] / levels[a]) ** (1.0 / (b - a)) < 1.0
+
+
+def majorant_value(f: NcPoly, radii: Sequence[float]) -> float:
+    """Commutative majorant: coefficients to norm products, t_i to radii."""
+    if len(radii) != f.n:
+        raise ValueError("need one radius per indeterminate")
+    if any(r <= 0 for r in radii):
+        raise ValueError("radii must be positive")
+    return sum(_majorant_levels(f, radii).values())
+
+
 def majorant_radius(f: NcPoly, radii: Sequence[float]) -> bool:
     """Convergence certificate at the given multiradius.
 
@@ -584,14 +573,7 @@ def majorant_radius(f: NcPoly, radii: Sequence[float]) -> bool:
     """
     if len(radii) != f.n:
         raise ValueError("need one radius per indeterminate")
-    if not f.truncated:
-        return True
-    levels = _majorant_levels(f, radii)
-    nz = sorted(d for d, v in levels.items() if v > 0)
-    if len(nz) < 2:
-        return True
-    a, b = nz[-2], nz[-1]
-    return (levels[b] / levels[a]) ** (1.0 / (b - a)) < 1.0
+    return not f.truncated or _still_shrinks(_majorant_levels(f, radii))
 
 
 # perturbative inversion ----------------------------------------------------
@@ -661,14 +643,9 @@ def perturbation_inverse(
     out = []
     ones = (1.0,) * n
     for i in range(n):
-        levels = [eps**m * majorant_value(gs[i][m], ones) for m in range(order + 1)]
-        nz = [m for m, v in enumerate(levels) if v > 0]
-        if len(nz) >= 2:
-            a, b = nz[-2], nz[-1]
-            if (levels[b] / levels[a]) ** (1.0 / (b - a)) >= 1.0:
-                raise ValueError(
-                    f"majorant divergence: eps={eps} too large for component {i + 1}"
-                )
+        levels = {m: eps**m * majorant_value(gs[i][m], ones) for m in range(order + 1)}
+        if not _still_shrinks(levels):
+            raise ValueError(f"majorant divergence: eps={eps} too large for component {i + 1}")
         total = NcPoly.zero(n, alg)
         for m in range(order + 1):
             total = total + gs[i][m] * (eps**m)

@@ -10,7 +10,7 @@ configuration and seed.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,39 +52,23 @@ class CheckReport:
     diagnostics: Dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "relation": self.relation,
-            "lhs": _json_float(self.lhs),
-            "rhs": _json_float(self.rhs),
-            "tolerance": _json_float(self.tolerance),
-            "passed": self.passed,
-            "statistical": self.statistical,
-            "seed": self.seed,
-            "diagnostics": _jsonable(self.diagnostics),
-        }
+        return jsonable(asdict(self))
 
 
-def _json_float(x):
-    x = float(x)
-    if math.isinf(x):
-        return "-inf" if x < 0 else "inf"
-    if math.isnan(x):
-        return "nan"
-    return x
-
-
-def _jsonable(obj):
+def jsonable(obj):
+    """JSON-safe copy: numpy scalars become Python ones and non-finite
+    floats the strings "inf", "-inf" and "nan"."""
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return [jsonable(v) for v in obj]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return _json_float(obj)
+        x = float(obj)
+        return x if math.isfinite(x) else repr(x)
     return obj
 
 
@@ -93,14 +77,8 @@ def report_text(r: CheckReport) -> str:
     tier = "statistical" if r.statistical else "deterministic"
     return (
         f"[{status}] {r.id} ({tier}): "
-        f"lhs={_fmt(r.lhs)} {r.relation} rhs={_fmt(r.rhs)} (tol={_fmt(r.tolerance)})"
+        f"lhs={r.lhs:.6g} {r.relation} rhs={r.rhs:.6g} (tol={r.tolerance:.6g})"
     )
-
-
-def _fmt(x: float) -> str:
-    if math.isinf(x):
-        return "-inf" if x < 0 else "inf"
-    return f"{x:.6g}"
 
 
 # --- shared plumbing ---------------------------------------------------------
@@ -108,14 +86,7 @@ def _fmt(x: float) -> str:
 
 def _sigma(est: ms.ChiEstimate) -> float:
     """Standard error attached to the extrapolated value (argmax point)."""
-    best = None
-    for pt in est.per_k:
-        if pt.value == float("-inf"):
-            continue
-        score = pt.value - pt.stderr
-        if best is None or score > best[0]:
-            best = (score, pt.stderr)
-    return best[1] if best else float("inf")
+    return ms._extrapolate(est.per_k)[1]
 
 
 def _one_sided(lhs, s_lhs, rhs, s_rhs) -> Tuple[bool, float]:
@@ -382,31 +353,22 @@ def _chk_gen(cfg) -> CheckReport:
                 best_y = vy
             if best_z is None or vz.log_volume > best_z.log_volume:
                 best_z = vz
-        for best, pts in ((best_y, pts_y), (best_z, pts_z)):
-            if best is None or best.log_volume == float("-inf"):
-                pts.append((k, float("-inf"), float("inf")))
+        for spec, best, pts in ((spec_y, best_y, pts_y), (spec_z, best_z, pts_z)):
+            if best is None:
+                pts.append(ms.ChiPoint(k, float("-inf"), float("-inf"), float("inf")))
             else:
-                pts.append(
-                    (k, best.log_volume / k**2 + 0.5 * math.log(k), best.stderr_log / k**2)
-                )
+                pts.append(ms._chi_point(spec, k, best))
 
-    def extrap(pts):
-        fin = [(v - s, s) for _, v, s in pts if v > float("-inf")]
-        if not fin:
-            return float("-inf"), float("inf")
-        score, s = max(fin)
-        return score + s, s
-
-    lhs, s_lhs = extrap(pts_y)
-    rhs, s_rhs = extrap(pts_z)
+    lhs, s_lhs = ms._extrapolate(pts_y)
+    rhs, s_rhs = ms._extrapolate(pts_z)
     tol = 3.0 * (s_lhs + s_rhs)
     ok = lhs > float("-inf") and rhs > float("-inf") and abs(lhs - rhs) <= tol
     return CheckReport(
         "T-GEN", "==", lhs, rhs, tol, ok, True, c["seed"],
         {
             "powers": list(powers),
-            "per_k_given_y": [list(t) for t in pts_y],
-            "per_k_given_powers": [list(t) for t in pts_z],
+            "per_k_given_y": [[pt.k, pt.value, pt.stderr] for pt in pts_y],
+            "per_k_given_powers": [[pt.k, pt.value, pt.stderr] for pt in pts_z],
         },
     )
 

@@ -272,6 +272,97 @@ def test_chi_mc_conflict_above_library_tolerance_is_a_usage_error(tmp_path, caps
     assert "word [2, 1] is a tracial symmetry conflict" in err
 
 
+SC_FACTOR = {"kind": "semicircle", "variance": 1.0}
+MALFORMED_SPECS = [
+    pytest.param(
+        {"generator": {"kind": "free"}},
+        ["generator: field 'factors' must be a list of measures",
+         "generator: field 'assign' must be a list of factor indices"],
+        id="free-generator-without-fields",
+    ),
+    pytest.param(
+        {"generator": "free"},
+        ["field 'generator' must be an object with a 'kind'"],
+        id="generator-not-an-object",
+    ),
+    pytest.param(
+        {"generator": {"kind": "gaussian"}},
+        ["generator: kind 'gaussian' is neither 'free' nor 'matrix'"],
+        id="unknown-generator-kind",
+    ),
+    pytest.param(
+        {"targets": [{"word": [], "value": 0.5}, {"word": [1, 3], "value": 1.0}]},
+        ["targets[1]: the empty word must target 1, not 0.5",
+         "targets[2]: word [1, 3] has a letter out of range 1..2"],
+        id="empty-word-target",
+    ),
+    pytest.param(
+        {"generator": {"kind": "free", "factors": [SC_FACTOR], "assign": [0]}},
+        ["the generator models 1 letters, not n + m = 2"],
+        id="assign-of-wrong-length",
+    ),
+    pytest.param(
+        {"n": "1", "l_max": 2.9},
+        ["field 'n' must be a nonnegative integer",
+         "field 'l_max' must be a nonnegative integer"],
+        id="non-integer-fields",
+    ),
+    pytest.param(
+        {"generator": {"kind": "free", "factors": [SC_FACTOR, {"kind": "cauchy"}],
+                       "assign": [0, 1]}},
+        ["generator: factors[2]: unknown measure kind 'cauchy'"],
+        id="bad-factor-measure",
+    ),
+    pytest.param(
+        {"generator": {"kind": "free", "factors": [SC_FACTOR], "assign": [0, 1]}},
+        ["generator: factor assignment out of range"],
+        id="assign-out-of-range",
+    ),
+    pytest.param(
+        {"generator": {"kind": "matrix", "matrices": [[[[1, 0], [0, 0]]]]}},
+        ["generator: field 'matrices' must hold square matrices of [re, im] entries "
+         "(expected a square matrix, got shape (1, 2))"],
+        id="non-square-matrix",
+    ),
+    pytest.param(
+        {"generator": {"kind": "free", "factors": [SC_FACTOR], "assign": [0, 0]},
+         "targets": []},
+        ["give either targets or a generator, not both"],
+        id="targets-and-generator",
+    ),
+]
+
+
+@pytest.mark.parametrize("body,problems", MALFORMED_SPECS)
+def test_chi_mc_malformed_spec_exits_2_listing_every_problem(tmp_path, capsys, body, problems):
+    spec = write_json(tmp_path / "bad.json", {"n": 1, "m": 1, "l_max": 2, **body})
+    code, out, err = run(capsys, "chi-mc", "--spec", spec, "--k", "2", "--samples", "200")
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: invalid specification:\n")
+    listed = [line[len("  - "):] for line in err.splitlines()[1:]]
+    assert listed == problems
+
+
+@pytest.mark.parametrize("flag", ["--eps", "--radius"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_chi_mc_non_finite_window_exits_2_before_sampling(tmp_path, capsys, monkeypatch,
+                                                          flag, value):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled with a non-finite parameter")
+
+    monkeypatch.setattr(cli.ms, "estimate_volume", no_sampling)
+    spec = write_json(tmp_path / "spec.json", SC_SPEC)
+    code, out, err = run(
+        capsys, "chi-mc", "--spec", spec, "--k", "2", "--samples", "200",
+        f"{flag}={value}", "--format", "json",
+    )
+    assert code == 2
+    assert out == ""
+    assert f"{flag[2:]} must be positive and finite" in err
+
+
 def test_chi_mc_missing_file(capsys):
     code, _, err = run(capsys, "chi-mc", "--spec", "/nonexistent/spec.json")
     assert code == 2
@@ -406,6 +497,58 @@ def test_check_statistical_failure_keeps_exit_zero(monkeypatch, capsys):
     code, out, _ = run(capsys, "check", "T-CHAIN")
     assert code == 0
     assert "[FAIL] T-CHAIN" in out
+
+
+# --- strict JSON --------------------------------------------------------------
+
+
+def _reject_constant(name):
+    raise ValueError(f"bare {name} in JSON output")
+
+
+def _json_cases(tmp_path):
+    sc = write_json(tmp_path / "sc.json", {"kind": "semicircle", "variance": 1.0})
+    atomic = write_json(
+        tmp_path / "a.json", {"kind": "atomic", "atoms": [[-1, 0.5], [1, 0.5]]}
+    )
+    plain = write_json(tmp_path / "spec.json", SC_SPEC)
+    rel = write_json(tmp_path / "rel.json", REL_SPEC)
+    return [
+        ["chi-single", sc, "--field", "poly:0,1,0,1"],
+        ["chi-single", atomic, "--field", "arctan:2.0"],
+        ["chi-mc", "--spec", plain, "--k", "1,2", "--samples", "500", "--seed", "2"],
+        ["chi-mc", "--spec", rel, "--k", "1,2", "--samples", "500", "--y-pool", "2",
+         "--seed", "3", "--threads", "1"],
+        ["dq", "0.5 - t2 + 2 t1 t2", "2"],
+        ["check", "T-BLOCK,T-MAX"],
+        ["check", "T-GEN", "--k", "1", "--samples", "500", "--y-pool", "2", "--threads", "1"],
+    ]
+
+
+def test_every_json_output_is_strict_json(tmp_path, capsys):
+    infinities = 0
+    for argv in _json_cases(tmp_path):
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0, argv
+        json.loads(out, parse_constant=_reject_constant)
+        infinities += out.count('"-inf"')
+    assert infinities > 0  # the cases include atomic, empty-pool and k=1 -inf values
+
+
+def test_check_report_serializer_never_emits_bare_non_finite(capsys, monkeypatch):
+    def fake(cid, **cfg):
+        return theorems.CheckReport(
+            id=cid, relation="<=", lhs=float("nan"), rhs=float("-inf"),
+            tolerance=float("inf"), passed=False, statistical=True, seed=0,
+            diagnostics={"nested": [(1, float("nan")), {"x": float("inf")}]},
+        )
+
+    monkeypatch.setattr(cli.theorems, "check", fake)
+    code, out, _ = run(capsys, "check", "T-CHAIN", "--format", "json")
+    assert code == 0
+    (doc,) = json.loads(out, parse_constant=_reject_constant)
+    assert (doc["lhs"], doc["rhs"], doc["tolerance"]) == ("nan", "-inf", "inf")
+    assert doc["diagnostics"] == {"nested": [[1, "nan"], {"x": "inf"}]}
 
 
 # --- entry point ------------------------------------------------------------

@@ -22,6 +22,8 @@ def test_constructor_rejects_non_hermitian():
         SelfAdjointMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         SelfAdjointMatrix(np.array([[0.0, np.inf], [np.inf, 0.0]]))
+    with pytest.raises(ValueError, match="square"):
+        SelfAdjointMatrix.hermitian_part(np.array([[1.0, 2.0]]))
 
 
 def test_hermitian_part_is_exact():

@@ -105,6 +105,35 @@ def test_from_targets_rejects_tracial_conflicts():
         TracialSpec.from_targets(1, 0, 1, {(1, 1): 1.0})
 
 
+def test_spec_error_lists_every_problem_in_one_error():
+    doc = {
+        "n": 1, "m": 0, "l_max": 2,
+        "targets": [
+            {"word": [], "value": 0.5},
+            {"word": [2], "value": 0.0},
+            {"word": [1, 1], "value": "1"},
+            {"word": [1, 1], "value": float("nan")},
+            {"word": [1], "value": 0.0},
+            {"word": [1], "value": 0.5},
+            {"value": 1.0},
+            7,
+        ],
+    }
+    with pytest.raises(ms.SpecError) as info:
+        TracialSpec.from_dict(doc)
+    assert info.value.problems == [
+        "targets[1]: the empty word must target 1, not 0.5",
+        "targets[2]: word [2] has a letter out of range 1..1",
+        "targets[3]: value '1' is not a number",
+        "targets[4]: value nan is not finite",
+        "targets[6]: word [1] is repeated with a different value against targets[5] [1] "
+        "(0.0 vs 0.5)",
+        "targets[7]: word None is not a list of letter indices",
+        "targets[8]: word 7 is not a list of letter indices",
+    ]
+    assert str(info.value).startswith("invalid specification: targets[1]: the empty")
+
+
 def test_target_lookup_depth_errors():
     spec = TracialSpec.from_targets(1, 0, 2, {(1,): 0.0, (1, 1): 1.0})
     with pytest.raises(ms.SpecTooShallow):
@@ -270,8 +299,12 @@ def test_membership_validation_errors():
 
 
 def test_params_validation():
+    nan, inf = float("nan"), float("inf")
     for bad in [dict(k=0, l=2, eps=0.1, radius=4.0), dict(k=2, l=-1, eps=0.1, radius=4.0),
-                dict(k=2, l=2, eps=0.0, radius=4.0), dict(k=2, l=2, eps=0.1, radius=0.0)]:
+                dict(k=2, l=2, eps=0.0, radius=4.0), dict(k=2, l=2, eps=0.1, radius=0.0),
+                dict(k=2, l=2, eps=nan, radius=4.0), dict(k=2, l=2, eps=inf, radius=4.0),
+                dict(k=2, l=2, eps=0.1, radius=nan), dict(k=2, l=2, eps=0.1, radius=inf),
+                dict(k=2, l=2, eps=0.1, radius=-inf)]:
         with pytest.raises(ValueError):
             MicrostateParams(**bad)
 
@@ -437,6 +470,8 @@ def test_relative_chi_of_a_free_pair_matches_the_x_marginal():
     est = ms.estimate_chi_relative(spec, p, [2, 3], y_pool=6, nsamples=20_000, seed=21)
     assert 0.8 < est.extrapolated < 1.5
     assert est.y_used.startswith("k=2:") and "; k=3:" in est.y_used
+    assert est.y_used == "; ".join(f"k={pt.k}:{pt.y_id}" for pt in est.per_k)
+    assert all(pt.y_id.startswith("free#") for pt in est.per_k)
 
 
 def test_relative_chi_detects_exact_correlation():
@@ -463,6 +498,7 @@ def test_relative_empty_pool_reports_minus_inf():
     assert est.extrapolated == float("-inf")
     assert "empty sup" in est.y_used
     assert est.per_k[0].value == float("-inf")
+    assert est.per_k[0].y_id == "none (no 1-dim Y-microstates found; empty sup)"
 
 
 def test_chi_prime_reduces_to_chi_without_y():

@@ -44,6 +44,18 @@ def test_minus_inf_values_become_strings():
     assert not r.passed
 
 
+def test_gen_reports_the_shared_extrapolation():
+    # T-GEN once reported the value at argmax(value - stderr); the README's
+    # extrapolation, shared by every estimate, is max(value - stderr)
+    r = th.check("T-GEN", k_list=(4, 8), nsamples=2000, y_pool=2)
+    best = []
+    for key in ("per_k_given_y", "per_k_given_powers"):
+        scored = [(v - s, s) for _, v, s in r.diagnostics[key] if v > float("-inf")]
+        best.append(max(scored, key=lambda t: t[0]))
+    assert (r.lhs, r.rhs) == (best[0][0], best[1][0])
+    assert r.tolerance == 3.0 * (best[0][1] + best[1][1])
+
+
 def test_run_all_subset_keeps_order():
     reports = th.run_all(["T-BLOCK", "T-MAX"])
     assert [r.id for r in reports] == ["T-BLOCK", "T-MAX"]
