@@ -147,16 +147,10 @@ def _cmd_chi_mc(args) -> int:
         params = ms.MicrostateParams(k=ks[0], l=args.l, eps=args.eps, radius=radius)
     except ValueError as e:
         raise UsageError(str(e))
-    threads = _threads(args.threads)
-    if spec.m == 0:
-        est = ms.estimate_chi(
-            spec, params, ks, nsamples=args.samples, seed=args.seed, threads=threads
-        )
-    else:
-        est = ms.estimate_chi_relative(
-            spec, params, ks, y_pool=args.y_pool, nsamples=args.samples,
-            seed=args.seed, threads=threads,
-        )
+    est = ms.estimate_chi_relative(
+        spec, params, ks, y_pool=args.y_pool, nsamples=args.samples,
+        seed=args.seed, threads=_threads(args.threads),
+    )
 
     header = ["k", "l", "eps", "R", "N", "log_volume", "stderr", "normalized_chi", "y_id"]
     rows, lines = [], []
@@ -229,9 +223,9 @@ def _resolve_ids(token: str):
 
 def _cmd_check(args) -> int:
     ids = _resolve_ids(args.id)
-    cfg = {}
-    if args.config:
-        cfg.update(_load_json(args.config, "config"))
+    cfg = _load_json(args.config, "config") if args.config else {}
+    if not isinstance(cfg, dict):
+        raise UsageError(f"config must be a JSON object, not {type(cfg).__name__}")
     # flags win over the config file
     if args.k is not None:
         cfg["k_list"] = _parse_k_list(args.k)
@@ -242,6 +236,10 @@ def _cmd_check(args) -> int:
         if val is not None:
             cfg[key] = val
     cfg["threads"] = _threads(args.threads)
+    try:
+        theorems._mc_cfg(cfg)
+    except ValueError as e:
+        raise UsageError(str(e))
 
     reports = [theorems.check(i, **cfg) for i in ids]
     det_fail = any(

@@ -34,7 +34,7 @@ import json
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations, product
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -198,6 +198,10 @@ def _is_int(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 class TracialSpec:
     """Target word traces for n X-letters followed by m Y-letters.
 
@@ -242,7 +246,7 @@ class TracialSpec:
                 )
             if len(word) > self.l_max:
                 problems.append(f"{label}: word {list(word)} is longer than l_max={self.l_max}")
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            if not _is_real(value):
                 problems.append(f"{label}: value {value!r} is not a number")
             elif not math.isfinite(value):
                 problems.append(f"{label}: value {value!r} is not finite")
@@ -464,23 +468,19 @@ def _generator_from_dict(g, problems: List[str]):
 
 
 def suggested_radius(spec: TracialSpec) -> float:
-    """Default R: 2 + 2 max|support| for bounded-support models, else 4."""
+    """Default R: 2 + 2 max|support| of a generator's model, else 4.
+
+    Every free factor has bounded support; a variance-v semicircle lies
+    in [-2 sqrt(v), 2 sqrt(v)]."""
     gen = spec.generator
     if isinstance(gen, MatrixModel):
         stack = gen.tuple.stack()
         return 2.0 + 2.0 * float(matcore.operator_norms(stack).max())
     if isinstance(gen, FreeModel):
-        bound = 0.0
-        has_bound = False
-        for f in gen.factors:
-            if f.kind == "atomic":
-                bound = max(bound, max(abs(a[0]) for a in f.atoms))
-                has_bound = True
-            elif f.kind in ("uniform", "grid"):
-                bound = max(bound, abs(f.support[0]), abs(f.support[1]))
-                has_bound = True
-        if has_bound:
-            return 2.0 + 2.0 * bound
+        return 2.0 + 2.0 * max(
+            max(abs(a[0]) for a in f.atoms) if f.is_atomic else max(map(abs, f.support))
+            for f in gen.factors
+        )
     return 4.0
 
 
@@ -495,14 +495,17 @@ class MicrostateParams:
     radius: float
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.l < 0:
-            raise ValueError("l must be >= 0")
-        if not (math.isfinite(self.eps) and self.eps > 0):
-            raise ValueError(f"eps must be positive and finite, not {self.eps}")
-        if not (math.isfinite(self.radius) and self.radius > 0):
-            raise ValueError(f"radius must be positive and finite, not {self.radius}")
+        problems = [
+            f"{name} must be an integer >= {low}, not {v!r}"
+            for name, v, low in (("k", self.k, 1), ("l", self.l, 0))
+            if not (_is_int(v) and v >= low)
+        ] + [
+            f"{name} must be positive and finite, not {v!r}"
+            for name, v in (("eps", self.eps), ("radius", self.radius))
+            if not (_is_real(v) and math.isfinite(v) and v > 0)
+        ]
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 def _spec_words(spec: TracialSpec, l: int):
@@ -828,6 +831,40 @@ def _extrapolate(points: List[ChiPoint]) -> Tuple[float, float]:
     return max(finite, key=lambda t: t[0]) if finite else (float("-inf"), float("inf"))
 
 
+def _sweep(spec, params, k_list, nsamples, sampler, point) -> ChiEstimate:
+    """The one k sweep: ``point(p)`` gives the ChiPoint at each k of an
+    ascending k_list, in order; params.k is ignored.  ``y_used`` joins the
+    y_id of every point that carries one."""
+    ks = [int(k) for k in k_list]
+    if not ks or ks != sorted(ks):
+        raise ValueError("k_list must be nonempty and ascending")
+    pts = [point(replace(params, k=k)) for k in ks]
+    y_used = "; ".join(f"k={pt.k}:{pt.y_id}" for pt in pts if pt.y_id)
+    return ChiEstimate(
+        pts, _extrapolate(pts)[0], y_used, spec.n,
+        params.l, params.eps, params.radius, nsamples, sampler,
+    )
+
+
+def _pool_point(spec, p, cands, seed_of, nsamples, sampler, threads) -> ChiPoint:
+    """The sup over a pool of (id, Y-tuple) candidates at p.k: candidate ci
+    is measured with seed ``seed_of(ci)`` and the first of the largest
+    volumes wins.  An empty pool gives the -inf row of an empty sup."""
+    if not cands:
+        return ChiPoint(
+            p.k, float("-inf"), float("-inf"), float("inf"),
+            f"none (no {p.k}-dim Y-microstates found; empty sup)",
+        )
+    vols = [
+        estimate_volume(spec, p, sampler, ytup, nsamples, seed_of(ci), threads)
+        for ci, (_, ytup) in enumerate(cands)
+    ]
+    best = max(range(len(vols)), key=lambda ci: vols[ci].log_volume)
+    pt = _chi_point(spec, p.k, vols[best])
+    pt.y_id = cands[best][0]
+    return pt
+
+
 def estimate_chi(
     spec: TracialSpec,
     params: MicrostateParams,
@@ -840,27 +877,14 @@ def estimate_chi(
     """Per-k normalized values over a k sweep; params.k is ignored."""
     if spec.m != 0:
         raise ValueError("spec has Y letters: use estimate_chi_relative")
-    ks = [int(k) for k in k_list]
-    if not ks or ks != sorted(ks):
-        raise ValueError("k_list must be nonempty and ascending")
-    pts = []
-    for k in ks:
-        p = MicrostateParams(k=k, l=params.l, eps=params.eps, radius=params.radius)
+
+    def point(p):
         ve = estimate_volume(
-            spec, p, sampler, None, nsamples, rng.derive(seed, 0xC41, k), threads
+            spec, p, sampler, None, nsamples, rng.derive(seed, 0xC41, p.k), threads
         )
-        pts.append(_chi_point(spec, k, ve))
-    return ChiEstimate(
-        pts,
-        _extrapolate(pts)[0],
-        "",
-        spec.n,
-        params.l,
-        params.eps,
-        params.radius,
-        nsamples,
-        sampler,
-    )
+        return _chi_point(spec, p.k, ve)
+
+    return _sweep(spec, params, k_list, nsamples, sampler, point)
 
 
 def _haar_unitary(k: int, seed: int) -> np.ndarray:
@@ -942,43 +966,15 @@ def estimate_chi_relative(
     """Relative chi: per k, max volume over a pool of Y-candidates."""
     if spec.m == 0:
         return estimate_chi(spec, params, k_list, nsamples, seed, sampler, threads)
-    ks = [int(k) for k in k_list]
-    if not ks or ks != sorted(ks):
-        raise ValueError("k_list must be nonempty and ascending")
-    pts = []
-    for k in ks:
-        p = MicrostateParams(k=k, l=params.l, eps=params.eps, radius=params.radius)
-        cands = y_candidates(spec, p, y_pool, rng.derive(seed, 0x9CA, k))
-        if not cands:
-            pts.append(
-                ChiPoint(
-                    k, float("-inf"), float("-inf"), float("inf"),
-                    f"none (no {k}-dim Y-microstates found; empty sup)",
-                )
-            )
-            continue
-        best = None
-        best_desc = ""
-        for ci, (desc, ytup) in enumerate(cands):
-            ve = estimate_volume(
-                spec, p, sampler, ytup, nsamples, rng.derive(seed, 0xE57, k, ci), threads
-            )
-            if best is None or ve.log_volume > best.log_volume:
-                best = ve
-                best_desc = desc
-        pts.append(_chi_point(spec, k, best))
-        pts[-1].y_id = best_desc
-    return ChiEstimate(
-        pts,
-        _extrapolate(pts)[0],
-        "; ".join(f"k={pt.k}:{pt.y_id}" for pt in pts),
-        spec.n,
-        params.l,
-        params.eps,
-        params.radius,
-        nsamples,
-        sampler,
-    )
+
+    def point(p):
+        cands = y_candidates(spec, p, y_pool, rng.derive(seed, 0x9CA, p.k))
+        return _pool_point(
+            spec, p, cands, lambda ci: rng.derive(seed, 0xE57, p.k, ci),
+            nsamples, sampler, threads,
+        )
+
+    return _sweep(spec, params, k_list, nsamples, sampler, point)
 
 
 @dataclass

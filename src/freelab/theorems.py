@@ -108,17 +108,39 @@ def _est_dict(est: ms.ChiEstimate) -> dict:
     }
 
 
+_MC_DEFAULTS = {
+    "k_list": (2, 3, 4, 5, 6), "nsamples": 50_000, "l": 2, "eps": 0.45,
+    "radius": 4.0, "seed": 0, "threads": 1, "y_pool": 8,
+}
+
+
 def _mc_cfg(cfg: dict) -> dict:
-    out = {
-        "k_list": tuple(cfg.get("k_list", (2, 3, 4, 5, 6))),
-        "nsamples": int(cfg.get("nsamples", 50_000)),
-        "l": int(cfg.get("l", 2)),
-        "eps": float(cfg.get("eps", 0.45)),
-        "radius": float(cfg.get("radius", 4.0)),
-        "seed": int(cfg.get("seed", 0)),
-        "threads": int(cfg.get("threads", 1)),
-        "y_pool": int(cfg.get("y_pool", 8)),
-    }
+    """The Monte Carlo settings of cfg over their defaults.
+
+    The one validator of a check configuration: a ValueError names every
+    bad key, and the window (l, eps, radius) is checked by MicrostateParams.
+    """
+    c = {key: cfg.get(key, default) for key, default in _MC_DEFAULTS.items()}
+    ks = c["k_list"]
+    problems = []
+    if not (
+        isinstance(ks, (list, tuple)) and ks
+        and all(ms._is_int(k) and k >= 1 for k in ks) and list(ks) == sorted(ks)
+    ):
+        problems.append(f"k_list must be ascending positive integers, not {ks!r}")
+    for key, low in (("nsamples", 100), ("threads", 1), ("y_pool", 1)):
+        if not (ms._is_int(c[key]) and c[key] >= low):
+            problems.append(f"{key} must be an integer >= {low}, not {c[key]!r}")
+    if not ms._is_int(c["seed"]):
+        problems.append(f"seed must be an integer, not {c['seed']!r}")
+    try:
+        ms.MicrostateParams(k=1, l=c["l"], eps=c["eps"], radius=c["radius"])
+    except ValueError as e:
+        problems.append(str(e))
+    if problems:
+        raise ValueError("invalid check configuration: " + "; ".join(problems))
+    out = {key: int(c[key]) for key in ("nsamples", "l", "seed", "threads", "y_pool")}
+    out.update(k_list=tuple(int(k) for k in ks), eps=float(c["eps"]), radius=float(c["radius"]))
     return out
 
 
@@ -135,25 +157,10 @@ def _params(c, k=1):
 
 
 def _chi(spec, c, tag):
-    return ms.estimate_chi(
-        spec,
-        _params(c),
-        c["k_list"],
-        nsamples=c["nsamples"],
-        seed=rng.derive(c["seed"], tag),
-        threads=c["threads"],
-    )
-
-
-def _chi_rel(spec, c, tag):
+    """The sweep of spec, conditioned over a Y pool when it has Y letters."""
     return ms.estimate_chi_relative(
-        spec,
-        _params(c),
-        c["k_list"],
-        y_pool=c["y_pool"],
-        nsamples=c["nsamples"],
-        seed=rng.derive(c["seed"], tag),
-        threads=c["threads"],
+        spec, _params(c), c["k_list"], y_pool=c["y_pool"], nsamples=c["nsamples"],
+        seed=rng.derive(c["seed"], tag), threads=c["threads"],
     )
 
 
@@ -166,8 +173,8 @@ def _chk_chain(cfg) -> CheckReport:
     sc, ta = _sc(), _ta()
     joint = _chi(ms.TracialSpec.free_model(2, 0, c["l"], [sc, ta], [0, 1]), c, 1)
     y_only = _chi(ms.TracialSpec.free_model(1, 0, c["l"], [ta], [0]), c, 2)
-    rel_x = _chi_rel(ms.TracialSpec.free_model(1, 1, c["l"], [sc, ta], [0, 1]), c, 3)
-    rel_y = _chi_rel(ms.TracialSpec.free_model(1, 1, c["l"], [ta, sc], [0, 1]), c, 4)
+    rel_x = _chi(ms.TracialSpec.free_model(1, 1, c["l"], [sc, ta], [0, 1]), c, 3)
+    rel_y = _chi(ms.TracialSpec.free_model(1, 1, c["l"], [ta, sc], [0, 1]), c, 4)
     lhs = joint.extrapolated - y_only.extrapolated
     s_lhs = math.hypot(_sigma(joint), _sigma(y_only))
     mid = joint.extrapolated - rel_y.extrapolated
@@ -193,10 +200,10 @@ def _chk_mono_y(cfg) -> CheckReport:
     """Conditioning on more variables cannot raise the relative value."""
     c = _mc_cfg(cfg)
     sc, ta = _sc(), _ta()
-    rel_two = _chi_rel(
+    rel_two = _chi(
         ms.TracialSpec.free_model(1, 2, c["l"], [sc, ta, sc], [0, 1, 2]), c, 1
     )
-    rel_one = _chi_rel(ms.TracialSpec.free_model(1, 1, c["l"], [sc, ta], [0, 1]), c, 2)
+    rel_one = _chi(ms.TracialSpec.free_model(1, 1, c["l"], [sc, ta], [0, 1]), c, 2)
     lhs, rhs = rel_two.extrapolated, rel_one.extrapolated
     ok, tol = _one_sided(lhs, _sigma(rel_two), rhs, _sigma(rel_one))
     return CheckReport(
@@ -209,7 +216,7 @@ def _chk_vs_joint(cfg) -> CheckReport:
     """The relative value never exceeds the plain one-variable value."""
     c = _mc_cfg(cfg)
     sc, ta = _sc(), _ta()
-    rel = _chi_rel(ms.TracialSpec.free_model(1, 1, c["l"], [sc, ta], [0, 1]), c, 1)
+    rel = _chi(ms.TracialSpec.free_model(1, 1, c["l"], [sc, ta], [0, 1]), c, 1)
     plain = _chi(ms.TracialSpec.free_model(1, 0, c["l"], [sc], [0]), c, 2)
     ok, tol = _one_sided(rel.extrapolated, _sigma(rel), plain.extrapolated, _sigma(plain))
     return CheckReport(
@@ -281,7 +288,7 @@ def _chk_freecrit(cfg) -> CheckReport:
     c = _mc_cfg(cfg)
     allowance = float(cfg.get("finite_k_allowance", 0.05))
     sc, ta = _sc(), _ta()
-    rel = _chi_rel(ms.TracialSpec.free_model(1, 1, c["l"], [sc, ta], [0, 1]), c, 7)
+    rel = _chi(ms.TracialSpec.free_model(1, 1, c["l"], [sc, ta], [0, 1]), c, 7)
     plain = _chi(ms.TracialSpec.free_model(1, 0, c["l"], [sc], [0]), c, 8)
     lhs, rhs = rel.extrapolated, plain.extrapolated
     tol = 3.0 * (_sigma(rel) + _sigma(plain)) + allowance
@@ -330,45 +337,37 @@ def _chk_gen(cfg) -> CheckReport:
             targets[ms.canonical_word(word)] = model.word_moment(ms.canonical_word(flat))
     spec_z = ms.TracialSpec.from_targets(1, len(powers), c["l"], targets)
 
-    pts_y, pts_z = [], []
-    for k in c["k_list"]:
-        p = ms.MicrostateParams(k=k, l=c["l"], eps=c["eps"], radius=c["radius"])
-        cands = ms.y_candidates(spec_y, p, c["y_pool"], rng.derive(c["seed"], 0x47, k))
-        best_y, best_z = None, None
-        for ci, (_, ytup) in enumerate(cands):
-            vy = ms.estimate_volume(
-                spec_y, p, y=ytup, nsamples=c["nsamples"],
-                seed=rng.derive(c["seed"], 0x48, k, ci), threads=c["threads"],
+    def sweep(spec, tag, image):
+        # both sweeps draw the same pool per k; Z sees each candidate's powers
+        def point(p):
+            pool = ms.y_candidates(spec_y, p, c["y_pool"], rng.derive(c["seed"], 0x47, p.k))
+            return ms._pool_point(
+                spec, p, [(desc, image(ytup)) for desc, ytup in pool],
+                lambda ci: rng.derive(c["seed"], tag, p.k, ci),
+                c["nsamples"], "auto", c["threads"],
             )
-            yb = ytup.mats[0].array
-            imgs = [np.linalg.matrix_power(yb, q) for q in powers]
-            ztup = matcore.MatrixTuple(
-                [matcore.SelfAdjointMatrix.hermitian_part(m) for m in imgs]
-            )
-            vz = ms.estimate_volume(
-                spec_z, p, y=ztup, nsamples=c["nsamples"],
-                seed=rng.derive(c["seed"], 0x49, k, ci), threads=c["threads"],
-            )
-            if best_y is None or vy.log_volume > best_y.log_volume:
-                best_y = vy
-            if best_z is None or vz.log_volume > best_z.log_volume:
-                best_z = vz
-        for spec, best, pts in ((spec_y, best_y, pts_y), (spec_z, best_z, pts_z)):
-            if best is None:
-                pts.append(ms.ChiPoint(k, float("-inf"), float("-inf"), float("inf")))
-            else:
-                pts.append(ms._chi_point(spec, k, best))
 
-    lhs, s_lhs = ms._extrapolate(pts_y)
-    rhs, s_rhs = ms._extrapolate(pts_z)
+        return ms._sweep(spec, _params(c), c["k_list"], c["nsamples"], "auto", point)
+
+    def powers_of(ytup):
+        yb = ytup.mats[0].array
+        return matcore.MatrixTuple(
+            [matcore.SelfAdjointMatrix.hermitian_part(np.linalg.matrix_power(yb, q))
+             for q in powers]
+        )
+
+    est_y = sweep(spec_y, 0x48, lambda ytup: ytup)
+    est_z = sweep(spec_z, 0x49, powers_of)
+    lhs, s_lhs = est_y.extrapolated, _sigma(est_y)
+    rhs, s_rhs = est_z.extrapolated, _sigma(est_z)
     tol = 3.0 * (s_lhs + s_rhs)
     ok = lhs > float("-inf") and rhs > float("-inf") and abs(lhs - rhs) <= tol
     return CheckReport(
         "T-GEN", "==", lhs, rhs, tol, ok, True, c["seed"],
         {
             "powers": list(powers),
-            "per_k_given_y": [[pt.k, pt.value, pt.stderr] for pt in pts_y],
-            "per_k_given_powers": [[pt.k, pt.value, pt.stderr] for pt in pts_z],
+            "per_k_given_y": [[pt.k, pt.value, pt.stderr] for pt in est_y.per_k],
+            "per_k_given_powers": [[pt.k, pt.value, pt.stderr] for pt in est_z.per_k],
         },
     )
 

@@ -486,6 +486,32 @@ def test_check_flags_override_config_file(tmp_path, monkeypatch, capsys):
     assert captured["threads"] == 2
 
 
+@pytest.mark.parametrize(
+    "argv, config, keys",
+    [
+        (["T-VS-JOINT", "--eps", "nan"], None, ["eps"]),
+        (["T-BLOCK", "--eps", "nan", "--radius", "-3"], None, ["eps", "radius"]),
+        (["T-CHAIN"], {"nsamples": "many"}, ["nsamples"]),
+        (["T-BLOCK"], [1, 2], ["config"]),
+    ],
+    ids=["eps-nan", "deterministic-window", "nsamples-string", "config-array"],
+)
+def test_check_bad_settings_exit_2_before_any_check(tmp_path, capsys, monkeypatch,
+                                                     argv, config, keys):
+    def no_check(cid, **cfg):
+        raise AssertionError("ran a check with bad settings")
+
+    monkeypatch.setattr(cli.theorems, "check", no_check)
+    if config is not None:
+        argv = argv + ["--config", write_json(tmp_path / "cfg.json", config)]
+    code, out, err = run(capsys, "check", *argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    for key in keys:
+        assert f"{key} must be" in err
+
+
 def test_check_statistical_failure_keeps_exit_zero(monkeypatch, capsys):
     def fake(cid, **cfg):
         return theorems.CheckReport(

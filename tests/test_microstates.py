@@ -185,7 +185,10 @@ def test_spec_serialization_roundtrip(tmp_path):
 
 
 def test_suggested_radius_tracks_support_bounds():
-    assert ms.suggested_radius(sc_spec()) == pytest.approx(4.0)
+    # a variance-v semicircle lies in [-2 sqrt(v), 2 sqrt(v)]
+    assert ms.suggested_radius(sc_spec()) == pytest.approx(6.0)
+    wide_sc = TracialSpec.free_model(1, 0, 2, [spectra.SpectralMeasure.semicircle(9.0)], [0])
+    assert ms.suggested_radius(wide_sc) == pytest.approx(14.0)
     wide = TracialSpec.free_model(1, 1, 2, [semicircle(), two_atom(2.0)], [0, 1])
     assert ms.suggested_radius(wide) == pytest.approx(6.0)
     model = TracialSpec.matrix_model(0, 1, 2, [np.diag([3.0, -1.0])])
@@ -307,6 +310,17 @@ def test_params_validation():
                 dict(k=2, l=2, eps=0.1, radius=-inf)]:
         with pytest.raises(ValueError):
             MicrostateParams(**bad)
+
+
+def test_params_name_every_bad_field():
+    with pytest.raises(ValueError) as err:
+        MicrostateParams(k=0, l="2", eps=float("nan"), radius=-3.0)
+    assert str(err.value).split("; ") == [
+        "k must be an integer >= 1, not 0",
+        "l must be an integer >= 0, not '2'",
+        "eps must be positive and finite, not nan",
+        "radius must be positive and finite, not -3.0",
+    ]
 
 
 # --- volume estimators -----------------------------------------------------------
@@ -439,6 +453,8 @@ def test_chi_input_validation():
         ms.estimate_chi(spec, p, [3, 2], nsamples=1000)
     with pytest.raises(ValueError, match="ascending"):
         ms.estimate_chi(spec, p, [], nsamples=1000)
+    with pytest.raises(ValueError, match="ascending"):
+        ms.estimate_chi_relative(free_pair_spec(2), p, [3, 2], y_pool=2, nsamples=1000)
     with pytest.raises(ValueError, match="relative"):
         ms.estimate_chi(free_pair_spec(2), p, [2], nsamples=1000)
 
@@ -489,6 +505,26 @@ def test_relative_reduces_to_plain_without_y_letters():
     a = ms.estimate_chi_relative(spec, p, [2], nsamples=5000, seed=3)
     b = ms.estimate_chi(spec, p, [2], nsamples=5000, seed=3)
     assert a.to_dict() == b.to_dict()
+
+
+def test_pool_of_minus_inf_volumes_names_its_first_candidate(monkeypatch):
+    # the Y law's quantile diagonals pass a tiny window, no X sample does
+    spec = free_pair_spec(2)
+    p = MicrostateParams(k=1, l=2, eps=1e-3, radius=4.0)
+    vols = []
+    real = ms.estimate_volume
+
+    def recording(*args, **kwargs):
+        ve = real(*args, **kwargs)
+        vols.append(ve.log_volume)
+        return ve
+
+    monkeypatch.setattr(ms, "estimate_volume", recording)
+    est = ms.estimate_chi_relative(spec, p, [2], y_pool=3, nsamples=300, seed=8)
+    assert vols == [float("-inf")] * 3
+    assert est.per_k[0].log_volume == float("-inf")
+    assert est.per_k[0].y_id == "free#0"
+    assert est.y_used == "k=2:free#0"
 
 
 def test_relative_empty_pool_reports_minus_inf():

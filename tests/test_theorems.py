@@ -62,6 +62,14 @@ def test_run_all_subset_keeps_order():
     assert all(r.passed for r in reports)
 
 
+def test_check_config_names_every_bad_key():
+    with pytest.raises(ValueError) as err:
+        th.check("T-VS-JOINT", k_list=(3, 2), nsamples=50, l=-1, eps="wide", seed=1.5)
+    msg = str(err.value)
+    for key in ("k_list", "nsamples", "seed", "l", "eps"):
+        assert f"{key} must be" in msg
+
+
 def test_gen_rejects_bad_generating_sets():
     with pytest.raises(ValueError, match="nonempty"):
         th.check("T-GEN", gen_powers=())
