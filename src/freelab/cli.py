@@ -142,6 +142,8 @@ def _cmd_chi_mc(args) -> int:
             "invalid specification:\n" + "\n".join(f"  - {p}" for p in e.problems)
         )
     ks = _parse_k_list(args.k)
+    if args.y_pool < 1:
+        raise UsageError(f"y-pool must be an integer >= 1, not {args.y_pool}")
     radius = args.radius if args.radius is not None else ms.suggested_radius(spec)
     try:
         params = ms.MicrostateParams(k=ks[0], l=args.l, eps=args.eps, radius=radius)

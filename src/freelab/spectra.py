@@ -16,8 +16,15 @@ delta) on [0, delta] (G'(0) = 0 by symmetry) and geometric
 Gauss-Legendre panels on [delta, L].  Atomic measures include the
 diagonal pairs, so their log energy is -inf by definition, matching
 chi(atomic) = -inf.
+
+The quadrature tensors (autocorrelation nodes per y, the
+change-of-variables log-ratio matrix, the principal-value integrand)
+are formed _BLOCK_ROWS rows at a time, so their temporaries stay
+cache-sized.  Each row sees the same element-wise operations and its
+own per-row reduction, so the block size cannot change a value.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -31,15 +38,25 @@ _X_PANELS = 32           # panels for integrals across the support
 _Y_PANELS = 24           # geometric panels for the log-singular axis
 _MASS_TOL = 1e-6
 _DRIFT_TOL = 1e-4
+_BLOCK_ROWS = 64         # tensor rows formed at once by the quadrature kernels
 
 
 class MeasureFormatError(ValueError):
     """Malformed spectral-measure document or parameters."""
 
 
-def _gl_panels(edges, order=_GL_ORDER):
+@functools.cache
+def _gl_rule():
+    """Gauss-Legendre nodes and weights of order _GL_ORDER, read-only."""
+    xs, ws = leggauss(_GL_ORDER)
+    xs.setflags(write=False)
+    ws.setflags(write=False)
+    return xs, ws
+
+
+def _gl_panels(edges):
     """Nodes and weights of composite Gauss-Legendre over given edges."""
-    xs, ws = leggauss(order)
+    xs, ws = _gl_rule()
     a = np.asarray(edges[:-1])
     b = np.asarray(edges[1:])
     mid = (a + b)[:, None] / 2.0
@@ -327,20 +344,22 @@ def _autocorr(mu: SpectralMeasure, ys: np.ndarray) -> np.ndarray:
     per y, so sqrt-type density endpoints always sit on panel edges.
     """
     a, b = mu.support
-    xs, ws = leggauss(_GL_ORDER)
-    lo = a + ys / 2.0
-    hi = b - ys / 2.0
-    width = np.maximum(hi - lo, 0.0)
+    xs, ws = _gl_rule()
     edges = np.linspace(0.0, 1.0, _X_PANELS + 1)
     mids = (edges[:-1] + edges[1:]) / 2.0
     halfs = np.diff(edges) / 2.0
     # unit-interval nodes (panel, order) mapped into [lo, hi] per y
     un = (mids[:, None] + halfs[:, None] * xs[None, :]).ravel()
     uw = (halfs[:, None] * np.broadcast_to(ws, (_X_PANELS, _GL_ORDER))).ravel()
-    x = lo[:, None] + width[:, None] * un[None, :]
-    w = width[:, None] * uw[None, :]
-    vals = mu.density(x + ys[:, None] / 2.0) * mu.density(x - ys[:, None] / 2.0)
-    return np.sum(w * vals, axis=1)
+    out = np.empty(ys.size)
+    for r in range(0, ys.size, _BLOCK_ROWS):
+        y = ys[r:r + _BLOCK_ROWS, None]
+        lo = a + y / 2.0
+        width = np.maximum((b - y / 2.0) - lo, 0.0)
+        x = lo + width * un
+        vals = mu.density(x + y / 2.0) * mu.density(x - y / 2.0)
+        out[r:r + _BLOCK_ROWS] = np.sum(width * uw * vals, axis=1)
+    return out
 
 
 def log_energy(mu: SpectralMeasure) -> float:
@@ -423,6 +442,26 @@ def pushforward(mu: SpectralMeasure, f: ScalarField) -> SpectralMeasure:
     return SpectralMeasure.gridded((ya, yb), q)
 
 
+def _log_ratios(f: ScalarField, x: np.ndarray) -> np.ndarray:
+    """L[i, j] = log(|f(x_i) - f(x_j)| / |x_i - x_j|), and log|f'| at the
+    midpoint where x_i and x_j lie within 1e-12 (the diagonal)."""
+    fx = f(x)
+    out = np.empty((x.size, x.size))
+    for r in range(0, x.size, _BLOCK_ROWS):
+        s = x[r:r + _BLOCK_ROWS, None]
+        den = s - x
+        near = np.abs(den) < 1e-12
+        num = fx[r:r + _BLOCK_ROWS, None] - fx
+        den[near] = 1.0
+        blk = out[r:r + _BLOCK_ROWS]
+        np.divide(np.abs(num), np.abs(den), out=blk)
+        diag = np.flatnonzero(near)  # 1-D: far cheaper than a 2-D np.nonzero
+        i, j = np.divmod(diag, x.size)
+        blk.reshape(-1)[diag] = np.abs(f.deriv_at((x[r + i] + x[j]) / 2.0))
+        np.log(blk, out=blk)
+    return out
+
+
 def cov_correction(mu: SpectralMeasure, f: ScalarField) -> float:
     """Entropy change of variables term:
 
@@ -437,31 +476,12 @@ def cov_correction(mu: SpectralMeasure, f: ScalarField) -> float:
         raise ValueError("change of variables needs a monotone field")
     _field_over(mu, f)
     if mu.is_atomic:
-        locs = np.array([a[0] for a in mu.atoms])
-        wts = np.array([a[1] for a in mu.atoms])
-        s = locs[:, None]
-        t = locs[None, :]
-        num = f(s) - f(t)
-        den = s - t
-        mid = (s + t) / 2.0
-        near = np.abs(den) < 1e-12
-        ratio = np.where(near, np.abs(f.deriv_at(mid)),
-                         np.abs(np.where(near, 1.0, num))
-                         / np.abs(np.where(near, 1.0, den)))
-        return float(wts @ np.log(ratio) @ wts)
-    x, w = _gl_panels(np.linspace(*mu.support, _X_PANELS + 1))
-    v = w * mu.density(x)
-    s = x[:, None]
-    t = x[None, :]
-    den = s - t
-    near = np.abs(den) < 1e-12
-    num = f(s) - f(t)
-    ratio = np.where(
-        near,
-        np.abs(f.deriv_at((s + t) / 2.0)),
-        np.abs(np.where(near, 1.0, num)) / np.abs(np.where(near, 1.0, den)),
-    )
-    return float(v @ np.log(ratio) @ v)
+        x = np.array([a[0] for a in mu.atoms])
+        v = np.array([a[1] for a in mu.atoms])
+    else:
+        x, w = _gl_panels(np.linspace(*mu.support, _X_PANELS + 1))
+        v = w * mu.density(x)
+    return float(v @ _log_ratios(f, x) @ v)
 
 
 # ---------------------------------------------------------------------------
@@ -485,14 +505,13 @@ def conjugate_variable(mu: SpectralMeasure, npoints: int = _GRID_N) -> ScalarFie
     h = x[1] - x[0]
     a, b = g.support
     dp = np.gradient(p, h)
-    diff = x[:, None] - x[None, :]
-    npts = x.size
-    integ = np.where(
-        np.abs(diff) < h / 2.0,
-        -dp[:, None] * np.ones((1, npts)),
-        (p[None, :] - p[:, None]) / np.where(np.abs(diff) < h / 2.0, 1.0, diff),
-    )
-    regular = np.trapezoid(integ, dx=h, axis=1)
+    regular = np.empty(x.size)
+    for r in range(0, x.size, _BLOCK_ROWS):
+        rows = slice(r, r + _BLOCK_ROWS)
+        diff = x[rows, None] - x
+        near = np.abs(diff) < h / 2.0
+        integ = np.where(near, -dp[rows, None], (p - p[rows, None]) / np.where(near, 1.0, diff))
+        regular[rows] = np.trapezoid(integ, dx=h, axis=1)
     inner = x[1:-1]
     logterm = np.zeros_like(x)
     logterm[1:-1] = np.log((inner - a) / (b - inner))

@@ -114,11 +114,42 @@ _MC_DEFAULTS = {
 }
 
 
+# x - c x^3 is increasing on the T-CONJ and T-COVGEN field domain
+# [-2.2, 2.2] exactly when c < _CUBIC_MAX, so their fields stay monotone
+_CUBIC_MAX = 1.0 / (3.0 * 2.2**2)
+
+
+def _is_num(v) -> bool:
+    return ms._is_real(v) and math.isfinite(v)
+
+
+def _list_of(ok):
+    return lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(ok(x) for x in v)
+
+
+# per-check settings, validated when present: key -> (rule, what it asks for)
+_CHECK_KEYS = {
+    "tolerance": (lambda v: _is_num(v) and v >= 0, "a finite number >= 0"),
+    "margin": (_is_num, "a finite number"),
+    "finite_k_allowance": (lambda v: _is_num(v) and v >= 0, "a finite number >= 0"),
+    "fd_eps": (lambda v: _is_num(v) and 0 < v < _CUBIC_MAX,
+               f"a number in (0, {_CUBIC_MAX:.4g})"),
+    "covgen_k": (lambda v: ms._is_int(v) and v >= 1, "an integer >= 1"),
+    "covgen_coef": (lambda v: _is_num(v) and v > -_CUBIC_MAX,
+                    f"a finite number > {-_CUBIC_MAX:.4g}"),
+    "t_values": (_list_of(lambda t: _is_num(t) and t > 0),
+                 "a nonempty list of positive finite numbers"),
+    "gen_powers": (_list_of(lambda q: ms._is_int(q) and q >= 1),
+                   "a nonempty list of integers >= 1"),
+}
+
+
 def _mc_cfg(cfg: dict) -> dict:
     """The Monte Carlo settings of cfg over their defaults.
 
     The one validator of a check configuration: a ValueError names every
-    bad key, and the window (l, eps, radius) is checked by MicrostateParams.
+    bad key, the Monte Carlo ones and the per-check ones of _CHECK_KEYS
+    alike, and the window (l, eps, radius) is checked by MicrostateParams.
     """
     c = {key: cfg.get(key, default) for key, default in _MC_DEFAULTS.items()}
     ks = c["k_list"]
@@ -137,6 +168,9 @@ def _mc_cfg(cfg: dict) -> dict:
         ms.MicrostateParams(k=1, l=c["l"], eps=c["eps"], radius=c["radius"])
     except ValueError as e:
         problems.append(str(e))
+    for key, (ok, what) in _CHECK_KEYS.items():
+        if key in cfg and not ok(cfg[key]):
+            problems.append(f"{key} must be {what}, not {cfg[key]!r}")
     if problems:
         raise ValueError("invalid check configuration: " + "; ".join(problems))
     out = {key: int(c[key]) for key in ("nsamples", "l", "seed", "threads", "y_pool")}
@@ -315,10 +349,6 @@ def _chk_gen(cfg) -> CheckReport:
         cfg = {"k_list": (4, 8), **cfg}
     c = _mc_cfg(cfg)
     powers = tuple(int(p) for p in cfg.get("gen_powers", (2, 1)))
-    if not powers:
-        raise ValueError("T-GEN needs a nonempty generating set of powers")
-    if any(p < 1 for p in powers):
-        raise ValueError("generating powers must be >= 1")
     sc = _sc()
     tb = spectra.SpectralMeasure.atomic([(-1.0, 0.25), (0.0, 0.5), (1.0, 0.25)])
     model = ms.FreeModel([sc, tb], [0, 1])
@@ -381,6 +411,7 @@ def _chk_cov1(cfg) -> CheckReport:
     un = spectra.SpectralMeasure.uniform(0.0, 1.0)
     cases = []
     for mu, dom in ((sc, (-2.2, 2.2)), (un, (-0.1, 1.1))):
+        chi_mu = spectra.chi_single(mu)
         for name, f in (
             ("affine", spectra.affine_field(1.7, 0.3, dom)),
             ("cubic", spectra.polynomial_field([0.0, 1.0, 0.0, 1.0], dom)),
@@ -388,7 +419,7 @@ def _chk_cov1(cfg) -> CheckReport:
         ):
             resid = (
                 spectra.chi_single(spectra.pushforward(mu, f))
-                - spectra.chi_single(mu)
+                - chi_mu
                 - spectra.cov_correction(mu, f)
             )
             cases.append({"measure": mu.kind, "field": name, "residual": resid})
@@ -469,16 +500,22 @@ def _brown_measure(t: float, npoints: int = 2001) -> spectra.SpectralMeasure:
     """Two-atom law evolved by a semicircular perturbation of variance t.
 
     The Cauchy transform solves t^2 G^3 - 2tzG^2 + (z^2 - 1 + t)G - z = 0;
-    the density is the imaginary part of the lower-half-plane root.
+    the density is the imaginary part of the lower-half-plane root.  The
+    roots are the eigenvalues of the companion matrices that np.roots
+    builds, solved in one batch; at z = 0 np.roots strips the zero
+    constant term, so that node keeps its own np.roots call.
     """
     edge = 1.0 + 2.0 * math.sqrt(t) + 0.25
     xs = np.linspace(-edge, edge, npoints)
-    rho = np.zeros(npoints)
-    for i, xv in enumerate(xs):
-        roots = np.roots([t * t, -2.0 * t * xv, xv * xv - 1.0 + t, -xv])
-        neg = [r.imag for r in roots if r.imag < -1e-10]
-        if neg:
-            rho[i] = -min(neg) / math.pi
+    coeffs = np.stack([np.full(npoints, t * t), -2.0 * t * xs, xs * xs - 1.0 + t, -xs], axis=1)
+    comp = np.zeros((npoints, 3, 3))
+    comp[:, 1, 0] = comp[:, 2, 1] = 1.0
+    comp[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
+    imag = np.array(np.linalg.eigvals(comp).imag)  # writable even if every root is real
+    for i in np.flatnonzero(xs == 0.0):
+        imag[i] = np.roots(coeffs[i]).imag
+    low = np.where(imag < -1e-10, imag, np.inf).min(axis=1)
+    rho = np.where(np.isfinite(low), -low / math.pi, 0.0)
     mass = float(np.trapezoid(rho, xs))
     return spectra.SpectralMeasure.gridded((xs[0], xs[-1]), rho / mass)
 
@@ -651,11 +688,13 @@ _DISPATCH = {
 
 
 def check(check_id: str, **cfg) -> CheckReport:
-    """Run one check; cfg keys override the per-check defaults."""
+    """Run one check; cfg keys override the per-check defaults and are
+    validated (_mc_cfg) before the check starts."""
     if check_id not in _DISPATCH:
         raise ValueError(
             f"unknown check id {check_id!r}; known ids: {', '.join(CHECK_IDS)}"
         )
+    _mc_cfg(cfg)
     return _DISPATCH[check_id](cfg)
 
 

@@ -388,6 +388,18 @@ def test_chi_mc_empty_pool_reports_minus_inf(tmp_path, capsys):
     assert "empty sup" in doc["y_used"]
 
 
+@pytest.mark.parametrize("pool", ["0", "-1"])
+def test_chi_mc_pool_below_one_is_a_usage_error(tmp_path, capsys, pool):
+    # it printed an empty-sup -inf row and exited 0
+    spec = write_json(tmp_path / "rel.json", REL_SPEC)
+    code, out, err = run(
+        capsys, "chi-mc", "--spec", spec, "--k", "3", "--samples", "200", "--y-pool", pool,
+    )
+    assert code == 2
+    assert out == ""
+    assert "y-pool must be an integer >= 1" in err
+
+
 def test_chi_mc_relative_y_id_column(tmp_path, capsys):
     spec = write_json(tmp_path / "rel.json", REL_SPEC)
     code, out, _ = run(
@@ -493,8 +505,16 @@ def test_check_flags_override_config_file(tmp_path, monkeypatch, capsys):
         (["T-BLOCK", "--eps", "nan", "--radius", "-3"], None, ["eps", "radius"]),
         (["T-CHAIN"], {"nsamples": "many"}, ["nsamples"]),
         (["T-BLOCK"], [1, 2], ["config"]),
+        (["T-BROWN"], {"tolerance": "tight"}, ["tolerance"]),
+        (["T-BROWN"], {"t_values": 5}, ["t_values"]),
+        (["T-BROWN"],
+         {"tolerance": -1, "t_values": [], "gen_powers": [0], "covgen_k": "32",
+          "covgen_coef": None, "margin": "inf", "fd_eps": 0, "finite_k_allowance": [0.1]},
+         ["tolerance", "t_values", "gen_powers", "covgen_k", "covgen_coef", "margin",
+          "fd_eps", "finite_k_allowance"]),
     ],
-    ids=["eps-nan", "deterministic-window", "nsamples-string", "config-array"],
+    ids=["eps-nan", "deterministic-window", "nsamples-string", "config-array",
+         "tolerance-string", "t-values-scalar", "every-per-check-key"],
 )
 def test_check_bad_settings_exit_2_before_any_check(tmp_path, capsys, monkeypatch,
                                                      argv, config, keys):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from freelab import matcore, spectra
 from freelab.spectra import ScalarField, SpectralMeasure as SM
@@ -229,3 +230,144 @@ def test_measure_serialization_roundtrip():
         back = spectra.measure_from_dict(d)
         assert back.kind == mu.kind
         assert abs(back.moment(2) - mu.moment(2)) < 1e-9
+
+
+# --- blocked kernels against full-tensor references ----------------------------
+# The references form each quadrature tensor whole, as the kernels once did;
+# the row-blocked kernels must reproduce them bit for bit at any block size.
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).reshape(-1).view(np.uint64)
+
+
+def _autocorr_ref(mu, ys):
+    a, b = mu.support
+    xs, ws = leggauss(spectra._GL_ORDER)
+    lo = a + ys / 2.0
+    width = np.maximum((b - ys / 2.0) - lo, 0.0)
+    edges = np.linspace(0.0, 1.0, spectra._X_PANELS + 1)
+    mids = (edges[:-1] + edges[1:]) / 2.0
+    halfs = np.diff(edges) / 2.0
+    un = (mids[:, None] + halfs[:, None] * xs[None, :]).ravel()
+    uw = (halfs[:, None] * np.broadcast_to(ws, (spectra._X_PANELS, spectra._GL_ORDER))).ravel()
+    x = lo[:, None] + width[:, None] * un[None, :]
+    w = width[:, None] * uw[None, :]
+    vals = mu.density(x + ys[:, None] / 2.0) * mu.density(x - ys[:, None] / 2.0)
+    return np.sum(w * vals, axis=1)
+
+
+def _gl_panels_ref(edges):
+    xs, ws = leggauss(spectra._GL_ORDER)
+    a, b = np.asarray(edges[:-1]), np.asarray(edges[1:])
+    mid, half = (a + b)[:, None] / 2.0, (b - a)[:, None] / 2.0
+    return (mid + half * xs[None, :]).ravel(), (half * ws[None, :]).ravel()
+
+
+def _log_energy_ref(mu):
+    a, b = mu.support
+    L = b - a
+    delta = 2.0 * L / spectra._GRID_N
+    g0 = float(_autocorr_ref(mu, np.array([0.0]))[0])
+    patch = g0 * delta * (math.log(delta) - 1.0)
+    edges = delta * (L / delta) ** (np.arange(spectra._Y_PANELS + 1) / spectra._Y_PANELS)
+    ys, ws = _gl_panels_ref(edges)
+    return 2.0 * (patch + float(np.sum(ws * np.log(ys) * _autocorr_ref(mu, ys))))
+
+
+def _cov_correction_ref(mu, f):
+    if mu.is_atomic:
+        x = np.array([a[0] for a in mu.atoms])
+        v = np.array([a[1] for a in mu.atoms])
+    else:
+        x, w = _gl_panels_ref(np.linspace(*mu.support, spectra._X_PANELS + 1))
+        v = w * mu.density(x)
+    s, t = x[:, None], x[None, :]
+    den = s - t
+    near = np.abs(den) < 1e-12
+    ratio = np.where(
+        near,
+        np.abs(f.deriv_at((s + t) / 2.0)),
+        np.abs(np.where(near, 1.0, f(s) - f(t))) / np.abs(np.where(near, 1.0, den)),
+    )
+    return float(v @ np.log(ratio) @ v)
+
+
+def _conjugate_ref(mu, npoints):
+    g = mu if mu.kind == "grid" else mu.to_grid(npoints)
+    x, p = g.grid(), g.values
+    h = x[1] - x[0]
+    a, b = g.support
+    dp = np.gradient(p, h)
+    diff = x[:, None] - x[None, :]
+    near = np.abs(diff) < h / 2.0
+    integ = np.where(
+        near, -dp[:, None] * np.ones((1, x.size)),
+        (p[None, :] - p[:, None]) / np.where(near, 1.0, diff),
+    )
+    regular = np.trapezoid(integ, dx=h, axis=1)
+    logterm = np.zeros_like(x)
+    logterm[1:-1] = np.log((x[1:-1] - a) / (b - x[1:-1]))
+    logterm[0], logterm[-1] = logterm[1], logterm[-2]
+    return 2.0 * (regular + p * logterm)
+
+
+BIT_MEASURES = {
+    "semicircle": SM.semicircle(1.0),
+    "uniform": SM.uniform(0.0, 1.0),
+    "arcsine-grid": spectra.arcsine_gridded(1.0),
+    "semicircle-grid": SM.semicircle(2.0).to_grid(301),
+}
+
+
+@pytest.fixture
+def block_rows(monkeypatch):
+    # a few rows, so every tensor has many block edges and a partial last block
+    monkeypatch.setattr(spectra, "_BLOCK_ROWS", 7)
+    return 7
+
+
+@pytest.mark.parametrize("name", sorted(BIT_MEASURES))
+def test_blocked_autocorr_and_log_energy_match_full_tensor_bits(name, block_rows):
+    mu = BIT_MEASURES[name]
+    span = mu.support[1] - mu.support[0]
+    for size in (1, 13, 2 * block_rows, 2 * block_rows + 1):
+        ys = np.linspace(0.0, 1.01 * span, size)  # the last y is beyond the support
+        assert np.array_equal(_bits(spectra._autocorr(mu, ys)), _bits(_autocorr_ref(mu, ys)))
+    assert np.array_equal(_bits(spectra.log_energy(mu)), _bits(_log_energy_ref(mu)))
+
+
+@pytest.mark.parametrize("name", sorted(BIT_MEASURES))
+def test_blocked_cov_correction_matches_full_tensor_bits(name, block_rows):
+    mu = BIT_MEASURES[name]
+    a, b = mu.support
+    dom = (a - 0.2, b + 0.2)
+    fields = (
+        spectra.affine_field(1.7, 0.3, dom),
+        spectra.polynomial_field([0.0, 1.0, 0.0, 1.0], dom),
+        spectra.arctan_field(2.0, dom),
+    )
+    for f in fields:
+        got = spectra.cov_correction(mu, f)
+        assert np.array_equal(_bits(got), _bits(_cov_correction_ref(mu, f)))
+    # a repeated atom puts near pairs off the diagonal
+    at = SM.atomic([(a + (b - a) * u, 0.25) for u in (0.1, 0.6, 0.6, 0.9)])
+    for f in fields:
+        got = spectra.cov_correction(at, f)
+        assert np.array_equal(_bits(got), _bits(_cov_correction_ref(at, f)))
+
+
+@pytest.mark.parametrize("name", sorted(BIT_MEASURES))
+def test_blocked_conjugate_variable_matches_full_tensor_bits(name, block_rows):
+    mu = BIT_MEASURES[name]
+    for npoints in (spectra._GRID_N, 3 * block_rows + 2):
+        j = spectra.conjugate_variable(mu, npoints)
+        assert np.array_equal(_bits(j.values), _bits(_conjugate_ref(mu, npoints)))
+
+
+def test_gauss_legendre_rule_is_shared_and_read_only():
+    xs, ws = spectra._gl_rule()
+    assert spectra._gl_rule()[0] is xs
+    assert not xs.flags.writeable and not ws.flags.writeable
+    ref_x, ref_w = leggauss(spectra._GL_ORDER)
+    assert np.array_equal(xs, ref_x) and np.array_equal(ws, ref_w)

@@ -4,9 +4,10 @@ reduced sweep, report plumbing and serialization."""
 import json
 import math
 
+import numpy as np
 import pytest
 
-from freelab import theorems as th
+from freelab import spectra, theorems as th
 
 SMALL = dict(k_list=(2, 3, 4), nsamples=20_000, y_pool=4)
 
@@ -68,6 +69,14 @@ def test_check_config_names_every_bad_key():
     msg = str(err.value)
     for key in ("k_list", "nsamples", "seed", "l", "eps"):
         assert f"{key} must be" in msg
+    # per-check settings too, before the check starts (they failed inside it)
+    bad = {"tolerance": "tight", "t_values": 5, "margin": float("nan"), "fd_eps": 0.1,
+           "covgen_k": 2.5, "covgen_coef": -0.1, "finite_k_allowance": -0.01,
+           "gen_powers": [2, 0]}
+    with pytest.raises(ValueError) as err:
+        th.check("T-BROWN", **bad)
+    for key in bad:
+        assert f"{key} must be" in str(err.value)
 
 
 def test_gen_rejects_bad_generating_sets():
@@ -103,6 +112,28 @@ def test_brown_margins_and_variances():
     for case in r.diagnostics["cases"]:
         assert case["chi"] - case["bound"] > 0.3
         assert case["variance"] == pytest.approx(1.0 + case["t"], abs=2e-3)
+
+
+def _brown_measure_ref(t, npoints=2001):
+    # one np.roots call per node, as the check was first written
+    edge = 1.0 + 2.0 * math.sqrt(t) + 0.25
+    xs = np.linspace(-edge, edge, npoints)
+    rho = np.zeros(npoints)
+    for i, xv in enumerate(xs):
+        roots = np.roots([t * t, -2.0 * t * xv, xv * xv - 1.0 + t, -xv])
+        neg = [r.imag for r in roots if r.imag < -1e-10]
+        if neg:
+            rho[i] = -min(neg) / math.pi
+    return spectra.SpectralMeasure.gridded((xs[0], xs[-1]), rho / float(np.trapezoid(rho, xs)))
+
+
+@pytest.mark.parametrize("t", [0.25, 1.0])
+def test_batched_brown_measure_matches_per_node_roots_bits(t):
+    edge = 1.0 + 2.0 * math.sqrt(t) + 0.25
+    assert (np.linspace(-edge, edge, 2001) == 0.0).any()  # np.roots strips a zero there
+    got = th._brown_measure(t).values
+    want = _brown_measure_ref(t).values
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_conj_derivative_matches_pairing():
