@@ -68,11 +68,7 @@ def _threads(arg) -> int:
 
 
 def _field_support(mu):
-    if mu.is_atomic:
-        locs = [a[0] for a in mu.atoms]
-        a, b = min(locs), max(locs)
-    else:
-        a, b = mu.support
+    a, b = mu.support
     pad = 0.1 * max(b - a, 1.0)
     return (a - pad, b + pad)
 
@@ -142,8 +138,11 @@ def _cmd_chi_mc(args) -> int:
             "invalid specification:\n" + "\n".join(f"  - {p}" for p in e.problems)
         )
     ks = _parse_k_list(args.k)
-    if args.y_pool < 1:
-        raise UsageError(f"y-pool must be an integer >= 1, not {args.y_pool}")
+    for flag, value, low in (
+        ("samples", args.samples, 100), ("threads", args.threads, 0), ("y-pool", args.y_pool, 1),
+    ):
+        if value < low:
+            raise UsageError(f"{flag} must be an integer >= {low}, not {value}")
     radius = args.radius if args.radius is not None else ms.suggested_radius(spec)
     try:
         params = ms.MicrostateParams(k=ks[0], l=args.l, eps=args.eps, radius=radius)

@@ -20,12 +20,7 @@ import numpy as np
 
 from . import rng
 
-_HERM_TOL = 0.0  # Hermiticity is exact by construction, not approximate
 _CERT_MARGIN = 1e-9  # relative; well above the rounding error in forming ||x^2||_F
-
-
-class SamplingStallError(RuntimeError):
-    """Rejection sampler acceptance collapsed; use the Gaussian estimator."""
 
 
 class SelfAdjointMatrix:
@@ -400,39 +395,3 @@ def ball_stack(
         g *= (rho * u ** (1.0 / d) / r)[:, None]
 
     return _fill_stack(out, count, k, seed, start, npairs + 2, finish)
-
-
-def sample_ball(k: int, n: int, radius: float, seed: int) -> MatrixTuple:
-    """Uniform draw from {(x_1..x_n): each ||x_i||_op <= radius} under lambda.
-
-    Rejection from the per-coordinate HS ball (which contains the
-    operator-norm ball since Tr(x^2) <= k ||x||_op^2).  Raises
-    SamplingStallError when the empirical acceptance rate drops below
-    1e-6 over a 10^6-proposal window; at that point the Gaussian
-    importance estimator is the tool to use.
-    """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    out = []
-    tries = 0
-    accepts = 0
-    for i in range(n):
-        sub = rng.derive(seed, 0x5BA11, i)
-        idx = 0
-        while True:
-            cand = ball_stack(k, 64, radius, sub, start=idx)
-            idx += 64
-            ok = norms_leq(cand, radius)
-            tries += 64
-            hit = np.flatnonzero(ok)
-            if hit.size:
-                accepts += 1
-                out.append(SelfAdjointMatrix(cand[hit[0]]))
-                break
-            if tries >= 10**6 and accepts / tries < 1e-6:
-                raise SamplingStallError(
-                    f"acceptance below 1e-6 after {tries} proposals at k={k}; "
-                    "rejection from the HS ball is hopeless here, use the "
-                    "Gaussian importance estimator"
-                )
-    return MatrixTuple(out)

@@ -477,10 +477,7 @@ def suggested_radius(spec: TracialSpec) -> float:
         stack = gen.tuple.stack()
         return 2.0 + 2.0 * float(matcore.operator_norms(stack).max())
     if isinstance(gen, FreeModel):
-        return 2.0 + 2.0 * max(
-            max(abs(a[0]) for a in f.atoms) if f.is_atomic else max(map(abs, f.support))
-            for f in gen.factors
-        )
+        return 2.0 + 2.0 * max(max(map(abs, f.support)) for f in gen.factors)
     return 4.0
 
 
@@ -609,15 +606,6 @@ def is_microstate(t: matcore.MatrixTuple, spec: TracialSpec, p: MicrostateParams
         raise ValueError(f"tuple dimension {t.dim} != k={p.k}")
     stack = t.stack()[None]
     return bool(_member_mask(stack, spec, p)[0])
-
-
-def is_relative_microstate(
-    x: matcore.MatrixTuple, y: matcore.MatrixTuple, spec: TracialSpec, p: MicrostateParams
-) -> bool:
-    """Joint membership of the concatenated tuple (x then y)."""
-    if x.n != spec.n or y.n != spec.m:
-        raise ValueError("tuple arities do not match the specification")
-    return is_microstate(x.concat(y), spec, p)
 
 
 # --- volume estimators ----------------------------------------------------------
@@ -975,47 +963,6 @@ def estimate_chi_relative(
         )
 
     return _sweep(spec, params, k_list, nsamples, sampler, point)
-
-
-@dataclass
-class ChiPrime:
-    value: float
-    per_k_diff: List[Tuple[int, float]]
-    joint: ChiEstimate
-    reference: Optional[ChiEstimate]
-
-
-def chi_prime(
-    spec: TracialSpec,
-    params: MicrostateParams,
-    k_list: Sequence[int],
-    nsamples: int = 100_000,
-    seed: int = 0,
-    sampler: str = "auto",
-    threads: int = 1,
-) -> ChiPrime:
-    """Joint-minus-reference difference of two chi runs.
-
-    The reference term is approximated by the Y-marginal estimator at
-    the same parameters; with m = 0 the reference is exactly zero.
-    """
-    joint = estimate_chi(
-        spec.all_as_x(), params, k_list, nsamples, rng.derive(seed, 1), sampler, threads
-    )
-    if spec.m == 0:
-        diffs = [(pt.k, pt.value) for pt in joint.per_k]
-        return ChiPrime(joint.extrapolated, diffs, joint, None)
-    ref = estimate_chi(
-        spec.y_marginal(), params, k_list, nsamples, rng.derive(seed, 2), sampler, threads
-    )
-    diffs = []
-    for jp, rp in zip(joint.per_k, ref.per_k):
-        diffs.append((jp.k, jp.value - rp.value))
-    if joint.extrapolated == float("-inf"):
-        value = float("-inf")
-    else:
-        value = joint.extrapolated - ref.extrapolated
-    return ChiPrime(value, diffs, joint, ref)
 
 
 # --- block maps -----------------------------------------------------------------

@@ -133,58 +133,76 @@ def _adj_slot(slot: Slot, alg: CoefficientAlgebra) -> Slot:
     )
 
 
+def _norm_term(key: TermKey, n: int, alg: CoefficientAlgebra) -> TermKey:
+    word, coefs = key
+    word = tuple(int(i) for i in word)
+    if any(i < 1 or i > n for i in word):
+        raise ValueError(f"indeterminate index out of range in word {word}")
+    coefs = tuple(_norm_slot(s, alg) for s in coefs)
+    if len(coefs) != len(word) + 1:
+        raise ValueError("term needs one coefficient slot per gap")
+    return (word, coefs)
+
+
+def _key_mul(a: TermKey, b: TermKey) -> TermKey:
+    """Product of two terms: the words concatenate, the two slots that meet merge."""
+    (w1, c1), (w2, c2) = a, b
+    return (w1 + w2, c1[:-1] + (c1[-1] + c2[0],) + c2[1:])
+
+
 def _term_sort_key(key: TermKey):
     word, coefs = key
     return (len(word), word, coefs)
 
 
-class NcPoly:
-    """Element of the coefficient algebra's polynomial ring in t1..tn."""
+def _mul_terms(a: "_TermSum", b: "_TermSum", key_mul) -> dict:
+    terms = {}
+    for k1, s1 in a.terms.items():
+        for k2, s2 in b.terms.items():
+            key = key_mul(k1, k2)
+            terms[key] = terms.get(key, 0.0) + s1 * s2
+    return terms
 
-    __slots__ = ("n", "algebra", "terms", "truncated")
 
-    def __init__(self, n, terms, algebra=None, truncated=False):
+class _TermSum:
+    """Finite sum of keyed terms with complex scalars: the ring behind
+    NcPoly (a key is a term) and NcBiPoly (a key is a pair of terms).
+
+    A subclass says how a key is normalised (``_norm_key``), how two keys
+    multiply (``_mul_key``), how keys sort (``_sort_key``) and which key
+    is the unit (``_UNIT``).
+    """
+
+    __slots__ = ("n", "algebra", "terms")
+
+    def __init__(self, n, terms, algebra=None):
         self.n = int(n)
         self.algebra = algebra if algebra is not None else CoefficientAlgebra.scalars()
-        clean: Dict[TermKey, complex] = {}
-        for (word, coefs), scalar in terms.items():
+        clean = {}
+        for key, scalar in terms.items():
             z = complex(scalar)
             if z == 0:
                 continue
-            word = tuple(int(i) for i in word)
-            if any(i < 1 or i > self.n for i in word):
-                raise ValueError(f"indeterminate index out of range in word {word}")
-            coefs = tuple(_norm_slot(s, self.algebra) for s in coefs)
-            if len(coefs) != len(word) + 1:
-                raise ValueError("term needs one coefficient slot per gap")
-            key = (word, coefs)
+            key = self._norm_key(key)
             clean[key] = clean.get(key, 0.0) + z
         self.terms = {k: v for k, v in clean.items() if v != 0}
-        self.truncated = bool(truncated)
 
-    # construction helpers ------------------------------------------------
+    def _new(self, terms, algebra, *factors):
+        """A result of the same class and arity; factors are the operands."""
+        return type(self)(self.n, terms, algebra)
 
     @classmethod
     def zero(cls, n, algebra=None):
         return cls(n, {}, algebra)
 
-    @classmethod
-    def one(cls, n, algebra=None):
-        return cls(n, {((), ((),)): 1.0}, algebra)
-
-    @classmethod
-    def scalar(cls, n, value, algebra=None):
-        return cls(n, {((), ((),)): value}, algebra)
-
-    @classmethod
-    def indet(cls, n, i, algebra=None):
-        return cls(n, {((i,), ((), ())): 1.0}, algebra)
-
-    @classmethod
-    def coefficient(cls, n, name, algebra, star=False):
-        return cls(n, {((), (((name, star),),)): 1.0}, algebra)
-
-    # ring structure ------------------------------------------------------
+    def _coerce(self, other):
+        if np.isscalar(other):
+            return type(self)(self.n, {self._UNIT: complex(other)}, self.algebra)
+        if not isinstance(other, type(self)):
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        if other.n != self.n:
+            raise ValueError("arity mismatch")
+        return other
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -192,31 +210,18 @@ class NcPoly:
         terms = dict(self.terms)
         for k, v in other.terms.items():
             terms[k] = terms.get(k, 0.0) + v
-        return NcPoly(self.n, terms, alg, self.truncated or other.truncated)
+        return self._new(terms, alg, self, other)
 
     def __sub__(self, other):
         return self + (self._coerce(other) * -1.0)
 
     def __mul__(self, other):
         if np.isscalar(other):
-            return NcPoly(
-                self.n,
-                {k: v * complex(other) for k, v in self.terms.items()},
-                self.algebra,
-                self.truncated,
-            )
+            z = complex(other)
+            return self._new({k: v * z for k, v in self.terms.items()}, self.algebra, self)
         other = self._coerce(other)
         alg = _join(self.algebra, other.algebra)
-        if self.n != other.n:
-            raise ValueError("arity mismatch")
-        terms: Dict[TermKey, complex] = {}
-        for (w1, c1), s1 in self.terms.items():
-            for (w2, c2), s2 in other.terms.items():
-                word = w1 + w2
-                coefs = c1[:-1] + (c1[-1] + c2[0],) + c2[1:]
-                key = (word, coefs)
-                terms[key] = terms.get(key, 0.0) + s1 * s2
-        return NcPoly(self.n, terms, alg, self.truncated or other.truncated)
+        return self._new(_mul_terms(self, other, self._mul_key), alg, self, other)
 
     def __rmul__(self, other):
         if np.isscalar(other):
@@ -226,18 +231,60 @@ class NcPoly:
     def __neg__(self):
         return self * -1.0
 
-    def _coerce(self, other):
-        if isinstance(other, NcPoly):
-            return other
-        if np.isscalar(other):
-            return NcPoly.scalar(self.n, complex(other), self.algebra)
-        raise TypeError(f"cannot combine NcPoly with {type(other).__name__}")
+    def equals(self, other, tol: float = 0.0) -> bool:
+        if self.n != other.n:
+            return False
+        keys = set(self.terms) | set(other.terms)
+        return all(
+            abs(self.terms.get(k, 0.0) - other.terms.get(k, 0.0)) <= tol for k in keys
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.n == other.n and self.terms == other.terms
+
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda kv: self._sort_key(kv[0]))
+
+
+class NcPoly(_TermSum):
+    """Element of the coefficient algebra's polynomial ring in t1..tn."""
+
+    __slots__ = ("truncated",)
+    _UNIT: TermKey = ((), ((),))
+    _sort_key = staticmethod(_term_sort_key)
+    _mul_key = staticmethod(_key_mul)
+
+    def __init__(self, n, terms, algebra=None, truncated=False):
+        super().__init__(n, terms, algebra)
+        self.truncated = bool(truncated)
+
+    def _norm_key(self, key: TermKey) -> TermKey:
+        return _norm_term(key, self.n, self.algebra)
+
+    def _new(self, terms, algebra, *factors):
+        return NcPoly(self.n, terms, algebra, any(f.truncated for f in factors))
+
+    # construction helpers ------------------------------------------------
+
+    @classmethod
+    def one(cls, n, algebra=None):
+        return cls(n, {cls._UNIT: 1.0}, algebra)
+
+    @classmethod
+    def scalar(cls, n, value, algebra=None):
+        return cls(n, {cls._UNIT: value}, algebra)
+
+    @classmethod
+    def indet(cls, n, i, algebra=None):
+        return cls(n, {((i,), ((), ())): 1.0}, algebra)
+
+    @classmethod
+    def coefficient(cls, n, name, algebra, star=False):
+        return cls(n, {((), (((name, star),),)): 1.0}, algebra)
 
     # structure -----------------------------------------------------------
-
-    @property
-    def degree(self) -> int:
-        return max((len(w) for w, _ in self.terms), default=0)
 
     def adjoint(self) -> "NcPoly":
         terms = {}
@@ -247,120 +294,46 @@ class NcPoly:
             terms[(aw, ac)] = terms.get((aw, ac), 0.0) + s.conjugate()
         return NcPoly(self.n, terms, self.algebra, self.truncated)
 
-    def equals(self, other: "NcPoly", tol: float = 0.0) -> bool:
-        if self.n != other.n:
-            return False
-        keys = set(self.terms) | set(other.terms)
-        return all(
-            abs(self.terms.get(k, 0.0) - other.terms.get(k, 0.0)) <= tol for k in keys
-        )
-
     def is_selfadjoint(self) -> bool:
         return self.equals(self.adjoint())
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: _term_sort_key(kv[0]))
-
-    def __eq__(self, other):
-        if not isinstance(other, NcPoly):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
 
     def __repr__(self):
         return f"NcPoly({poly_text(self)!r})"
 
 
-class NcBiPoly:
+class NcBiPoly(_TermSum):
     """Element of the tensor square; legs act on z as (a, b): z -> a z b."""
 
-    __slots__ = ("n", "algebra", "terms")
+    __slots__ = ()
+    _UNIT: PairKey = (NcPoly._UNIT, NcPoly._UNIT)
 
-    def __init__(self, n, terms, algebra=None):
-        self.n = int(n)
-        self.algebra = algebra if algebra is not None else CoefficientAlgebra.scalars()
-        clean: Dict[PairKey, complex] = {}
-        for (lkey, rkey), scalar in terms.items():
-            z = complex(scalar)
-            if z == 0:
-                continue
-            lkey = (tuple(lkey[0]), tuple(_norm_slot(s, self.algebra) for s in lkey[1]))
-            rkey = (tuple(rkey[0]), tuple(_norm_slot(s, self.algebra) for s in rkey[1]))
-            key = (lkey, rkey)
-            clean[key] = clean.get(key, 0.0) + z
-        self.terms = {k: v for k, v in clean.items() if v != 0}
+    def _norm_key(self, key: PairKey) -> PairKey:
+        return (_norm_term(key[0], self.n, self.algebra), _norm_term(key[1], self.n, self.algebra))
 
-    @classmethod
-    def zero(cls, n, algebra=None):
-        return cls(n, {}, algebra)
+    @staticmethod
+    def _mul_key(a: PairKey, b: PairKey) -> PairKey:
+        # (a (x) b)(c (x) d) = ac (x) bd, leg by leg
+        return (_key_mul(a[0], b[0]), _key_mul(a[1], b[1]))
+
+    @staticmethod
+    def _sort_key(key: PairKey):
+        return (_term_sort_key(key[0]), _term_sort_key(key[1]))
 
     @classmethod
     def tensor(cls, left: NcPoly, right: NcPoly) -> "NcBiPoly":
         alg = _join(left.algebra, right.algebra)
         if left.n != right.n:
             raise ValueError("arity mismatch")
-        terms: Dict[PairKey, complex] = {}
-        for lk, ls in left.terms.items():
-            for rk, rs in right.terms.items():
-                terms[(lk, rk)] = terms.get((lk, rk), 0.0) + ls * rs
-        return cls(left.n, terms, alg)
-
-    def __add__(self, other: "NcBiPoly") -> "NcBiPoly":
-        alg = _join(self.algebra, other.algebra)
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            terms[k] = terms.get(k, 0.0) + v
-        return NcBiPoly(self.n, terms, alg)
-
-    def __mul__(self, other):
-        if np.isscalar(other):
-            return NcBiPoly(
-                self.n, {k: v * complex(other) for k, v in self.terms.items()}, self.algebra
-            )
-        if not isinstance(other, NcBiPoly):
-            return NotImplemented
-        # (a (x) b)(c (x) d) = ac (x) bd, leg by leg
-        alg = _join(self.algebra, other.algebra)
-        terms: Dict[PairKey, complex] = {}
-        for (l1, r1), s1 in self.terms.items():
-            for (l2, r2), s2 in other.terms.items():
-                lk = (l1[0] + l2[0], l1[1][:-1] + (l1[1][-1] + l2[1][0],) + l2[1][1:])
-                rk = (r1[0] + r2[0], r1[1][:-1] + (r1[1][-1] + r2[1][0],) + r2[1][1:])
-                key = (lk, rk)
-                terms[key] = terms.get(key, 0.0) + s1 * s2
-        return NcBiPoly(self.n, terms, alg)
-
-    __rmul__ = __mul__
-
-    def equals(self, other: "NcBiPoly", tol: float = 0.0) -> bool:
-        if self.n != other.n:
-            return False
-        keys = set(self.terms) | set(other.terms)
-        return all(
-            abs(self.terms.get(k, 0.0) - other.terms.get(k, 0.0)) <= tol for k in keys
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, NcBiPoly):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+        return cls(left.n, _mul_terms(left, right, lambda a, b: (a, b)), alg)
 
     def evaluate_pairs(self, t: matcore.MatrixTuple, embed=None):
         """Evaluated tensor legs [(a, b), ...] with scalars folded into a."""
         ev = _Evaluator(self.algebra, t, embed)
-        pairs = []
-        for (lkey, rkey), s in sorted(self.terms.items(), key=lambda kv: (
-            _term_sort_key(kv[0][0]), _term_sort_key(kv[0][1]))
-        ):
-            a = ev.word(lkey)
-            b = ev.word(rkey)
-            pairs.append((a * s, b))
-        return pairs
+        return [(ev.word(lkey) * s, ev.word(rkey)) for (lkey, rkey), s in self.sorted_terms()]
 
     def apply(self, t: matcore.MatrixTuple, z: np.ndarray, embed=None) -> np.ndarray:
         out = np.zeros((t.dim, t.dim), dtype=np.complex128)
-        for a, b in self.evaluate_pairs(t, embed):
-            out += a @ z @ b
-        return out
+        return _apply_pairs(self.evaluate_pairs(t, embed), z, out)
 
     def __repr__(self):
         return f"NcBiPoly({bipoly_text(self)!r})"
@@ -446,20 +419,19 @@ def dquotient(f: NcPoly, i: int) -> NcBiPoly:
 
 
 def compose(f: NcPoly, gs: Sequence[NcPoly]) -> NcPoly:
-    """Substitution f(g_1, ..., g_n)."""
+    """Substitution f(g_1, ..., g_n): the grade-0 case of _compose_graded."""
     if len(gs) != f.n:
         raise ValueError("need one substituted polynomial per indeterminate")
     alg = f.algebra
     for g in gs:
         alg = _join(alg, g.algebra)
-    m = gs[0].n if gs else f.n
-    out = NcPoly.zero(m, alg)
-    for (word, coefs), s in f.terms.items():
-        acc = NcPoly(m, {((), (coefs[0],)): s}, alg)
-        for j, letter in enumerate(word):
-            acc = acc * gs[letter - 1]
-            acc = acc * NcPoly(m, {((), (coefs[j + 1],)): 1.0}, alg)
-        out = out + acc
+    return _compose_graded(f, [[g] for g in gs], 0, alg)[0]
+
+
+def _apply_pairs(pairs, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Accumulate sum a @ z @ b over evaluated tensor legs into out."""
+    for a, b in pairs:
+        out += a @ z @ b
     return out
 
 
@@ -488,8 +460,7 @@ class NcJacobian:
         for j in range(self.n):
             acc = np.zeros((self.k, self.k), dtype=np.complex128)
             for i in range(self.n):
-                for a, b in self._pairs[i][j]:
-                    acc += a @ hs[i] @ b
+                _apply_pairs(self._pairs[i][j], hs[i], acc)
             out.append(acc)
         return out
 
@@ -595,7 +566,7 @@ def _graded_mul(a, b, order, n, alg):
 
 def _compose_graded(f: NcPoly, gs, order, alg):
     """Substitute graded tuples into f, keeping grades <= order."""
-    n = gs[0][0].n
+    n = gs[0][0].n if gs else f.n
     out = [NcPoly.zero(n, alg) for _ in range(order + 1)]
     for (word, coefs), s in f.terms.items():
         acc = [NcPoly(n, {((), (coefs[0],)): s}, alg)] + [
@@ -666,67 +637,38 @@ def _fmt_scalar(z: complex) -> str:
     return repr(complex(z))
 
 
-def _fmt_term(key: TermKey, scalar: complex) -> str:
+def _word_parts(key: TermKey) -> List[str]:
     word, coefs = key
     parts: List[str] = []
-    if scalar != 1:
-        parts.append(_fmt_scalar(scalar))
-    for j in range(len(word) + 1):
-        for name, star in coefs[j]:
-            parts.append(name + ("*" if star else ""))
+    for j, slot in enumerate(coefs):
+        parts.extend(name + ("*" if star else "") for name, star in slot)
         if j < len(word):
             parts.append(f"t{word[j]}")
-    if not parts:
-        parts.append("1")
-    return " ".join(parts)
+    return parts
+
+
+def _signed_sum(f: _TermSum, key_parts) -> str:
+    """Sorted terms joined as `a + b - c`; a real negative scalar shows as `-`."""
+    chunks = []
+    for idx, (key, s) in enumerate(f.sorted_terms()):
+        neg = s.imag == 0.0 and s.real < 0
+        z = -s if neg else s
+        body = " ".join(([] if z == 1 else [_fmt_scalar(z)]) + key_parts(key)) or "1"
+        chunks.append(("- " if neg else "+ " if idx else "") + body)
+    return " ".join(chunks) or "0"
 
 
 def poly_text(f: NcPoly) -> str:
-    if not f.terms:
-        return "0"
-    items = f.sorted_terms()
-    chunks = []
-    for idx, (key, s) in enumerate(items):
-        neg = s.imag == 0.0 and s.real < 0
-        body = _fmt_term(key, -s if neg else s)
-        if idx == 0:
-            chunks.append(("- " if neg else "") + body)
-        else:
-            chunks.append(("- " if neg else "+ ") + body)
-    return " ".join(chunks)
-
-
-def _word_text(key: TermKey) -> str:
-    word, coefs = key
-    parts: List[str] = []
-    for j in range(len(word) + 1):
-        for name, star in coefs[j]:
-            parts.append(name + ("*" if star else ""))
-        if j < len(word):
-            parts.append(f"t{word[j]}")
-    return " ".join(parts) if parts else "1"
+    return _signed_sum(f, _word_parts)
 
 
 def bipoly_text(f: NcBiPoly) -> str:
     """Tensor terms as `left (x) right`, ordered by split position."""
-    if not f.terms:
-        return "0"
-    items = sorted(
-        f.terms.items(),
-        key=lambda kv: (len(kv[0][0][0]), _term_sort_key(kv[0][0]), _term_sort_key(kv[0][1])),
-    )
-    chunks = []
-    for idx, ((lkey, rkey), s) in enumerate(items):
-        neg = s.imag == 0.0 and s.real < 0
-        z = -s if neg else s
-        body = _word_text(lkey) + " (x) " + _word_text(rkey)
-        if z != 1:
-            body = _fmt_scalar(z) + " " + body
-        if idx == 0:
-            chunks.append(("- " if neg else "") + body)
-        else:
-            chunks.append(("- " if neg else "+ ") + body)
-    return " ".join(chunks)
+
+    def leg(key: TermKey) -> str:
+        return " ".join(_word_parts(key)) or "1"
+
+    return _signed_sum(f, lambda pair: [leg(pair[0]), "(x)", leg(pair[1])])
 
 
 _NUM_RE = re.compile(r"^[0-9]+(\.[0-9]*)?([eE][+-]?[0-9]+)?$|^\.[0-9]+$")

@@ -67,7 +67,8 @@ def _gl_panels(edges):
 class SpectralMeasure:
     """Probability measure on the line, in one of four kinds.
 
-    kind "atomic":     finite list of (location, weight) pairs
+    kind "atomic":     finite list of (location, weight) pairs (support
+                       [min, max] of the locations)
     kind "grid":       density values on a uniform grid over [a, b]
     kind "semicircle": semicircle law of given variance (support
                        [-2c, 2c], density sqrt(4c^2 - x^2)/(2 pi c^2))
@@ -95,6 +96,8 @@ class SpectralMeasure:
             if abs(w.sum() - 1.0) > 1e-10:
                 raise MeasureFormatError(f"atom weights sum to {w.sum()!r}, not 1")
             self.atoms = [(float(a[0]), float(a[1])) for a in atoms]
+            locs = [a[0] for a in self.atoms]
+            self.support = (min(locs), max(locs))
         elif kind == "grid":
             vals = np.asarray(values, dtype=float)
             if vals.ndim != 1 or vals.size < 8:
@@ -404,11 +407,7 @@ def esd(m: matcore.SelfAdjointMatrix) -> SpectralMeasure:
 
 
 def _field_over(mu: SpectralMeasure, f: ScalarField) -> None:
-    if mu.is_atomic:
-        locs = [a[0] for a in mu.atoms]
-        a, b = min(locs), max(locs)
-    else:
-        a, b = mu.support
+    a, b = mu.support
     ga, gb = f.grid_x[0], f.grid_x[-1]
     if a < ga - 1e-12 or b > gb + 1e-12:
         raise ValueError(

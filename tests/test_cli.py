@@ -400,6 +400,21 @@ def test_chi_mc_pool_below_one_is_a_usage_error(tmp_path, capsys, pool):
     assert "y-pool must be an integer >= 1" in err
 
 
+@pytest.mark.parametrize("flag,value,low", [("--samples", "99", 100), ("--threads", "-1", 0)])
+def test_chi_mc_bad_samples_or_threads_exit_2_before_sampling(tmp_path, capsys, monkeypatch,
+                                                              flag, value, low):
+    # --samples 99 exited 1 from inside the estimator; --threads -1 exited 0
+    def no_sampling(*args, **kwargs):
+        raise AssertionError(f"sampled with {flag} {value}")
+
+    monkeypatch.setattr(cli.ms, "estimate_volume", no_sampling)
+    spec = write_json(tmp_path / "spec.json", SC_SPEC)
+    code, out, err = run(capsys, "chi-mc", "--spec", spec, "--k", "2", flag, value)
+    assert code == 2
+    assert out == ""
+    assert f"{flag[2:]} must be an integer >= {low}, not {value}" in err
+
+
 def test_chi_mc_relative_y_id_column(tmp_path, capsys):
     spec = write_json(tmp_path / "rel.json", REL_SPEC)
     code, out, _ = run(

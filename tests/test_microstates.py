@@ -195,6 +195,14 @@ def test_suggested_radius_tracks_support_bounds():
     assert ms.suggested_radius(model) == pytest.approx(8.0)
 
 
+def test_atomic_support_sets_the_default_radius():
+    # the largest |atom| sits at a negative location
+    mu = spectra.SpectralMeasure.atomic([(1.0, 0.5), (-3.0, 0.5)])
+    assert mu.support == (-3.0, 1.0)
+    spec = TracialSpec.free_model(1, 0, 2, [mu], [0])
+    assert ms.suggested_radius(spec) == 8.0
+
+
 # --- membership -----------------------------------------------------------------
 
 
@@ -221,7 +229,7 @@ def test_independent_draws_are_usually_relative_microstates():
     y = matcore.MatrixTuple.from_arrays([np.diag(locs)])
     p = MicrostateParams(k=k, l=3, eps=0.35, radius=4.0)
     hits = sum(
-        ms.is_relative_microstate(gue_tuple(k, rng.derive(5, i)), y, spec, p)
+        ms.is_microstate(gue_tuple(k, rng.derive(5, i)).concat(y), spec, p)
         for i in range(10)
     )
     assert hits / 10 > 0.3
@@ -297,8 +305,6 @@ def test_membership_validation_errors():
     pair = free_pair_spec()
     with pytest.raises(ValueError, match="matrices"):
         ms.is_microstate(t, pair, MicrostateParams(k=4, l=2, eps=0.1, radius=4.0))
-    with pytest.raises(ValueError, match="arities"):
-        ms.is_relative_microstate(t, t, pair.all_as_x(), MicrostateParams(k=4, l=2, eps=0.1, radius=4.0))
 
 
 def test_params_validation():
@@ -535,26 +541,6 @@ def test_relative_empty_pool_reports_minus_inf():
     assert "empty sup" in est.y_used
     assert est.per_k[0].value == float("-inf")
     assert est.per_k[0].y_id == "none (no 1-dim Y-microstates found; empty sup)"
-
-
-def test_chi_prime_reduces_to_chi_without_y():
-    spec = sc_spec(2)
-    p = MicrostateParams(k=1, l=2, eps=0.2, radius=4.0)
-    cp = ms.chi_prime(spec, p, [2, 3], nsamples=20_000, seed=24)
-    assert cp.reference is None
-    assert cp.value == cp.joint.extrapolated
-    assert cp.per_k_diff == [(pt.k, pt.value) for pt in cp.joint.per_k]
-
-
-def test_chi_prime_orders_free_above_correlated():
-    p = MicrostateParams(k=1, l=2, eps=0.2, radius=4.0)
-    corr = TracialSpec.free_model(1, 1, 4, [semicircle()], [0, 0])
-    free = TracialSpec.free_model(1, 1, 4, [semicircle(), semicircle()], [0, 1])
-    cpc = ms.chi_prime(corr, p, [2, 3], nsamples=30_000, seed=31)
-    cpf = ms.chi_prime(free, p, [2, 3], nsamples=30_000, seed=31)
-    for (kf, df), (kc, dc) in zip(cpf.per_k_diff, cpc.per_k_diff):
-        assert kf == kc and df > dc
-    assert cpf.per_k_diff[1][1] - cpc.per_k_diff[1][1] > 0.3
 
 
 # --- block maps ----------------------------------------------------------------------

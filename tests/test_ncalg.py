@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freelab import matcore, ncalg
 from freelab.ncalg import CoefficientAlgebra, NcBiPoly, NcPoly
@@ -74,6 +75,15 @@ def test_mismatched_algebras_rejected():
         f * g
 
 
+def test_mismatched_arities_rejected():
+    # a sum kept the left operand's arity, so f + g and g + f differed
+    f, g = NcPoly.indet(2, 1), NcPoly.indet(3, 1)
+    ff, gg = NcBiPoly.tensor(f, f), NcBiPoly.tensor(g, g)
+    for op in (lambda: f + g, lambda: g + f, lambda: g - f, lambda: f * g, lambda: ff * gg):
+        with pytest.raises(ValueError, match="arity mismatch"):
+            op()
+
+
 def test_adjoint_and_selfadjointness():
     t1, t2 = NcPoly.indet(2, 1), NcPoly.indet(2, 2)
     assert (t1 * t2).adjoint() == t2 * t1
@@ -92,6 +102,74 @@ def test_hermitian_generator_star_folds():
     alg = CoefficientAlgebra.matrix_model({"h": h})
     starred = NcPoly.coefficient(1, "h", alg, star=True)
     assert starred == NcPoly.coefficient(1, "h", alg)
+
+
+# one product rule: Gaussian-integer scalars keep every product and sum
+# exact, so the ring laws hold with ==, not just to rounding
+
+_ALG = CoefficientAlgebra.matrix_model({
+    "a": np.array([[0.0, 1.0], [0.0, 0.0]]),
+    "b": np.array([[1.0, 2.0], [3.0, 4.0]]),
+    "h": np.array([[1.0, 2.0], [2.0, -1.0]]),
+})
+_scalars = st.builds(complex, st.integers(-3, 3), st.integers(-2, 2))
+_slots = st.lists(
+    st.tuples(st.sampled_from(["a", "b", "h"]), st.booleans()), max_size=2
+).map(tuple)
+
+
+@st.composite
+def _term_keys(draw, n=2, max_len=2):
+    word = tuple(draw(st.lists(st.integers(1, n), max_size=max_len)))
+    return (word, tuple(draw(_slots) for _ in range(len(word) + 1)))
+
+
+def _polys(n=2, max_len=2, max_terms=3):
+    terms = st.dictionaries(_term_keys(n, max_len), _scalars, max_size=max_terms)
+    return terms.map(lambda t: NcPoly(n, t, _ALG))
+
+
+_bipolys = st.dictionaries(st.tuples(_term_keys(), _term_keys()), _scalars, max_size=3).map(
+    lambda t: NcBiPoly(2, t, _ALG)
+)
+
+
+@given(st.sampled_from([_polys(), _bipolys]).flatmap(lambda s: st.tuples(s, s, s)))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_product_is_associative_and_distributive(fgh):
+    f, g, h = fgh
+    assert (f * g) * h == f * (g * h)
+    assert f * (g + h) == f * g + f * h
+    assert (f + g) * h == f * h + g * h
+
+
+@given(_polys(), _polys())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_adjoint_reverses_products(f, g):
+    assert (f * g).adjoint() == g.adjoint() * f.adjoint()
+
+
+@given(_polys(), _polys(), _polys(), _polys())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_tensor_products_multiply_leg_by_leg(a, b, c, d):
+    assert NcBiPoly.tensor(a, b) * NcBiPoly.tensor(c, d) == NcBiPoly.tensor(a * c, b * d)
+
+
+@given(_polys(n=3, max_len=3))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_compose_with_the_indeterminates_is_the_identity(f):
+    assert ncalg.compose(f, [NcPoly.indet(3, i + 1) for i in range(3)]) == f
+
+
+@given(_polys(max_len=3), st.lists(_polys(), min_size=2, max_size=2), st.integers(0, 999))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_compose_evaluates_as_substitution(f, gs, seed):
+    gs = [g + g.adjoint() for g in gs]  # self-adjoint, so each value is a tuple entry
+    x = rand_tuple(np.random.default_rng(seed), 2, 4)
+    inner = matcore.MatrixTuple([ncalg.evaluate(g, x) for g in gs])
+    want = as_array(ncalg.evaluate(f, inner))
+    got = as_array(ncalg.evaluate(ncalg.compose(f, gs), x))
+    assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
 
 
 # --- evaluation -------------------------------------------------------------
@@ -396,6 +474,27 @@ def test_parse_and_format_roundtrip():
     assert ncalg.poly_text(f) == "0.5 - t2 + 2 t1 t2"
     g = ncalg.parse_poly(ncalg.poly_text(f), 2)
     assert f == g
+
+
+def test_matrix_coefficient_texts_are_pinned():
+    # recorded before polynomials and tensor terms shared one printer
+    f = ncalg.parse_poly("a t1 b* - 2.5 h* t2 a* t1 + 3 b t1 t1 b* - 7", 2, _ALG)
+    g = ncalg.parse_poly("a* t2 a - t1 h t1 + 0.5 b b* t2 t1 a", 2, _ALG)
+    c = NcPoly.scalar(2, 1 - 2j, _ALG) * f + NcPoly.scalar(2, -3j, _ALG) * g
+    assert [ncalg.poly_text(p) for p in (f, f.adjoint(), c, c.adjoint())] == [
+        "- 7 + a t1 b* + 3 b t1 t1 b* - 2.5 h t2 a* t1",
+        "- 7 + b t1 a* + 3 b t1 t1 b* - 2.5 t1 a t2 h",
+        "(-7+14j) + (1-2j) a t1 b* + -3j a* t2 a + 3j t1 h t1 + (3-6j) b t1 t1 b*"
+        " + -1.5j b b* t2 t1 a + (-2.5+5j) h t2 a* t1",
+        "(-7-14j) + (1+2j) b t1 a* + 3j a* t2 a + -3j t1 h t1 + (3+6j) b t1 t1 b*"
+        " + (-2.5-5j) t1 a t2 h + 1.5j a* t1 t2 b b*",
+    ]
+    assert [ncalg.bipoly_text(ncalg.dquotient(p, i)) for p, i in ((f, 1), (c, 1), (c, 2))] == [
+        "a (x) b* + 3 b (x) t1 b* + 3 b t1 (x) b* - 2.5 h t2 a* (x) 1",
+        "3j 1 (x) h t1 + (1-2j) a (x) b* + (3-6j) b (x) t1 b* + 3j t1 h (x) 1"
+        " + (3-6j) b t1 (x) b* + -1.5j b b* t2 (x) a + (-2.5+5j) h t2 a* (x) 1",
+        "-3j a* (x) a + -1.5j b b* (x) t1 a + (-2.5+5j) h (x) a* t1",
+    ]
 
 
 def test_parse_errors_carry_token_position():
