@@ -352,12 +352,6 @@ class TracialSpec:
             raise ValueError("specification has no Y letters")
         return self.marginal(range(self.n + 1, self.n + self.m + 1))
 
-    def all_as_x(self) -> "TracialSpec":
-        """Same constraints with every letter treated as an X variable."""
-        if self.m == 0:
-            return self
-        return self.marginal(range(1, self.letters + 1))
-
     # serialization ------------------------------------------------------------
 
     def to_dict(self) -> dict:

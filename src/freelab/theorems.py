@@ -17,27 +17,6 @@ import numpy as np
 
 from . import matcore, microstates as ms, ncalg, rng, spectra
 
-CHECK_IDS = (
-    "T-CHAIN",
-    "T-MONO-Y",
-    "T-VS-JOINT",
-    "T-MAXBOUND",
-    "T-GEN",
-    "T-SUBADD",
-    "T-FREE-B",
-    "T-COV1",
-    "T-COVGEN",
-    "T-BROWN",
-    "T-CONJ",
-    "T-MAX",
-    "T-FREECRIT",
-    "T-BLOCK",
-)
-
-DETERMINISTIC_IDS = frozenset(
-    {"T-COV1", "T-COVGEN", "T-BROWN", "T-CONJ", "T-MAX", "T-BLOCK"}
-)
-
 
 @dataclass
 class CheckReport:
@@ -127,29 +106,35 @@ def _list_of(ok):
     return lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(ok(x) for x in v)
 
 
-# per-check settings, validated when present: key -> (rule, what it asks for)
+def _tuple_of(conv):
+    return lambda v: tuple(conv(x) for x in v)
+
+
+# per-check settings, validated when present: key -> (rule, what it asks
+# for, conversion of a valid value)
 _CHECK_KEYS = {
-    "tolerance": (lambda v: _is_num(v) and v >= 0, "a finite number >= 0"),
-    "margin": (_is_num, "a finite number"),
-    "finite_k_allowance": (lambda v: _is_num(v) and v >= 0, "a finite number >= 0"),
+    "tolerance": (lambda v: _is_num(v) and v >= 0, "a finite number >= 0", float),
+    "margin": (_is_num, "a finite number", float),
+    "finite_k_allowance": (lambda v: _is_num(v) and v >= 0, "a finite number >= 0", float),
     "fd_eps": (lambda v: _is_num(v) and 0 < v < _CUBIC_MAX,
-               f"a number in (0, {_CUBIC_MAX:.4g})"),
-    "covgen_k": (lambda v: ms._is_int(v) and v >= 1, "an integer >= 1"),
+               f"a number in (0, {_CUBIC_MAX:.4g})", float),
+    "covgen_k": (lambda v: ms._is_int(v) and v >= 1, "an integer >= 1", int),
     "covgen_coef": (lambda v: _is_num(v) and v > -_CUBIC_MAX,
-                    f"a finite number > {-_CUBIC_MAX:.4g}"),
+                    f"a finite number > {-_CUBIC_MAX:.4g}", float),
     "t_values": (_list_of(lambda t: _is_num(t) and t > 0),
-                 "a nonempty list of positive finite numbers"),
+                 "a nonempty list of positive finite numbers", _tuple_of(float)),
     "gen_powers": (_list_of(lambda q: ms._is_int(q) and q >= 1),
-                   "a nonempty list of integers >= 1"),
+                   "a nonempty list of integers >= 1", _tuple_of(int)),
 }
 
 
 def _mc_cfg(cfg: dict) -> dict:
-    """The Monte Carlo settings of cfg over their defaults.
+    """The settings of cfg over the Monte Carlo defaults, converted.
 
     The one validator of a check configuration: a ValueError names every
     bad key, the Monte Carlo ones and the per-check ones of _CHECK_KEYS
     alike, and the window (l, eps, radius) is checked by MicrostateParams.
+    The per-check keys are returned only when cfg has them.
     """
     c = {key: cfg.get(key, default) for key, default in _MC_DEFAULTS.items()}
     ks = c["k_list"]
@@ -168,13 +153,14 @@ def _mc_cfg(cfg: dict) -> dict:
         ms.MicrostateParams(k=1, l=c["l"], eps=c["eps"], radius=c["radius"])
     except ValueError as e:
         problems.append(str(e))
-    for key, (ok, what) in _CHECK_KEYS.items():
+    for key, (ok, what, _) in _CHECK_KEYS.items():
         if key in cfg and not ok(cfg[key]):
             problems.append(f"{key} must be {what}, not {cfg[key]!r}")
     if problems:
         raise ValueError("invalid check configuration: " + "; ".join(problems))
     out = {key: int(c[key]) for key in ("nsamples", "l", "seed", "threads", "y_pool")}
     out.update(k_list=tuple(int(k) for k in ks), eps=float(c["eps"]), radius=float(c["radius"]))
+    out.update((key, conv(cfg[key])) for key, (_, _, conv) in _CHECK_KEYS.items() if key in cfg)
     return out
 
 
@@ -190,25 +176,38 @@ def _params(c, k=1):
     return ms.MicrostateParams(k=k, l=c["l"], eps=c["eps"], radius=c["radius"])
 
 
-def _chi(spec, c, tag):
-    """The sweep of spec, conditioned over a Y pool when it has Y letters."""
+def _chi(c, tag, n, m, *factors):
+    """The sweep of the free model whose letter i is factor i, conditioned
+    over a Y pool when it has Y letters (m > 0)."""
+    spec = ms.TracialSpec.free_model(n, m, c["l"], list(factors), list(range(n + m)))
     return ms.estimate_chi_relative(
         spec, _params(c), c["k_list"], y_pool=c["y_pool"], nsamples=c["nsamples"],
         seed=rng.derive(c["seed"], tag), threads=c["threads"],
     )
 
 
+def _free_pair(c, t_joint, t_x, t_y):
+    """chi(X, Y), chi(X) and chi(Y) of the free semicircle and two-atom pair."""
+    sc, ta = _sc(), _ta()
+    return _chi(c, t_joint, 2, 0, sc, ta), _chi(c, t_x, 1, 0, sc), _chi(c, t_y, 1, 0, ta)
+
+
+def _relative_and_plain(c, t_rel, t_plain):
+    """chi(X | Y) of the free pair and chi(X) of the semicircle alone."""
+    sc = _sc()
+    return _chi(c, t_rel, 1, 1, sc, _ta()), _chi(c, t_plain, 1, 0, sc)
+
+
 # --- statistical tier --------------------------------------------------------
 
 
-def _chk_chain(cfg) -> CheckReport:
+def _chk_chain(c):
     """chi(X,Y) - chi(Y) <= chi(X,Y) - chi(Y:X) <= chi(X|Y)."""
-    c = _mc_cfg(cfg)
     sc, ta = _sc(), _ta()
-    joint = _chi(ms.TracialSpec.free_model(2, 0, c["l"], [sc, ta], [0, 1]), c, 1)
-    y_only = _chi(ms.TracialSpec.free_model(1, 0, c["l"], [ta], [0]), c, 2)
-    rel_x = _chi(ms.TracialSpec.free_model(1, 1, c["l"], [sc, ta], [0, 1]), c, 3)
-    rel_y = _chi(ms.TracialSpec.free_model(1, 1, c["l"], [ta, sc], [0, 1]), c, 4)
+    joint = _chi(c, 1, 2, 0, sc, ta)
+    y_only = _chi(c, 2, 1, 0, ta)
+    rel_x = _chi(c, 3, 1, 1, sc, ta)
+    rel_y = _chi(c, 4, 1, 1, ta, sc)
     lhs = joint.extrapolated - y_only.extrapolated
     s_lhs = math.hypot(_sigma(joint), _sigma(y_only))
     mid = joint.extrapolated - rel_y.extrapolated
@@ -217,138 +216,102 @@ def _chk_chain(cfg) -> CheckReport:
     s_rhs = _sigma(rel_x)
     ok1, _ = _one_sided(lhs, s_lhs, mid, s_mid)
     ok2, tol = _one_sided(mid, s_mid, rhs, s_rhs)
-    return CheckReport(
-        "T-CHAIN", "<=", lhs, rhs, tol, ok1 and ok2, True, c["seed"],
-        {
-            "middle": mid,
-            "middle_sigma": s_mid,
-            "joint": _est_dict(joint),
-            "y_marginal": _est_dict(y_only),
-            "relative_x_given_y": _est_dict(rel_x),
-            "relative_y_given_x": _est_dict(rel_y),
-        },
-    )
+    return "<=", lhs, rhs, tol, ok1 and ok2, {
+        "middle": mid,
+        "middle_sigma": s_mid,
+        "joint": _est_dict(joint),
+        "y_marginal": _est_dict(y_only),
+        "relative_x_given_y": _est_dict(rel_x),
+        "relative_y_given_x": _est_dict(rel_y),
+    }
 
 
-def _chk_mono_y(cfg) -> CheckReport:
+def _chk_mono_y(c):
     """Conditioning on more variables cannot raise the relative value."""
-    c = _mc_cfg(cfg)
     sc, ta = _sc(), _ta()
-    rel_two = _chi(
-        ms.TracialSpec.free_model(1, 2, c["l"], [sc, ta, sc], [0, 1, 2]), c, 1
-    )
-    rel_one = _chi(ms.TracialSpec.free_model(1, 1, c["l"], [sc, ta], [0, 1]), c, 2)
+    rel_two = _chi(c, 1, 1, 2, sc, ta, sc)
+    rel_one = _chi(c, 2, 1, 1, sc, ta)
     lhs, rhs = rel_two.extrapolated, rel_one.extrapolated
     ok, tol = _one_sided(lhs, _sigma(rel_two), rhs, _sigma(rel_one))
-    return CheckReport(
-        "T-MONO-Y", "<=", lhs, rhs, tol, ok, True, c["seed"],
-        {"given_y1_y2": _est_dict(rel_two), "given_y1": _est_dict(rel_one)},
-    )
+    return "<=", lhs, rhs, tol, ok, {
+        "given_y1_y2": _est_dict(rel_two), "given_y1": _est_dict(rel_one),
+    }
 
 
-def _chk_vs_joint(cfg) -> CheckReport:
+def _chk_vs_joint(c):
     """The relative value never exceeds the plain one-variable value."""
-    c = _mc_cfg(cfg)
-    sc, ta = _sc(), _ta()
-    rel = _chi(ms.TracialSpec.free_model(1, 1, c["l"], [sc, ta], [0, 1]), c, 1)
-    plain = _chi(ms.TracialSpec.free_model(1, 0, c["l"], [sc], [0]), c, 2)
-    ok, tol = _one_sided(rel.extrapolated, _sigma(rel), plain.extrapolated, _sigma(plain))
-    return CheckReport(
-        "T-VS-JOINT", "<=", rel.extrapolated, plain.extrapolated, tol, ok, True,
-        c["seed"], {"relative": _est_dict(rel), "plain": _est_dict(plain)},
-    )
+    rel, plain = _relative_and_plain(c, 1, 2)
+    lhs, rhs = rel.extrapolated, plain.extrapolated
+    ok, tol = _one_sided(lhs, _sigma(rel), rhs, _sigma(plain))
+    return "<=", lhs, rhs, tol, ok, {"relative": _est_dict(rel), "plain": _est_dict(plain)}
 
 
-def _chk_maxbound(cfg) -> CheckReport:
+def _chk_maxbound(c):
     """chi <= (n/2) log(2 pi e c^2) for variance-c^2 variables.
 
     Needs the deep sweep (l = 4): with only two moments pinned the
     window lets the variance drift up to 1 + eps and the estimate
     tracks the fattened bound (n/2) log(2 pi e (1 + eps)) instead.
     """
-    c = _mc_cfg({"l": 4, "eps": 0.4, **cfg})
-    est = _chi(ms.TracialSpec.free_model(1, 0, c["l"], [_sc()], [0]), c, 1)
+    est = _chi(c, 1, 1, 0, _sc())
     bound = 0.5 * math.log(2.0 * math.pi * math.e)
     ok, tol = _one_sided(est.extrapolated, _sigma(est), bound, 0.0)
-    return CheckReport(
-        "T-MAXBOUND", "<=", est.extrapolated, bound, tol, ok, True, c["seed"],
-        {
-            "variance": 1.0,
-            "window_fattened_bound": 0.5 * math.log(2.0 * math.pi * math.e * (1.0 + c["eps"])),
-            "estimate": _est_dict(est),
-        },
-    )
+    return "<=", est.extrapolated, bound, tol, ok, {
+        "variance": 1.0,
+        "window_fattened_bound": 0.5 * math.log(2.0 * math.pi * math.e * (1.0 + c["eps"])),
+        "estimate": _est_dict(est),
+    }
 
 
-def _chk_subadd(cfg) -> CheckReport:
+def _chk_subadd(c):
     """chi(X,Y) <= chi(X) + chi(Y)."""
-    c = _mc_cfg(cfg)
-    sc, ta = _sc(), _ta()
-    joint = _chi(ms.TracialSpec.free_model(2, 0, c["l"], [sc, ta], [0, 1]), c, 1)
-    ex = _chi(ms.TracialSpec.free_model(1, 0, c["l"], [sc], [0]), c, 2)
-    ey = _chi(ms.TracialSpec.free_model(1, 0, c["l"], [ta], [0]), c, 3)
+    joint, ex, ey = _free_pair(c, 1, 2, 3)
     lhs = joint.extrapolated
     rhs = ex.extrapolated + ey.extrapolated
     ok, tol = _one_sided(lhs, _sigma(joint), rhs, math.hypot(_sigma(ex), _sigma(ey)))
-    return CheckReport(
-        "T-SUBADD", "<=", lhs, rhs, tol, ok, True, c["seed"],
-        {"joint": _est_dict(joint), "x": _est_dict(ex), "y": _est_dict(ey)},
-    )
+    return "<=", lhs, rhs, tol, ok, {
+        "joint": _est_dict(joint), "x": _est_dict(ex), "y": _est_dict(ey),
+    }
 
 
-def _chk_free_b(cfg) -> CheckReport:
+def _chk_free_b(c):
     """Freeness direction of additivity: chi(X) + chi(Y) <= chi(X,Y).
 
     Together with the generic subadditivity bound this brackets the
     additivity identity for a free pair.
     """
-    c = _mc_cfg(cfg)
-    sc, ta = _sc(), _ta()
-    joint = _chi(ms.TracialSpec.free_model(2, 0, c["l"], [sc, ta], [0, 1]), c, 4)
-    ex = _chi(ms.TracialSpec.free_model(1, 0, c["l"], [sc], [0]), c, 5)
-    ey = _chi(ms.TracialSpec.free_model(1, 0, c["l"], [ta], [0]), c, 6)
+    joint, ex, ey = _free_pair(c, 4, 5, 6)
     lhs = ex.extrapolated + ey.extrapolated
     rhs = joint.extrapolated
     ok, tol = _one_sided(lhs, math.hypot(_sigma(ex), _sigma(ey)), rhs, _sigma(joint))
-    return CheckReport(
-        "T-FREE-B", "<=", lhs, rhs, tol, ok, True, c["seed"],
-        {"joint": _est_dict(joint), "x": _est_dict(ex), "y": _est_dict(ey)},
-    )
+    return "<=", lhs, rhs, tol, ok, {
+        "joint": _est_dict(joint), "x": _est_dict(ex), "y": _est_dict(ey),
+    }
 
 
-def _chk_freecrit(cfg) -> CheckReport:
+def _chk_freecrit(c):
     """Forward consistency: for a free pair the relative and plain values
     agree.  The converse (agreement implies freeness) is not certified."""
-    c = _mc_cfg(cfg)
-    allowance = float(cfg.get("finite_k_allowance", 0.05))
-    sc, ta = _sc(), _ta()
-    rel = _chi(ms.TracialSpec.free_model(1, 1, c["l"], [sc, ta], [0, 1]), c, 7)
-    plain = _chi(ms.TracialSpec.free_model(1, 0, c["l"], [sc], [0]), c, 8)
+    rel, plain = _relative_and_plain(c, 7, 8)
     lhs, rhs = rel.extrapolated, plain.extrapolated
-    tol = 3.0 * (_sigma(rel) + _sigma(plain)) + allowance
+    tol = 3.0 * (_sigma(rel) + _sigma(plain)) + c["finite_k_allowance"]
     ok = lhs > float("-inf") and rhs > float("-inf") and abs(lhs - rhs) <= tol
-    return CheckReport(
-        "T-FREECRIT", "==", lhs, rhs, tol, ok, True, c["seed"],
-        {
-            "finite_k_allowance": allowance,
-            "direction": "free pair implies agreement; the converse is not certified",
-            "relative": _est_dict(rel),
-            "plain": _est_dict(plain),
-        },
-    )
+    return "==", lhs, rhs, tol, ok, {
+        "finite_k_allowance": c["finite_k_allowance"],
+        "direction": "free pair implies agreement; the converse is not certified",
+        "relative": _est_dict(rel),
+        "plain": _est_dict(plain),
+    }
 
 
-def _chk_gen(cfg) -> CheckReport:
+def _chk_gen(c):
     """Conditioning on Y and on a generating family of powers of Y agree.
 
     Y is the three-atom law on {-1, 0, 1} with weights (1/4, 1/2, 1/4):
     its moments are exactly realized by quantile diagonals whenever
     4 | k, so both runs see faithful Y-microstates at the default sweep.
     """
-    if "k_list" not in cfg:
-        cfg = {"k_list": (4, 8), **cfg}
-    c = _mc_cfg(cfg)
-    powers = tuple(int(p) for p in cfg.get("gen_powers", (2, 1)))
+    powers = c["gen_powers"]
     sc = _sc()
     tb = spectra.SpectralMeasure.atomic([(-1.0, 0.25), (0.0, 0.5), (1.0, 0.25)])
     model = ms.FreeModel([sc, tb], [0, 1])
@@ -392,20 +355,17 @@ def _chk_gen(cfg) -> CheckReport:
     rhs, s_rhs = est_z.extrapolated, _sigma(est_z)
     tol = 3.0 * (s_lhs + s_rhs)
     ok = lhs > float("-inf") and rhs > float("-inf") and abs(lhs - rhs) <= tol
-    return CheckReport(
-        "T-GEN", "==", lhs, rhs, tol, ok, True, c["seed"],
-        {
-            "powers": list(powers),
-            "per_k_given_y": [[pt.k, pt.value, pt.stderr] for pt in est_y.per_k],
-            "per_k_given_powers": [[pt.k, pt.value, pt.stderr] for pt in est_z.per_k],
-        },
-    )
+    return "==", lhs, rhs, tol, ok, {
+        "powers": list(powers),
+        "per_k_given_y": [[pt.k, pt.value, pt.stderr] for pt in est_y.per_k],
+        "per_k_given_powers": [[pt.k, pt.value, pt.stderr] for pt in est_z.per_k],
+    }
 
 
 # --- deterministic tier --------------------------------------------------------
 
 
-def _chk_cov1(cfg) -> CheckReport:
+def _chk_cov1(c):
     """chi(f(X)) = chi(X) + correction(mu, f) for monotone fields."""
     sc = _sc()
     un = spectra.SpectralMeasure.uniform(0.0, 1.0)
@@ -425,15 +385,13 @@ def _chk_cov1(cfg) -> CheckReport:
             cases.append({"measure": mu.kind, "field": name, "residual": resid})
     identity_corr = spectra.cov_correction(sc, spectra.identity_field((-2.2, 2.2)))
     lhs = max(abs(case["residual"]) for case in cases)
-    tol = float(cfg.get("tolerance", 2e-3))
-    ok = lhs <= tol and identity_corr == 0.0
-    return CheckReport(
-        "T-COV1", "==", lhs, 0.0, tol, ok, False, int(cfg.get("seed", 0)),
-        {"cases": cases, "identity_correction": identity_corr},
-    )
+    ok = lhs <= c["tolerance"] and identity_corr == 0.0
+    return "==", lhs, 0.0, c["tolerance"], ok, {
+        "cases": cases, "identity_correction": identity_corr,
+    }
 
 
-def _chk_covgen(cfg) -> CheckReport:
+def _chk_covgen(c):
     """Multivariate Jacobian functional vs the scalar and quadrature routes.
 
     Route A evaluates the polynomial Jacobian at a quantile-diagonal
@@ -442,9 +400,7 @@ def _chk_covgen(cfg) -> CheckReport:
     instance checks that an orthogonal rotation of a pair has vanishing
     log-Jacobian exactly.
     """
-    seed = int(cfg.get("seed", 0))
-    k = int(cfg.get("covgen_k", 32))
-    coef = float(cfg.get("covgen_coef", 0.15))
+    k, coef = c["covgen_k"], c["covgen_coef"]
     mu = _sc()
     lam = mu.quantile((np.arange(k) + 0.5) / k)
     x = matcore.SelfAdjointMatrix.hermitian_part(np.diag(lam).astype(complex))
@@ -472,28 +428,24 @@ def _chk_covgen(cfg) -> CheckReport:
     F1 = ncalg.NcPoly.scalar(2, cth) * u + ncalg.NcPoly.scalar(2, sth) * v
     F2 = ncalg.NcPoly.scalar(2, -sth) * u + ncalg.NcPoly.scalar(2, cth) * v
     pair = matcore.MatrixTuple(
-        [matcore.sample_gue(6, 1.0, rng.derive(seed, 1)),
-         matcore.sample_gue(6, 1.0, rng.derive(seed, 2))]
+        [matcore.sample_gue(6, 1.0, rng.derive(c["seed"], 1)),
+         matcore.sample_gue(6, 1.0, rng.derive(c["seed"], 2))]
     )
     rotation = ncalg.logabs_functional(ncalg.jacobian([F1, F2], pair))
 
-    tol = float(cfg.get("tolerance", 2e-2))
     ok = (
         abs(route_a - route_b) <= 1e-8
-        and abs(route_a - route_c) <= tol
+        and abs(route_a - route_c) <= c["tolerance"]
         and abs(rotation) <= 1e-8
     )
-    return CheckReport(
-        "T-COVGEN", "==", route_a, route_c, tol, ok, False, seed,
-        {
-            "route_matrix": route_a,
-            "route_divided_difference": route_b,
-            "route_quadrature": route_c,
-            "matrix_vs_scalar": abs(route_a - route_b),
-            "rotation_logabs": rotation,
-            "k": k,
-        },
-    )
+    return "==", route_a, route_c, c["tolerance"], ok, {
+        "route_matrix": route_a,
+        "route_divided_difference": route_b,
+        "route_quadrature": route_c,
+        "matrix_vs_scalar": abs(route_a - route_b),
+        "rotation_logabs": rotation,
+        "k": k,
+    }
 
 
 def _brown_measure(t: float, npoints: int = 2001) -> spectra.SpectralMeasure:
@@ -520,36 +472,32 @@ def _brown_measure(t: float, npoints: int = 2001) -> spectra.SpectralMeasure:
     return spectra.SpectralMeasure.gridded((xs[0], xs[-1]), rho / mass)
 
 
-def _chk_brown(cfg) -> CheckReport:
+def _chk_brown(c):
     """Semicircular evolution keeps chi above the matching-variance floor."""
-    ts = tuple(float(t) for t in cfg.get("t_values", (0.25, 1.0)))
     rows = []
     margins = []
-    for t in ts:
+    for t in c["t_values"]:
         mu = _brown_measure(t)
         chi = spectra.chi_single(mu)
         bound = 0.5 * math.log(2.0 * math.pi * math.e * t)
         rows.append({"t": t, "chi": chi, "bound": bound, "variance": mu.moment(2)})
         margins.append(chi - bound)
     lhs = min(margins)
-    tol = float(cfg.get("tolerance", 1e-3))
-    ok = lhs >= -tol
     note = (
         "floor normalization: (1/2) log(2 pi e t) per variable, matching the "
         "variance bound (n/2) log(2 pi e c^2); the alternative whole-n factor "
         "is inconsistent with that bound and is not used"
     )
-    return CheckReport(
-        "T-BROWN", ">=", lhs, 0.0, tol, ok, False, int(cfg.get("seed", 0)),
-        {"cases": rows, "normalization_note": note},
-    )
+    return ">=", lhs, 0.0, c["tolerance"], lhs >= -c["tolerance"], {
+        "cases": rows, "normalization_note": note,
+    }
 
 
-def _chk_conj(cfg) -> CheckReport:
+def _chk_conj(c):
     """d/de chi(X + eP(X)) at 0 equals the pairing of J with P."""
     mu = _sc()
     dom = (-2.2, 2.2)
-    eps = float(cfg.get("fd_eps", 1e-3))
+    eps = c["fd_eps"]
     rows = []
     worst = 0.0
     for name, coeffs in (("t", [0.0, 1.0]), ("t^2", [0.0, 0.0, 1.0]), ("t^3", [0.0, 0.0, 0.0, 1.0])):
@@ -571,15 +519,13 @@ def _chk_conj(cfg) -> CheckReport:
         invertible = True
     except ValueError:
         invertible = False
-    tol = float(cfg.get("tolerance", 1e-2))
-    ok = worst <= tol and invertible
-    return CheckReport(
-        "T-CONJ", "==", worst, 0.0, tol, ok, False, int(cfg.get("seed", 0)),
-        {"cases": rows, "fd_eps": eps, "series_invertible": invertible},
-    )
+    ok = worst <= c["tolerance"] and invertible
+    return "==", worst, 0.0, c["tolerance"], ok, {
+        "cases": rows, "fd_eps": eps, "series_invertible": invertible,
+    }
 
 
-def _chk_max(cfg) -> CheckReport:
+def _chk_max(c):
     """The semicircle maximizes chi among the variance-1 family; the
     stationarity identity J = id singles it out.
 
@@ -596,7 +542,7 @@ def _chk_max(cfg) -> CheckReport:
         "two-atom": _ta(),
     }
     chis = {name: spectra.chi_single(m) for name, m in family.items()}
-    margin_floor = float(cfg.get("margin", 0.05))
+    margin_floor = c["margin"]
     margins = {
         name: chis["semicircle"] - chis[name]
         for name in ("arcsine", "two-atom")
@@ -617,25 +563,21 @@ def _chk_max(cfg) -> CheckReport:
         and uniform_gap > 0.0
         and all(d > 0.1 for d in deviations.values())
     )
-    return CheckReport(
-        "T-MAX", ">=", lhs, margin_floor, 0.0, ok, False, int(cfg.get("seed", 0)),
-        {
-            "chi": chis,
-            "uniform_gap": uniform_gap,
-            "j_deviation_sup": deviations,
-            "note": "uniform law held to strict inequality; margin floor "
-                    "applies to the arcsine and two-atom laws",
-        },
-    )
+    return ">=", lhs, margin_floor, 0.0, ok, {
+        "chi": chis,
+        "uniform_gap": uniform_gap,
+        "j_deviation_sup": deviations,
+        "note": "uniform law held to strict inequality; margin floor "
+                "applies to the arcsine and two-atom laws",
+    }
 
 
-def _chk_block(cfg) -> CheckReport:
+def _chk_block(c):
     """Block scaling identity via closed forms, plus block-map diagnostics.
 
     N^2 chi(Z) - N^2 (n/2) log N equals the total chi of the n N^2 block
     entries, each semicircular of variance 1/N.
     """
-    seed = int(cfg.get("seed", 0))
     worst = 0.0
     rows = []
     for big_n in (2, 3):
@@ -646,7 +588,7 @@ def _chk_block(cfg) -> CheckReport:
             rows.append({"N": big_n, "n": n, "lhs": lhs, "rhs": rhs})
             worst = max(worst, abs(lhs - rhs))
 
-    z = matcore.MatrixTuple([matcore.sample_gue(6, 1.0, rng.derive(seed, 9))])
+    z = matcore.MatrixTuple([matcore.sample_gue(6, 1.0, rng.derive(c["seed"], 9))])
     parts = ms.block_split(z, 2)
     back = ms.block_assemble(parts, 2)
     roundtrip = float(np.max(np.abs(back.mats[0].array - z.mats[0].array)))
@@ -658,53 +600,60 @@ def _chk_block(cfg) -> CheckReport:
         total += w * float(np.trace(y @ y).real)
     parseval = abs(total - float(np.trace(z.mats[0].array @ z.mats[0].array).real))
 
-    tol = float(cfg.get("tolerance", 1e-12))
-    ok = worst <= tol and roundtrip < 1e-10 and parseval < 1e-10
-    return CheckReport(
-        "T-BLOCK", "==", worst, 0.0, tol, ok, False, seed,
-        {"cases": rows, "roundtrip_residual": roundtrip, "parseval_residual": parseval},
-    )
+    ok = worst <= c["tolerance"] and roundtrip < 1e-10 and parseval < 1e-10
+    return "==", worst, 0.0, c["tolerance"], ok, {
+        "cases": rows, "roundtrip_residual": roundtrip, "parseval_residual": parseval,
+    }
 
 
 # --- registry ------------------------------------------------------------------
 
 
-_DISPATCH = {
-    "T-CHAIN": _chk_chain,
-    "T-MONO-Y": _chk_mono_y,
-    "T-VS-JOINT": _chk_vs_joint,
-    "T-MAXBOUND": _chk_maxbound,
-    "T-GEN": _chk_gen,
-    "T-SUBADD": _chk_subadd,
-    "T-FREE-B": _chk_free_b,
-    "T-COV1": _chk_cov1,
-    "T-COVGEN": _chk_covgen,
-    "T-BROWN": _chk_brown,
-    "T-CONJ": _chk_conj,
-    "T-MAX": _chk_max,
-    "T-FREECRIT": _chk_freecrit,
-    "T-BLOCK": _chk_block,
+# id -> (check, statistical tier, default settings).  A check takes the
+# settings that check() validated and returns (relation, lhs, rhs,
+# tolerance, passed, diagnostics).  run_all derives each check's seed from
+# its position here, so the order is part of the output.
+_REGISTRY = {
+    "T-CHAIN": (_chk_chain, True, {}),
+    "T-MONO-Y": (_chk_mono_y, True, {}),
+    "T-VS-JOINT": (_chk_vs_joint, True, {}),
+    "T-MAXBOUND": (_chk_maxbound, True, {"l": 4, "eps": 0.4}),
+    "T-GEN": (_chk_gen, True, {"k_list": (4, 8), "gen_powers": (2, 1)}),
+    "T-SUBADD": (_chk_subadd, True, {}),
+    "T-FREE-B": (_chk_free_b, True, {}),
+    "T-COV1": (_chk_cov1, False, {"tolerance": 2e-3}),
+    "T-COVGEN": (_chk_covgen, False, {"tolerance": 2e-2, "covgen_k": 32, "covgen_coef": 0.15}),
+    "T-BROWN": (_chk_brown, False, {"tolerance": 1e-3, "t_values": (0.25, 1.0)}),
+    "T-CONJ": (_chk_conj, False, {"tolerance": 1e-2, "fd_eps": 1e-3}),
+    "T-MAX": (_chk_max, False, {"margin": 0.05}),
+    "T-FREECRIT": (_chk_freecrit, True, {"finite_k_allowance": 0.05}),
+    "T-BLOCK": (_chk_block, False, {"tolerance": 1e-12}),
 }
+
+CHECK_IDS = tuple(_REGISTRY)
+
+DETERMINISTIC_IDS = frozenset(cid for cid, entry in _REGISTRY.items() if not entry[1])
 
 
 def check(check_id: str, **cfg) -> CheckReport:
-    """Run one check; cfg keys override the per-check defaults and are
-    validated (_mc_cfg) before the check starts."""
-    if check_id not in _DISPATCH:
+    """Run one check; cfg keys override its registry defaults, and the
+    merged settings are validated (_mc_cfg) before the check starts."""
+    if check_id not in _REGISTRY:
         raise ValueError(
             f"unknown check id {check_id!r}; known ids: {', '.join(CHECK_IDS)}"
         )
-    _mc_cfg(cfg)
-    return _DISPATCH[check_id](cfg)
+    run, statistical, defaults = _REGISTRY[check_id]
+    c = _mc_cfg({**defaults, **cfg})
+    relation, lhs, rhs, tol, passed, diagnostics = run(c)
+    return CheckReport(
+        check_id, relation, lhs, rhs, tol, passed, statistical, c["seed"], diagnostics
+    )
 
 
 def run_all(ids: Optional[Sequence[str]] = None, **cfg) -> List[CheckReport]:
     """Run the listed checks (default: all) with per-check derived seeds."""
     ids = list(ids) if ids is not None else list(CHECK_IDS)
     base = int(cfg.get("seed", 0))
-    out = []
-    for cid in ids:
-        sub = dict(cfg)
-        sub["seed"] = rng.derive(base, CHECK_IDS.index(cid) if cid in CHECK_IDS else 0)
-        out.append(check(cid, **sub))
-    return out
+    return [
+        check(cid, **{**cfg, "seed": rng.derive(base, CHECK_IDS.index(cid))}) for cid in ids
+    ]

@@ -514,6 +514,31 @@ def test_check_flags_override_config_file(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
+    "config, flags, want",
+    [({"threads": 7}, [], 7), ({"threads": 7}, ["--threads", "3"], 3), ({}, [], "cores")],
+    ids=["config", "flag-over-config", "default-all-cores"],
+)
+def test_check_threads_order_is_flag_config_all_cores(tmp_path, monkeypatch, capsys,
+                                                      config, flags, want):
+    # the flag once defaulted to 0 and so always replaced the config's threads
+    captured = {}
+
+    def fake(cid, **cfg):
+        captured.update(cfg)
+        return theorems.CheckReport(
+            id=cid, relation="==", lhs=0.0, rhs=0.0, tolerance=1.0,
+            passed=True, statistical=False, seed=0, diagnostics={},
+        )
+
+    monkeypatch.setattr(cli.theorems, "check", fake)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 5)
+    cfg_path = write_json(tmp_path / "cfg.json", config)
+    code, _, _ = run(capsys, "check", "T-BLOCK", "--config", cfg_path, *flags)
+    assert code == 0
+    assert captured["threads"] == (5 if want == "cores" else want)
+
+
+@pytest.mark.parametrize(
     "argv, config, keys",
     [
         (["T-VS-JOINT", "--eps", "nan"], None, ["eps"]),
@@ -527,9 +552,12 @@ def test_check_flags_override_config_file(tmp_path, monkeypatch, capsys):
           "covgen_coef": None, "margin": "inf", "fd_eps": 0, "finite_k_allowance": [0.1]},
          ["tolerance", "t_values", "gen_powers", "covgen_k", "covgen_coef", "margin",
           "fd_eps", "finite_k_allowance"]),
+        (["T-BLOCK"], {"threads": -1}, ["threads"]),
+        (["T-BLOCK", "--threads", "-1"], None, ["threads"]),
     ],
     ids=["eps-nan", "deterministic-window", "nsamples-string", "config-array",
-         "tolerance-string", "t-values-scalar", "every-per-check-key"],
+         "tolerance-string", "t-values-scalar", "every-per-check-key",
+         "threads-config", "threads-flag"],
 )
 def test_check_bad_settings_exit_2_before_any_check(tmp_path, capsys, monkeypatch,
                                                      argv, config, keys):

@@ -9,9 +9,11 @@ not only in the benchmark.  The recorded stdout digests are not compared:
 they pin the last bit of every printed float, which differs between libm
 and BLAS builds.
 
-Two statistical checks are replayed the same way at a small config, which
-pins the seed tags of every sweep they run, T-GEN's included, and the
-pool rule (the first of the largest volumes wins).
+Every statistical check is replayed the same way at a small config, which
+pins the seed tags and specs of every sweep it runs, T-GEN's included, the
+registry defaults it runs under (T-MAXBOUND's l and eps) and the pool rule
+(the first of the largest volumes wins).  The deterministic tier runs in
+full in tests/test_theorems.py.
 """
 
 import contextlib
@@ -90,6 +92,89 @@ CHECKS = {
             "y_marginal": "",
             "relative_x_given_y": "k=2:free#0; k=3:free#1",
             "relative_y_given_x": "k=2:free#4; k=3:free#0",
+        },
+    },
+    "T-MONO-Y": {
+        "k_list": (2, 3),
+        "lhs": 1.3277786787925825,
+        "rhs": 1.3451166616409889,
+        "per_k": {
+            "given_y1_y2": [[2, 0.7073114901364344, 0.02345730372483623],
+                            [3, 1.3355406281103548, 0.0077619493177723]],
+            "given_y1": [[2, 0.9084046940539767, 0.014547261151761312],
+                         [3, 1.3524499363731002, 0.007333274732111343]],
+        },
+        "y_used": {
+            "given_y1_y2": "k=2:free#23; k=3:free#4",
+            "given_y1": "k=2:free#1; k=3:free#0",
+        },
+    },
+    "T-VS-JOINT": {
+        "k_list": (2, 3),
+        "lhs": 1.3496181175449358,
+        "rhs": 1.3713479915853466,
+        "per_k": {
+            "relative": [[2, 0.9127526297319442, 0.014383899044561525],
+                         [3, 1.3568045667556126, 0.007186449210676739]],
+            "plain": [[2, 1.0986471382786533, 0.00809776330178916],
+                      [3, 1.3780585064885535, 0.0067105149032070065]],
+        },
+        "y_used": {
+            "relative": "k=2:free#0; k=3:free#0",
+            "plain": "",
+        },
+    },
+    "T-MAXBOUND": {
+        "k_list": (2, 3),
+        "lhs": 1.0924136842584462,
+        "rhs": 1.4189385332046727,
+        "per_k": {
+            "estimate": [[2, 0.28245569529822917, 0.05533985905294664],
+                         [3, 1.114188977295611, 0.021775293037164814]],
+        },
+        "y_used": {},
+    },
+    "T-SUBADD": {
+        "k_list": (2, 3),
+        "lhs": 2.709267888456096,
+        "rhs": 2.755590833775608,
+        "per_k": {
+            "joint": [[2, 2.0361538277018427, 0.02091650066335189],
+                      [3, 2.730039169096173, 0.020771280640077095]],
+            "x": [[2, 1.0986471382786533, 0.00809776330178916],
+                  [3, 1.3780585064885535, 0.0067105149032070065]],
+            "y": [[2, 1.1022077274575393, 0.007985150359425066],
+                  [3, 1.3906492403955588, 0.006406398205297474]],
+        },
+        "y_used": {},
+    },
+    "T-FREE-B": {
+        "k_list": (2, 3),
+        "lhs": 2.761812581939137,
+        "rhs": 2.729639751651464,
+        "per_k": {
+            "joint": [[2, 1.9727531380021133, 0.024121150405965644],
+                      [3, 2.7473477728632396, 0.017708021211775594]],
+            "x": [[2, 1.0876506012325908, 0.008445885178321816],
+                  [3, 1.38778756416799, 0.006371086647658965]],
+            "y": [[2, 1.0844177975645288, 0.00854838214577444],
+                  [3, 1.3863718036077337, 0.005975699188927862]],
+        },
+        "y_used": {},
+    },
+    "T-FREECRIT": {
+        "k_list": (2, 3),
+        "lhs": 1.348236639230136,
+        "rhs": 1.370338058300017,
+        "per_k": {
+            "relative": [[2, 0.9138279002067917, 0.01434365167409051],
+                         [3, 1.3556286235758375, 0.0073919843457015055]],
+            "plain": [[2, 1.0833308393305028, 0.008582865334027322],
+                      [3, 1.3767587522955478, 0.0064206939955306205]],
+        },
+        "y_used": {
+            "relative": "k=2:free#0; k=3:free#1",
+            "plain": "",
         },
     },
 }

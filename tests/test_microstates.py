@@ -158,7 +158,7 @@ def test_marginals_restrict_the_letter_set():
     ym = joint.y_marginal()
     for p, want in [(1, 0.0), (2, 1.0), (3, 0.0), (4, 1.0)]:
         assert ym.target((1,) * p) == pytest.approx(want, abs=1e-12)
-    flat = joint.all_as_x()
+    flat = joint.marginal([1, 2])
     assert (flat.n, flat.m) == (2, 0)
     assert flat.target((1, 1, 2, 2)) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
