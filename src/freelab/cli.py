@@ -147,9 +147,9 @@ def _cmd_chi_mc(args) -> int:
         params = ms.MicrostateParams(k=ks[0], l=args.l, eps=args.eps, radius=radius)
     except ValueError as e:
         raise UsageError(str(e))
-    est = ms.estimate_chi_relative(
-        spec, params, ks, y_pool=args.y_pool, nsamples=args.samples,
-        seed=args.seed, threads=_threads(args.threads),
+    est = ms.estimate_chi(
+        spec, params, ks, nsamples=args.samples, seed=args.seed,
+        threads=_threads(args.threads), y_pool=args.y_pool,
     )
 
     header = ["k", "l", "eps", "R", "N", "log_volume", "stderr", "normalized_chi", "y_id"]

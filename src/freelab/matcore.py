@@ -57,10 +57,6 @@ class SelfAdjointMatrix:
     def dim(self) -> int:
         return self.array.shape[0]
 
-    def shifted(self, c: float) -> "SelfAdjointMatrix":
-        """m + c * identity."""
-        return SelfAdjointMatrix(self.array + c * np.eye(self.dim))
-
     def __repr__(self):
         return f"SelfAdjointMatrix(dim={self.dim})"
 
@@ -82,10 +78,6 @@ class MatrixTuple:
             raise ValueError(f"mixed dimensions in tuple: {sorted(dims)}")
         self.mats = mats
 
-    @classmethod
-    def from_arrays(cls, arrays) -> "MatrixTuple":
-        return cls([SelfAdjointMatrix(a) for a in arrays])
-
     @property
     def n(self) -> int:
         return len(self.mats)
@@ -98,11 +90,6 @@ class MatrixTuple:
         """(n, k, k) array view of the tuple."""
         return np.stack([m.array for m in self.mats])
 
-    def concat(self, other: "MatrixTuple") -> "MatrixTuple":
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch in tuple concatenation")
-        return MatrixTuple(self.mats + other.mats)
-
     def __iter__(self):
         return iter(self.mats)
 
@@ -110,18 +97,11 @@ class MatrixTuple:
         return f"MatrixTuple(n={self.n}, dim={self.dim})"
 
 
-def normalized_trace(m: SelfAdjointMatrix) -> float:
-    """tau(m) = Tr(m)/k.  The imaginary part must vanish to 1e-14."""
-    t = np.trace(m.array) / m.dim
-    if abs(t.imag) > 1e-14 * max(1.0, abs(t.real)):
-        raise ValueError(f"trace has non-real part {t.imag:g}")
-    return float(t.real)
-
-
-def eval_word_trace(t: MatrixTuple, word) -> float:
+def eval_word_trace(t: MatrixTuple, word) -> complex:
     """tau of the product x_{i_1} ... x_{i_p}; indices are 1-based.
 
-    The empty word is the unit: tau(1) = 1.
+    The empty word is the unit: tau(1) = 1.  tau of a product of three or
+    more matrices can have a nonzero imaginary part.
     """
     word = tuple(word)
     if not word:
@@ -132,8 +112,7 @@ def eval_word_trace(t: MatrixTuple, word) -> float:
     acc = t.mats[word[0] - 1].array
     for i in word[1:]:
         acc = acc @ t.mats[i - 1].array
-    tr = np.trace(acc) / t.dim
-    return float(tr.real)
+    return complex(np.trace(acc) / t.dim)
 
 
 @lru_cache(maxsize=64)

@@ -11,13 +11,16 @@ of matching X-tuples; the per-k entropy value is
 
 with lambda the Lebesgue measure induced by the non-normalized trace
 inner product (matcore's lambda coordinates), and the reported
-extrapolation is max over k of (value - stderr).
+extrapolation is max over k of (value - stderr).  ``estimate_chi`` is
+the one sweep over k: plain when m = 0, and when m > 0 the sup at each
+k over a pool of fixed Y-candidates.
 
 Targets come from an explicit table (tracial symmetry enforced: values
 constant on cyclic rotations and reversals, words canonicalized by
 minimal rotation) or from a generator that can emit targets to any
 length: a free family of scalar laws (moments via non-crossing cumulant
-sums) or an explicit matrix model.
+sums) or an explicit matrix model, whose traces may be complex and are
+conjugated for a word whose canonical form is a rotation of its reversal.
 
 Estimators: ball rejection (uniform in the Hilbert-Schmidt ball that
 contains the operator-norm ball) and Gaussian importance sampling with
@@ -63,6 +66,11 @@ def canonical_word(word) -> Tuple[int, ...]:
             if rot < best:
                 best = rot
     return best
+
+
+def _min_rotation(w: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Minimal cyclic rotation of w alone."""
+    return min((w[s:] + w[:s] for s in range(len(w))), default=w)
 
 
 # --- free-family moments ----------------------------------------------------
@@ -164,7 +172,12 @@ class FreeModel:
 
 
 class MatrixModel:
-    """Targets read off a fixed tuple of Hermitian matrices."""
+    """Targets read off a fixed tuple of Hermitian matrices.
+
+    tau(w) is complex in general, with tau(reversed w) = conj tau(w); it
+    is stored as a float when the reversal of w is one of its rotations,
+    which makes it real.
+    """
 
     kind = "matrix"
 
@@ -173,13 +186,15 @@ class MatrixModel:
             [matcore.SelfAdjointMatrix.hermitian_part(np.asarray(a)) for a in mats]
         )
         self.letters = self.tuple.n
-        self._cache: Dict[Tuple[int, ...], float] = {}
+        self._cache: Dict[Tuple[int, ...], complex] = {}
 
-    def word_moment(self, word: Tuple[int, ...]) -> float:
+    def word_moment(self, word: Tuple[int, ...]) -> complex:
         if not word:
             return 1.0
         if word not in self._cache:
-            self._cache[word] = matcore.eval_word_trace(self.tuple, word)
+            t = matcore.eval_word_trace(self.tuple, word)
+            real = _min_rotation(word[::-1]) == _min_rotation(word)
+            self._cache[word] = float(t.real) if real else t
         return self._cache[word]
 
     def restrict(self, letters: Sequence[int]) -> "MatrixModel":
@@ -294,12 +309,17 @@ class TracialSpec:
     def letters(self) -> int:
         return self.n + self.m
 
-    def target(self, word) -> float:
+    def target(self, word) -> complex:
+        """tau(word): a float, or a complex matrix-model trace; conjugated
+        when the canonical form is a rotation of the word's reversal."""
         w = canonical_word(word)
         if not w:
             return 1.0
         if self.generator is not None:
-            return self.generator.word_moment(w)
+            v = self.generator.word_moment(w)
+            if isinstance(v, complex) and _min_rotation(tuple(int(i) for i in word)) != w:
+                return v.conjugate()
+            return v
         if len(w) > self.l_max:
             raise SpecTooShallow(
                 f"word of length {len(w)} exceeds l_max={self.l_max}"
@@ -343,9 +363,6 @@ class TracialSpec:
                 if c in self.targets:
                     new[canonical_word(w)] = self.targets[c]
         return TracialSpec(len(letters), 0, self.l_max, targets=new)
-
-    def x_marginal(self) -> "TracialSpec":
-        return self.marginal(range(1, self.n + 1))
 
     def y_marginal(self) -> "TracialSpec":
         if self.m == 0:
@@ -408,11 +425,6 @@ class TracialSpec:
         if problems:
             raise SpecError(problems)
         return spec
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=1, sort_keys=True)
-            f.write("\n")
 
     @classmethod
     def load(cls, path: str) -> "TracialSpec":
@@ -769,34 +781,8 @@ class ChiPoint:
 class ChiEstimate:
     per_k: List[ChiPoint]
     extrapolated: float
+    sigma: float  # the stderr of the point that gives the extrapolation
     y_used: str
-    n: int
-    l: int
-    eps: float
-    radius: float
-    samples_per_k: int
-    method: str
-
-    def to_dict(self) -> dict:
-        return {
-            "per_k": [
-                {
-                    "k": pt.k,
-                    "log_volume": pt.log_volume,
-                    "value": pt.value,
-                    "stderr": pt.stderr,
-                }
-                for pt in self.per_k
-            ],
-            "extrapolated": self.extrapolated,
-            "y_used": self.y_used,
-            "n": self.n,
-            "l": self.l,
-            "eps": self.eps,
-            "radius": self.radius,
-            "samples_per_k": self.samples_per_k,
-            "method": self.method,
-        }
 
 
 def _chi_point(spec, k, ve) -> ChiPoint:
@@ -813,7 +799,7 @@ def _extrapolate(points: List[ChiPoint]) -> Tuple[float, float]:
     return max(finite, key=lambda t: t[0]) if finite else (float("-inf"), float("inf"))
 
 
-def _sweep(spec, params, k_list, nsamples, sampler, point) -> ChiEstimate:
+def _sweep(params, k_list, point) -> ChiEstimate:
     """The one k sweep: ``point(p)`` gives the ChiPoint at each k of an
     ascending k_list, in order; params.k is ignored.  ``y_used`` joins the
     y_id of every point that carries one."""
@@ -822,13 +808,10 @@ def _sweep(spec, params, k_list, nsamples, sampler, point) -> ChiEstimate:
         raise ValueError("k_list must be nonempty and ascending")
     pts = [point(replace(params, k=k)) for k in ks]
     y_used = "; ".join(f"k={pt.k}:{pt.y_id}" for pt in pts if pt.y_id)
-    return ChiEstimate(
-        pts, _extrapolate(pts)[0], y_used, spec.n,
-        params.l, params.eps, params.radius, nsamples, sampler,
-    )
+    return ChiEstimate(pts, *_extrapolate(pts), y_used)
 
 
-def _pool_point(spec, p, cands, seed_of, nsamples, sampler, threads) -> ChiPoint:
+def _pool_point(spec, p, cands, seed_of, nsamples, threads) -> ChiPoint:
     """The sup over a pool of (id, Y-tuple) candidates at p.k: candidate ci
     is measured with seed ``seed_of(ci)`` and the first of the largest
     volumes wins.  An empty pool gives the -inf row of an empty sup."""
@@ -838,35 +821,13 @@ def _pool_point(spec, p, cands, seed_of, nsamples, sampler, threads) -> ChiPoint
             f"none (no {p.k}-dim Y-microstates found; empty sup)",
         )
     vols = [
-        estimate_volume(spec, p, sampler, ytup, nsamples, seed_of(ci), threads)
+        estimate_volume(spec, p, "auto", ytup, nsamples, seed_of(ci), threads)
         for ci, (_, ytup) in enumerate(cands)
     ]
     best = max(range(len(vols)), key=lambda ci: vols[ci].log_volume)
     pt = _chi_point(spec, p.k, vols[best])
     pt.y_id = cands[best][0]
     return pt
-
-
-def estimate_chi(
-    spec: TracialSpec,
-    params: MicrostateParams,
-    k_list: Sequence[int],
-    nsamples: int = 100_000,
-    seed: int = 0,
-    sampler: str = "auto",
-    threads: int = 1,
-) -> ChiEstimate:
-    """Per-k normalized values over a k sweep; params.k is ignored."""
-    if spec.m != 0:
-        raise ValueError("spec has Y letters: use estimate_chi_relative")
-
-    def point(p):
-        ve = estimate_volume(
-            spec, p, sampler, None, nsamples, rng.derive(seed, 0xC41, p.k), threads
-        )
-        return _chi_point(spec, p.k, ve)
-
-    return _sweep(spec, params, k_list, nsamples, sampler, point)
 
 
 def _haar_unitary(k: int, seed: int) -> np.ndarray:
@@ -935,28 +896,34 @@ def y_candidates(
     return out
 
 
-def estimate_chi_relative(
+def estimate_chi(
     spec: TracialSpec,
     params: MicrostateParams,
     k_list: Sequence[int],
-    y_pool: int = 32,
     nsamples: int = 100_000,
     seed: int = 0,
-    sampler: str = "auto",
     threads: int = 1,
+    y_pool: int = 32,
 ) -> ChiEstimate:
-    """Relative chi: per k, max volume over a pool of Y-candidates."""
+    """Per-k normalized values over a k sweep; params.k is ignored.
+
+    With Y letters (m > 0) each k is the sup over a pool of up to
+    ``y_pool`` fixed Y-candidates of the X-section's volume.
+    """
     if spec.m == 0:
-        return estimate_chi(spec, params, k_list, nsamples, seed, sampler, threads)
+        def point(p):
+            ve = estimate_volume(
+                spec, p, "auto", None, nsamples, rng.derive(seed, 0xC41, p.k), threads
+            )
+            return _chi_point(spec, p.k, ve)
+    else:
+        def point(p):
+            cands = y_candidates(spec, p, y_pool, rng.derive(seed, 0x9CA, p.k))
+            return _pool_point(
+                spec, p, cands, lambda ci: rng.derive(seed, 0xE57, p.k, ci), nsamples, threads
+            )
 
-    def point(p):
-        cands = y_candidates(spec, p, y_pool, rng.derive(seed, 0x9CA, p.k))
-        return _pool_point(
-            spec, p, cands, lambda ci: rng.derive(seed, 0xE57, p.k, ci),
-            nsamples, sampler, threads,
-        )
-
-    return _sweep(spec, params, k_list, nsamples, sampler, point)
+    return _sweep(params, k_list, point)
 
 
 # --- block maps -----------------------------------------------------------------

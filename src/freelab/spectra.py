@@ -30,7 +30,6 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from . import matcore
 
 _GRID_N = 2048           # default uniform grid resolution
 _GL_ORDER = 64           # Gauss-Legendre order per panel
@@ -80,7 +79,7 @@ class SpectralMeasure:
     recorded in ``mass_drift`` and must stay below 1e-4.
     """
 
-    __slots__ = ("kind", "atoms", "support", "values", "variance", "mass_drift")
+    __slots__ = ("kind", "atoms", "support", "values", "variance", "mass_drift", "_grid")
 
     def __init__(self, kind, atoms=None, support=None, values=None, variance=None):
         self.kind = kind
@@ -118,6 +117,8 @@ class SpectralMeasure:
             self.values = vals / mass
             self.values.setflags(write=False)
             self.support = (a, b)
+            self._grid = np.linspace(a, b, vals.size)
+            self._grid.setflags(write=False)
         elif kind == "semicircle":
             if not variance > 0:
                 raise MeasureFormatError("semicircle variance must be positive")
@@ -156,7 +157,7 @@ class SpectralMeasure:
     def grid(self) -> np.ndarray:
         if self.kind != "grid":
             raise ValueError("only grid measures expose a grid")
-        return np.linspace(self.support[0], self.support[1], self.values.size)
+        return self._grid
 
     def density(self, x):
         """Density evaluated at x (vectorized); atomic measures have none."""
@@ -393,13 +394,6 @@ def chi_single(mu: SpectralMeasure) -> float:
 def semicircle_entropy(variance: float) -> float:
     """Closed form chi of the semicircle law: (1/2) log(2 pi e variance)."""
     return 0.5 * math.log(2.0 * math.pi * math.e * variance)
-
-
-def esd(m: matcore.SelfAdjointMatrix) -> SpectralMeasure:
-    """Empirical spectral distribution: atoms of weight 1/k at eigenvalues."""
-    ev = matcore.eigenvalues(m)
-    k = ev.size
-    return SpectralMeasure.atomic([(float(t), 1.0 / k) for t in ev])
 
 
 # ---------------------------------------------------------------------------

@@ -63,11 +63,6 @@ def report_text(r: CheckReport) -> str:
 # --- shared plumbing ---------------------------------------------------------
 
 
-def _sigma(est: ms.ChiEstimate) -> float:
-    """Standard error attached to the extrapolated value (argmax point)."""
-    return ms._extrapolate(est.per_k)[1]
-
-
 def _one_sided(lhs, s_lhs, rhs, s_rhs) -> Tuple[bool, float]:
     """lhs <= rhs up to three standard errors on each side."""
     tol = 3.0 * (s_lhs + s_rhs)
@@ -81,7 +76,7 @@ def _one_sided(lhs, s_lhs, rhs, s_rhs) -> Tuple[bool, float]:
 def _est_dict(est: ms.ChiEstimate) -> dict:
     return {
         "extrapolated": est.extrapolated,
-        "sigma": _sigma(est),
+        "sigma": est.sigma,
         "per_k": [[pt.k, pt.value, pt.stderr] for pt in est.per_k],
         "y_used": est.y_used,
     }
@@ -172,17 +167,17 @@ def _ta():
     return spectra.SpectralMeasure.atomic([(-1.0, 0.5), (1.0, 0.5)])
 
 
-def _params(c, k=1):
-    return ms.MicrostateParams(k=k, l=c["l"], eps=c["eps"], radius=c["radius"])
+def _params(c):
+    return ms.MicrostateParams(k=1, l=c["l"], eps=c["eps"], radius=c["radius"])
 
 
 def _chi(c, tag, n, m, *factors):
     """The sweep of the free model whose letter i is factor i, conditioned
     over a Y pool when it has Y letters (m > 0)."""
     spec = ms.TracialSpec.free_model(n, m, c["l"], list(factors), list(range(n + m)))
-    return ms.estimate_chi_relative(
-        spec, _params(c), c["k_list"], y_pool=c["y_pool"], nsamples=c["nsamples"],
-        seed=rng.derive(c["seed"], tag), threads=c["threads"],
+    return ms.estimate_chi(
+        spec, _params(c), c["k_list"], nsamples=c["nsamples"],
+        seed=rng.derive(c["seed"], tag), threads=c["threads"], y_pool=c["y_pool"],
     )
 
 
@@ -209,11 +204,11 @@ def _chk_chain(c):
     rel_x = _chi(c, 3, 1, 1, sc, ta)
     rel_y = _chi(c, 4, 1, 1, ta, sc)
     lhs = joint.extrapolated - y_only.extrapolated
-    s_lhs = math.hypot(_sigma(joint), _sigma(y_only))
+    s_lhs = math.hypot(joint.sigma, y_only.sigma)
     mid = joint.extrapolated - rel_y.extrapolated
-    s_mid = math.hypot(_sigma(joint), _sigma(rel_y))
+    s_mid = math.hypot(joint.sigma, rel_y.sigma)
     rhs = rel_x.extrapolated
-    s_rhs = _sigma(rel_x)
+    s_rhs = rel_x.sigma
     ok1, _ = _one_sided(lhs, s_lhs, mid, s_mid)
     ok2, tol = _one_sided(mid, s_mid, rhs, s_rhs)
     return "<=", lhs, rhs, tol, ok1 and ok2, {
@@ -232,7 +227,7 @@ def _chk_mono_y(c):
     rel_two = _chi(c, 1, 1, 2, sc, ta, sc)
     rel_one = _chi(c, 2, 1, 1, sc, ta)
     lhs, rhs = rel_two.extrapolated, rel_one.extrapolated
-    ok, tol = _one_sided(lhs, _sigma(rel_two), rhs, _sigma(rel_one))
+    ok, tol = _one_sided(lhs, rel_two.sigma, rhs, rel_one.sigma)
     return "<=", lhs, rhs, tol, ok, {
         "given_y1_y2": _est_dict(rel_two), "given_y1": _est_dict(rel_one),
     }
@@ -242,7 +237,7 @@ def _chk_vs_joint(c):
     """The relative value never exceeds the plain one-variable value."""
     rel, plain = _relative_and_plain(c, 1, 2)
     lhs, rhs = rel.extrapolated, plain.extrapolated
-    ok, tol = _one_sided(lhs, _sigma(rel), rhs, _sigma(plain))
+    ok, tol = _one_sided(lhs, rel.sigma, rhs, plain.sigma)
     return "<=", lhs, rhs, tol, ok, {"relative": _est_dict(rel), "plain": _est_dict(plain)}
 
 
@@ -255,7 +250,7 @@ def _chk_maxbound(c):
     """
     est = _chi(c, 1, 1, 0, _sc())
     bound = 0.5 * math.log(2.0 * math.pi * math.e)
-    ok, tol = _one_sided(est.extrapolated, _sigma(est), bound, 0.0)
+    ok, tol = _one_sided(est.extrapolated, est.sigma, bound, 0.0)
     return "<=", est.extrapolated, bound, tol, ok, {
         "variance": 1.0,
         "window_fattened_bound": 0.5 * math.log(2.0 * math.pi * math.e * (1.0 + c["eps"])),
@@ -268,7 +263,7 @@ def _chk_subadd(c):
     joint, ex, ey = _free_pair(c, 1, 2, 3)
     lhs = joint.extrapolated
     rhs = ex.extrapolated + ey.extrapolated
-    ok, tol = _one_sided(lhs, _sigma(joint), rhs, math.hypot(_sigma(ex), _sigma(ey)))
+    ok, tol = _one_sided(lhs, joint.sigma, rhs, math.hypot(ex.sigma, ey.sigma))
     return "<=", lhs, rhs, tol, ok, {
         "joint": _est_dict(joint), "x": _est_dict(ex), "y": _est_dict(ey),
     }
@@ -283,7 +278,7 @@ def _chk_free_b(c):
     joint, ex, ey = _free_pair(c, 4, 5, 6)
     lhs = ex.extrapolated + ey.extrapolated
     rhs = joint.extrapolated
-    ok, tol = _one_sided(lhs, math.hypot(_sigma(ex), _sigma(ey)), rhs, _sigma(joint))
+    ok, tol = _one_sided(lhs, math.hypot(ex.sigma, ey.sigma), rhs, joint.sigma)
     return "<=", lhs, rhs, tol, ok, {
         "joint": _est_dict(joint), "x": _est_dict(ex), "y": _est_dict(ey),
     }
@@ -294,7 +289,7 @@ def _chk_freecrit(c):
     agree.  The converse (agreement implies freeness) is not certified."""
     rel, plain = _relative_and_plain(c, 7, 8)
     lhs, rhs = rel.extrapolated, plain.extrapolated
-    tol = 3.0 * (_sigma(rel) + _sigma(plain)) + c["finite_k_allowance"]
+    tol = 3.0 * (rel.sigma + plain.sigma) + c["finite_k_allowance"]
     ok = lhs > float("-inf") and rhs > float("-inf") and abs(lhs - rhs) <= tol
     return "==", lhs, rhs, tol, ok, {
         "finite_k_allowance": c["finite_k_allowance"],
@@ -336,11 +331,10 @@ def _chk_gen(c):
             pool = ms.y_candidates(spec_y, p, c["y_pool"], rng.derive(c["seed"], 0x47, p.k))
             return ms._pool_point(
                 spec, p, [(desc, image(ytup)) for desc, ytup in pool],
-                lambda ci: rng.derive(c["seed"], tag, p.k, ci),
-                c["nsamples"], "auto", c["threads"],
+                lambda ci: rng.derive(c["seed"], tag, p.k, ci), c["nsamples"], c["threads"],
             )
 
-        return ms._sweep(spec, _params(c), c["k_list"], c["nsamples"], "auto", point)
+        return ms._sweep(_params(c), c["k_list"], point)
 
     def powers_of(ytup):
         yb = ytup.mats[0].array
@@ -351,8 +345,8 @@ def _chk_gen(c):
 
     est_y = sweep(spec_y, 0x48, lambda ytup: ytup)
     est_z = sweep(spec_z, 0x49, powers_of)
-    lhs, s_lhs = est_y.extrapolated, _sigma(est_y)
-    rhs, s_rhs = est_z.extrapolated, _sigma(est_z)
+    lhs, s_lhs = est_y.extrapolated, est_y.sigma
+    rhs, s_rhs = est_z.extrapolated, est_z.sigma
     tol = 3.0 * (s_lhs + s_rhs)
     ok = lhs > float("-inf") and rhs > float("-inf") and abs(lhs - rhs) <= tol
     return "==", lhs, rhs, tol, ok, {

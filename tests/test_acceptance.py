@@ -236,8 +236,8 @@ def test_criterion_09_mc_pipeline_sanity():
     sc = spectra.SpectralMeasure("semicircle", variance=1.0)
     ta = spectra.SpectralMeasure("atomic", atoms=[(-1.0, 0.5), (1.0, 0.5)])
     rel_spec = TracialSpec.free_model(1, 1, 4, [sc, ta], [0, 1])
-    rel = ms.estimate_chi_relative(
-        rel_spec, params, [2, 3, 4, 5], y_pool=8, nsamples=200_000, seed=77, threads=4
+    rel = ms.estimate_chi(
+        rel_spec, params, [2, 3, 4, 5], nsamples=200_000, seed=77, threads=4, y_pool=8
     )
     rel_gap = abs(rel.extrapolated - 1.4189)
     assert rel_gap < 0.6

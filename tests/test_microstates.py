@@ -28,6 +28,10 @@ def free_pair_spec(l_max=4):
     return TracialSpec.free_model(1, 1, l_max, [semicircle(), two_atom()], [0, 1])
 
 
+def tuple_of(arrays):
+    return matcore.MatrixTuple([matcore.SelfAdjointMatrix(a) for a in arrays])
+
+
 def gue_tuple(k, seed):
     return matcore.MatrixTuple([matcore.sample_gue(k, 1.0, seed)])
 
@@ -84,6 +88,44 @@ def test_matrix_model_moments_are_normalized_traces():
     assert gen.word_moment((1, 1)) == pytest.approx(1.0, abs=1e-14)
     assert gen.word_moment((1, 2)) == pytest.approx(np.trace(a @ b).real / 2, abs=1e-14)
     assert gen.word_moment((1, 2, 1, 2)) == pytest.approx(-1.0, abs=1e-14)
+
+
+def random_model(n, k, seed):
+    """n random k x k Hermitian matrices (a + a*)/1.5 with a complex Ginibre."""
+    g = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        a = g.standard_normal((k, k)) + 1j * g.standard_normal((k, k))
+        out.append((a + a.conj().T) / 1.5)
+    return out
+
+
+@given(
+    n=st.integers(1, 3),
+    k=st.integers(1, 5),
+    l=st.integers(1, 4),
+    eps=st.sampled_from([0.5, 0.2, 0.05]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_a_matrix_model_is_a_microstate_of_its_own_spec(n, k, l, eps, seed):
+    # from three letters on, tau(x1 x3 x2) is complex: the spec must keep it
+    spec = TracialSpec.matrix_model(n, 0, l, random_model(n, k, seed))
+    t = spec.generator.tuple
+    radius = 1.0 + float(matcore.operator_norms(t.stack()).max())
+    assert ms.is_microstate(t, spec, MicrostateParams(k=k, l=l, eps=eps, radius=radius))
+    for w in spec.required_words(l):
+        assert spec.target(w[::-1]) == complex(spec.target(w)).conjugate()
+
+
+def test_a_three_letter_model_has_complex_targets():
+    spec = TracialSpec.matrix_model(3, 0, 3, random_model(3, 4, 1))
+    x = [m.array for m in spec.generator.tuple]
+    want = np.trace(x[0] @ x[2] @ x[1]) / 4
+    assert abs(want.imag) > 0.5
+    assert spec.target((1, 3, 2)) == pytest.approx(want, abs=1e-14)
+    assert spec.target((1, 2, 3)) == pytest.approx(np.conj(want), abs=1e-14)
+    assert isinstance(spec.target((1, 2, 1, 2)), float)
 
 
 # --- tracial specifications ----------------------------------------------------
@@ -151,7 +193,7 @@ def test_required_words_lists_canonical_classes():
 
 def test_marginals_restrict_the_letter_set():
     joint = free_pair_spec()
-    xm = joint.x_marginal()
+    xm = joint.marginal([1])
     assert (xm.n, xm.m) == (1, 0)
     for p, want in [(1, 0.0), (2, 1.0), (3, 0.0), (4, 2.0)]:
         assert xm.target((1,) * p) == pytest.approx(want, abs=1e-12)
@@ -179,7 +221,7 @@ def test_spec_serialization_roundtrip(tmp_path):
             if spec.has_target(w):
                 assert back.target(w) == pytest.approx(spec.target(w), abs=1e-12)
     path = tmp_path / "spec.json"
-    specs[0].save(str(path))
+    path.write_text(json.dumps(specs[0].to_dict()))
     loaded = TracialSpec.load(str(path))
     assert loaded.target((1, 1, 2)) == pytest.approx(specs[0].target((1, 1, 2)))
 
@@ -209,8 +251,8 @@ def test_atomic_support_sets_the_default_radius():
 def test_two_atom_membership_window():
     spec = TracialSpec.free_model(1, 0, 2, [two_atom()], [0])
     p = MicrostateParams(k=2, l=2, eps=0.01, radius=4.0)
-    good = matcore.MatrixTuple.from_arrays([np.diag([1.0, -1.0])])
-    bad = matcore.MatrixTuple.from_arrays([np.eye(2)])
+    good = tuple_of([np.diag([1.0, -1.0])])
+    bad = tuple_of([np.eye(2)])
     assert ms.is_microstate(good, spec, p)
     assert not ms.is_microstate(bad, spec, p)
 
@@ -226,12 +268,10 @@ def test_independent_draws_are_usually_relative_microstates():
     spec = free_pair_spec(3)
     k = 64
     locs = two_atom().quantile((np.arange(k) + 0.5) / k)
-    y = matcore.MatrixTuple.from_arrays([np.diag(locs)])
+    y = tuple_of([np.diag(locs)])
     p = MicrostateParams(k=k, l=3, eps=0.35, radius=4.0)
-    hits = sum(
-        ms.is_microstate(gue_tuple(k, rng.derive(5, i)).concat(y), spec, p)
-        for i in range(10)
-    )
+    joint = [matcore.MatrixTuple(gue_tuple(k, rng.derive(5, i)).mats + y.mats) for i in range(10)]
+    hits = sum(ms.is_microstate(t, spec, p) for t in joint)
     assert hits / 10 > 0.3
 
 
@@ -293,6 +333,32 @@ def test_member_mask_matches_the_naive_reference(n, with_y, k, l, eps, radius, v
     yarrs = matcore.gue_stack(k, 1, 0.5, rng.derive(seed, 99)) if with_y else None
     got = ms._member_mask(xstack, spec, p, yarrs=yarrs)
     assert (got == _naive_member_mask(xstack, spec, p, yarrs)).all()
+
+
+@given(
+    k=st.integers(1, 5),
+    l=st.integers(1, 4),
+    eps=st.sampled_from([0.5, 0.1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_membership_is_invariant_under_unitary_conjugation(k, l, eps, seed):
+    # a model's own words sit on target, its targets shifted by 2 eps miss
+    # by eps: both verdicts keep a margin of eps from the window edge
+    own = TracialSpec.matrix_model(2, 0, l, random_model(2, k, seed))
+    shifted = TracialSpec.from_targets(
+        2, 0, l, {w: own.target(w) + 2.0 * eps for w in own.required_words(l)}
+    )
+    t = own.generator.tuple
+    g = np.random.default_rng([seed, 1])
+    q, _ = np.linalg.qr(g.standard_normal((k, k)) + 1j * g.standard_normal((k, k)))
+    moved = matcore.MatrixTuple(
+        [matcore.SelfAdjointMatrix.hermitian_part(q @ m.array @ q.conj().T) for m in t]
+    )
+    radius = 1.0 + float(matcore.operator_norms(t.stack()).max())
+    p = MicrostateParams(k=k, l=l, eps=eps, radius=radius)
+    for spec, member in ((own, True), (shifted, False)):
+        assert ms.is_microstate(t, spec, p) == ms.is_microstate(moved, spec, p) == member
 
 
 def test_membership_validation_errors():
@@ -378,6 +444,22 @@ def test_volume_is_thread_count_invariant_and_rerunnable():
     assert b1.log_volume == b3.log_volume
 
 
+@given(
+    sampler=st.sampled_from(["ball", "importance"]),
+    k=st.integers(1, 3),
+    nsamples=st.integers(4097, 9000),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=6, deadline=None, derandomize=True)
+def test_volume_is_bit_identical_at_one_and_two_threads(sampler, k, nsamples, seed):
+    # more than one 4096-sample chunk, so the second thread has work
+    spec = sc_spec(2)
+    p = MicrostateParams(k=k, l=2, eps=0.4, radius=4.0)
+    one = ms.estimate_volume(spec, p, sampler, nsamples=nsamples, seed=seed, threads=1)
+    two = ms.estimate_volume(spec, p, sampler, nsamples=nsamples, seed=seed, threads=2)
+    assert one == two
+
+
 def test_zero_acceptance_reports_an_upper_bound():
     # scalar microstates cannot satisfy tau(y) ~ 0 and tau(y^2) ~ 1 at once
     spec = TracialSpec.free_model(1, 0, 2, [two_atom()], [0])
@@ -403,10 +485,10 @@ def test_volume_validation_errors():
     pair = free_pair_spec(2)
     with pytest.raises(ValueError, match="pass the fixed y"):
         ms.estimate_volume(pair, p)
-    y_bad = matcore.MatrixTuple.from_arrays([np.eye(3)])
+    y_bad = tuple_of([np.eye(3)])
     with pytest.raises(ValueError, match="dimension"):
         ms.estimate_volume(pair, p, y=y_bad)
-    two_y = matcore.MatrixTuple.from_arrays([np.eye(2), np.eye(2)])
+    two_y = tuple_of([np.eye(2), np.eye(2)])
     with pytest.raises(ValueError, match="arity"):
         ms.estimate_volume(pair, p, y=two_y)
 
@@ -417,7 +499,7 @@ def test_volume_validation_errors():
 def test_chi_normalization_identity():
     spec = TracialSpec.from_targets(1, 0, 0, {})
     p = MicrostateParams(k=1, l=0, eps=0.1, radius=2.0)
-    est = ms.estimate_chi(spec, p, [1, 2], nsamples=1000, seed=1, sampler="ball")
+    est = ms.estimate_chi(spec, p, [1, 2], nsamples=1000, seed=1)  # ball at k <= 2
     # k = 1: interval volume is exact and the stderr vanishes
     assert est.per_k[0].value == pytest.approx(math.log(4.0), abs=1e-14)
     assert est.per_k[0].stderr == 0.0
@@ -427,12 +509,8 @@ def test_chi_normalization_identity():
     assert est.extrapolated == pytest.approx(
         max(pt.value - pt.stderr for pt in est.per_k), abs=1e-14
     )
-    d = est.to_dict()
-    assert set(d) == {
-        "per_k", "extrapolated", "y_used", "n", "l", "eps",
-        "radius", "samples_per_k", "method",
-    }
-    assert set(d["per_k"][0]) == {"k", "log_volume", "value", "stderr"}
+    best = max(est.per_k, key=lambda pt: pt.value - pt.stderr)
+    assert est.sigma == best.stderr
 
 
 def test_chi_semicircle_sweep_approaches_the_limit():
@@ -449,7 +527,7 @@ def test_chi_rerun_is_bitwise_deterministic():
     p = MicrostateParams(k=1, l=2, eps=0.4, radius=4.0)
     a = ms.estimate_chi(spec, p, [2, 3], nsamples=20_000, seed=5)
     b = ms.estimate_chi(spec, p, [2, 3], nsamples=20_000, seed=5)
-    assert a.to_dict() == b.to_dict()
+    assert a == b
 
 
 def test_chi_input_validation():
@@ -460,9 +538,7 @@ def test_chi_input_validation():
     with pytest.raises(ValueError, match="ascending"):
         ms.estimate_chi(spec, p, [], nsamples=1000)
     with pytest.raises(ValueError, match="ascending"):
-        ms.estimate_chi_relative(free_pair_spec(2), p, [3, 2], y_pool=2, nsamples=1000)
-    with pytest.raises(ValueError, match="relative"):
-        ms.estimate_chi(free_pair_spec(2), p, [2], nsamples=1000)
+        ms.estimate_chi(free_pair_spec(2), p, [3, 2], y_pool=2, nsamples=1000)
 
 
 # --- relative chi -------------------------------------------------------------------
@@ -489,7 +565,7 @@ def test_y_candidates_pass_the_marginal_test():
 def test_relative_chi_of_a_free_pair_matches_the_x_marginal():
     spec = free_pair_spec()
     p = MicrostateParams(k=1, l=3, eps=0.4, radius=4.0)
-    est = ms.estimate_chi_relative(spec, p, [2, 3], y_pool=6, nsamples=20_000, seed=21)
+    est = ms.estimate_chi(spec, p, [2, 3], y_pool=6, nsamples=20_000, seed=21)
     assert 0.8 < est.extrapolated < 1.5
     assert est.y_used.startswith("k=2:") and "; k=3:" in est.y_used
     assert est.y_used == "; ".join(f"k={pt.k}:{pt.y_id}" for pt in est.per_k)
@@ -499,8 +575,8 @@ def test_relative_chi_of_a_free_pair_matches_the_x_marginal():
 def test_relative_chi_detects_exact_correlation():
     corr = TracialSpec.free_model(1, 1, 4, [semicircle()], [0, 0])
     p = MicrostateParams(k=1, l=2, eps=0.2, radius=4.0)
-    rel = ms.estimate_chi_relative(corr, p, [3, 4], y_pool=4, nsamples=30_000, seed=22)
-    plain = ms.estimate_chi(corr.x_marginal(), p, [3, 4], nsamples=30_000, seed=23)
+    rel = ms.estimate_chi(corr, p, [3, 4], y_pool=4, nsamples=30_000, seed=22)
+    plain = ms.estimate_chi(corr.marginal([1]), p, [3, 4], nsamples=30_000, seed=23)
     for rp, pp in zip(rel.per_k, plain.per_k):
         assert pp.value - rp.value > 0.25
 
@@ -508,9 +584,9 @@ def test_relative_chi_detects_exact_correlation():
 def test_relative_reduces_to_plain_without_y_letters():
     spec = sc_spec(2)
     p = MicrostateParams(k=1, l=2, eps=0.4, radius=4.0)
-    a = ms.estimate_chi_relative(spec, p, [2], nsamples=5000, seed=3)
+    a = ms.estimate_chi(spec, p, [2], nsamples=5000, seed=3, y_pool=4)
     b = ms.estimate_chi(spec, p, [2], nsamples=5000, seed=3)
-    assert a.to_dict() == b.to_dict()
+    assert a == b and not a.y_used
 
 
 def test_pool_of_minus_inf_volumes_names_its_first_candidate(monkeypatch):
@@ -526,7 +602,7 @@ def test_pool_of_minus_inf_volumes_names_its_first_candidate(monkeypatch):
         return ve
 
     monkeypatch.setattr(ms, "estimate_volume", recording)
-    est = ms.estimate_chi_relative(spec, p, [2], y_pool=3, nsamples=300, seed=8)
+    est = ms.estimate_chi(spec, p, [2], y_pool=3, nsamples=300, seed=8)
     assert vols == [float("-inf")] * 3
     assert est.per_k[0].log_volume == float("-inf")
     assert est.per_k[0].y_id == "free#0"
@@ -536,7 +612,7 @@ def test_pool_of_minus_inf_volumes_names_its_first_candidate(monkeypatch):
 def test_relative_empty_pool_reports_minus_inf():
     spec = free_pair_spec(2)
     p = MicrostateParams(k=1, l=2, eps=0.05, radius=4.0)
-    est = ms.estimate_chi_relative(spec, p, [1], y_pool=4, nsamples=200, seed=25)
+    est = ms.estimate_chi(spec, p, [1], y_pool=4, nsamples=200, seed=25)
     assert est.extrapolated == float("-inf")
     assert "empty sup" in est.y_used
     assert est.per_k[0].value == float("-inf")
@@ -547,7 +623,7 @@ def test_relative_empty_pool_reports_minus_inf():
 
 
 def test_block_split_scalar_blocks():
-    z = matcore.MatrixTuple.from_arrays(
+    z = tuple_of(
         [np.array([[2.0, 3.0 + 4.0j], [3.0 - 4.0j, 5.0]])]
     )
     parts = ms.block_split(z, 2)
