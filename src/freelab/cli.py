@@ -130,12 +130,7 @@ def _parse_k_list(text: str):
 
 
 def _cmd_chi_mc(args) -> int:
-    try:
-        spec = ms.TracialSpec.from_dict(_load_json(args.spec, "specification"))
-    except ms.SpecError as e:
-        raise UsageError(
-            "invalid specification:\n" + "\n".join(f"  - {p}" for p in e.problems)
-        )
+    spec = ms.TracialSpec.from_dict(_load_json(args.spec, "specification"))
     ks = _parse_k_list(args.k)
     for flag, value, low in (
         ("samples", args.samples, 100), ("threads", args.threads, 0), ("y-pool", args.y_pool, 1),
@@ -336,6 +331,10 @@ def main(argv=None) -> int:
         return _DISPATCH[args.command](args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except ms.SpecError as e:
+        problems = "".join(f"\n  - {p}" for p in e.problems)
+        print(f"error: invalid specification:{problems}", file=sys.stderr)
         return 2
     except (ValueError, ms.SpecTooShallow) as e:
         print(f"error: {e}", file=sys.stderr)

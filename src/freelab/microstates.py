@@ -28,7 +28,10 @@ the reference density matched to the target second moments.  Zero
 acceptances yield -inf with a recorded one-sided upper bound.  Sampling
 is chunked over fixed index ranges of the counter-based generator and
 reduced in chunk order, so results are bit-identical for any thread
-count.
+count.  Each chunk streams through sub-blocks of rows, each drawn,
+tested and weighed before the next; like the samplers' own sub-blocks,
+their size only bounds memory (about 4 MB of matrices per thread at any
+k) and cannot change a result.
 """
 
 from __future__ import annotations
@@ -47,6 +50,10 @@ import numpy as np
 from . import matcore, rng, spectra
 
 _CHUNK = 4096
+# Rows of an estimator's sub-block hold about this many complex matrix
+# entries (4 MB), so a sub-block's draws, word products and norm test stay
+# that size at any k, while at n k^2 <= 64 a whole chunk is one sub-block.
+_SUBBLOCK_ENTRIES = 2**18
 _TARGET_TOL = 1e-12
 
 
@@ -371,29 +378,6 @@ class TracialSpec:
 
     # serialization ------------------------------------------------------------
 
-    def to_dict(self) -> dict:
-        d = {"n": self.n, "m": self.m, "l_max": self.l_max}
-        if self.generator is None:
-            d["targets"] = [
-                {"word": list(w), "value": self.targets[w]}
-                for w in sorted(self.targets, key=lambda w: (len(w), w))
-            ]
-        elif isinstance(self.generator, FreeModel):
-            d["generator"] = {
-                "kind": "free",
-                "factors": [spectra.measure_to_dict(f) for f in self.generator.factors],
-                "assign": list(self.generator.assign),
-            }
-        else:
-            d["generator"] = {
-                "kind": "matrix",
-                "matrices": [
-                    [[[float(z.real), float(z.imag)] for z in row] for row in m.array]
-                    for m in self.generator.tuple.mats
-                ],
-            }
-        return d
-
     @classmethod
     def from_dict(cls, d) -> "TracialSpec":
         """Specification from its JSON document.
@@ -578,30 +562,38 @@ def _trace_filter(words, targets, xstack, yarrs, eps):
     return rows, xs, sq
 
 
-def _member_mask(xstack, spec, p, yarrs=None):
+def _member_mask(xstack, p, words, targets, yarrs=None):
     """Mask over the (count, n, k, k) X rows: microstate membership.
 
     A row is a member when every word of length 1..l traces strictly
     within eps of its target and every X matrix has operator norm <= R;
-    a Y tuple with a norm above R rejects every row.  The word filter runs
-    first, on the whole chunk, and the norm test sees only its survivors:
-    matcore.norms_leq takes the Frobenius bound, then the x^4 certificate
-    ||x||_op <= ||x^2||_F^(1/2) from the squares the filter formed, and
-    eigen-solves only what neither resolves.
+    ``words`` and ``targets`` come from :func:`_spec_words`, and the Y
+    tuple's norms are the caller's test (:func:`_member_test`).  The word
+    filter runs first, on the rows given (an estimator's sub-block), and
+    the norm test sees only its survivors: matcore.norms_leq takes the
+    Frobenius bound, then the x^4 certificate ||x||_op <= ||x^2||_F^(1/2)
+    from the squares the filter formed, and eigen-solves only what
+    neither resolves.
     """
     count, n, k, _ = xstack.shape
     mask = np.zeros(count, dtype=bool)
-    if yarrs is not None and len(yarrs):
-        if not matcore.norms_leq(np.asarray(yarrs), p.radius).all():
-            return mask
-    rows, xs, sq = np.arange(count), xstack, None
-    if p.l:
-        words, targets = _spec_words(spec, p.l)
-        rows, xs, sq = _trace_filter(words, targets, xstack, yarrs, p.eps)
-        if not rows.size:
-            return mask
-    mask[rows] = matcore.norms_leq(xs.reshape(-1, k, k), p.radius, sq).reshape(-1, n).all(axis=1)
+    rows, xs, sq = _trace_filter(words, targets, xstack, yarrs, p.eps)
+    if rows.size:
+        mask[rows] = (
+            matcore.norms_leq(xs.reshape(-1, k, k), p.radius, sq).reshape(-1, n).all(axis=1)
+        )
     return mask
+
+
+def _member_test(spec, p, yarrs=None):
+    """Membership of X rows with the Y tuple fixed, as a function of a
+    (count, n, k, k) stack; the words, their targets and the Y tuple's
+    norm test are settled here, once.  None when a Y matrix has norm
+    above R, so that no row is a member."""
+    words, targets = _spec_words(spec, p.l)
+    if yarrs is not None and not matcore.norms_leq(yarrs, p.radius).all():
+        return None
+    return lambda xstack: _member_mask(xstack, p, words, targets, yarrs)
 
 
 def is_microstate(t: matcore.MatrixTuple, spec: TracialSpec, p: MicrostateParams) -> bool:
@@ -610,8 +602,7 @@ def is_microstate(t: matcore.MatrixTuple, spec: TracialSpec, p: MicrostateParams
         raise ValueError(f"tuple has {t.n} matrices, spec names {spec.letters}")
     if t.dim != p.k:
         raise ValueError(f"tuple dimension {t.dim} != k={p.k}")
-    stack = t.stack()[None]
-    return bool(_member_mask(stack, spec, p)[0])
+    return bool(_member_test(spec, p)(t.stack()[None])[0])
 
 
 # --- volume estimators ----------------------------------------------------------
@@ -638,7 +629,37 @@ def _run_chunks(work, starts, threads: int):
         return list(ex.map(work, starts))
 
 
-def _ball_volume(spec, p, yarr, nsamples, seed, threads) -> VolumeEstimate:
+def _accepted_chunks(n, k, nsamples, threads, fill, member, weigh):
+    """Per chunk, in chunk order: the weights of its accepted rows, in row order.
+
+    Each chunk of _CHUNK samples streams through sub-blocks of rows: a
+    sub-block is drawn by ``fill(i, start, out)`` for each X letter i into
+    one reused (rows, n, k, k) buffer x, tested by ``member``, and
+    ``weigh(x, mask)`` gives the weights of its accepted rows before the
+    next is drawn.  Every row is drawn from its own counter block, tested
+    and weighed alone, and a chunk's weights are reduced whole, so the
+    sub-blocks only bound memory.  ``member`` None accepts no row, and
+    nothing is drawn.
+    """
+    if member is None:
+        return []
+    rows = max(1, min(_CHUNK, _SUBBLOCK_ENTRIES // (n * k * k)))
+
+    def work(c0):
+        count = min(_CHUNK, nsamples - c0)
+        buf = np.empty((min(rows, count), n, k, k), dtype=np.complex128)
+        parts = []
+        for r0 in range(0, count, rows):
+            x = buf[: min(rows, count - r0)]
+            for i in range(n):
+                fill(i, c0 + r0, x[:, i])
+            parts.append(weigh(x, member(x)))
+        return np.concatenate(parts)
+
+    return _run_chunks(work, _chunk_starts(nsamples), threads)
+
+
+def _ball_volume(spec, p, member, nsamples, seed, threads) -> VolumeEstimate:
     n, k = spec.n, p.k
     # the second-moment window already confines the set to the HS ball of
     # radius sqrt(k (m2 + eps)), so shrink the sampling region to match
@@ -649,17 +670,15 @@ def _ball_volume(spec, p, yarr, nsamples, seed, threads) -> VolumeEstimate:
             r = min(r, math.sqrt(max(spec.target((i, i)), 0.0) + p.eps))
         radii.append(r)
     log_region = sum(matcore.ball_log_volume(k, r) for r in radii)
+    seeds = [rng.derive(seed, 0xBA11, i) for i in range(n)]
 
-    def work(c0):
-        count = min(_CHUNK, nsamples - c0)
-        stack = np.empty((count, n, k, k), dtype=np.complex128)
-        for i in range(n):
-            matcore.ball_stack(
-                k, count, radii[i], rng.derive(seed, 0xBA11, i), start=c0, out=stack[:, i]
-            )
-        return int(_member_mask(stack, spec, p, yarrs=yarr).sum())
+    def fill(i, start, out):
+        matcore.ball_stack(k, len(out), radii[i], seeds[i], start=start, out=out)
 
-    accepted = sum(_run_chunks(work, _chunk_starts(nsamples), threads))
+    def weigh(x, mask):  # every accepted row counts the same
+        return np.zeros(np.count_nonzero(mask))
+
+    accepted = sum(w.size for w in _accepted_chunks(n, k, nsamples, threads, fill, member, weigh))
     if accepted == 0:
         return VolumeEstimate(
             float("-inf"),
@@ -676,48 +695,40 @@ def _ball_volume(spec, p, yarr, nsamples, seed, threads) -> VolumeEstimate:
     )
 
 
-def _importance_volume(spec, p, yarr, nsamples, seed, threads) -> VolumeEstimate:
+def _importance_volume(spec, p, member, nsamples, seed, threads) -> VolumeEstimate:
     n, k = spec.n, p.k
     variances = []
     for i in range(1, n + 1):
         v = spec.target((i, i)) if spec.has_target((i, i)) else 1.0
         variances.append(max(float(v), 0.5 * p.eps))
     log_norm = sum(0.5 * k * k * math.log(2.0 * math.pi * v / k) for v in variances)
+    seeds = [rng.derive(seed, 0x6A55, i) for i in range(n)]
 
-    def work(c0):
-        count = min(_CHUNK, nsamples - c0)
-        stack = np.empty((count, n, k, k), dtype=np.complex128)
+    def fill(i, start, out):
+        matcore.gue_stack(k, len(out), variances[i], seeds[i], start=start, out=out)
+
+    def weigh(x, mask):
+        xs = x[mask]
+        logw = np.full(len(xs), log_norm)
         for i in range(n):
-            matcore.gue_stack(
-                k, count, variances[i], rng.derive(seed, 0x6A55, i), start=c0, out=stack[:, i]
-            )
-        mask = _member_mask(stack, spec, p, yarrs=yarr)
-        if not mask.any():
-            return (0, float("-inf"), 0.0, 0.0)
-        sub = stack[mask]
-        logw = np.full(sub.shape[0], log_norm)
-        for i in range(n):
-            frob2 = np.sum(np.abs(sub[:, i]) ** 2, axis=(1, 2))
+            frob2 = np.sum(np.abs(xs[:, i]) ** 2, axis=(1, 2))
             logw += k * frob2 / (2.0 * variances[i])
-        mx = float(logw.max())
-        return (
-            int(mask.sum()),
-            mx,
-            float(np.sum(np.exp(logw - mx))),
-            float(np.sum(np.exp(2.0 * (logw - mx)))),
-        )
+        return logw
 
     acc, mx, s1, s2 = 0, float("-inf"), 0.0, 0.0
-    for ca, cm, c1, c2 in _run_chunks(work, _chunk_starts(nsamples), threads):
-        if ca == 0:
+    for logw in _accepted_chunks(n, k, nsamples, threads, fill, member, weigh):
+        if not logw.size:
             continue
+        cm = float(logw.max())
+        c1 = float(np.sum(np.exp(logw - cm)))
+        c2 = float(np.sum(np.exp(2.0 * (logw - cm))))
         m2 = max(mx, cm)
         r_old = math.exp(mx - m2) if acc else 0.0
         r_new = math.exp(cm - m2)
         s1 = s1 * r_old + c1 * r_new
         s2 = s2 * r_old**2 + c2 * r_new**2
         mx = m2
-        acc += ca
+        acc += logw.size
     if acc == 0:
         bound = n * matcore.ball_log_volume(k, p.radius) - math.log(nsamples)
         return VolumeEstimate(
@@ -758,11 +769,10 @@ def estimate_volume(
     method = sampler
     if sampler == "auto":
         method = "ball" if p.k <= 2 else "importance"
-    if method == "ball":
-        return _ball_volume(spec, p, yarr, nsamples, seed, threads)
-    if method == "importance":
-        return _importance_volume(spec, p, yarr, nsamples, seed, threads)
-    raise ValueError(f"unknown sampler {sampler!r}")
+    estimator = {"ball": _ball_volume, "importance": _importance_volume}.get(method)
+    if estimator is None:
+        raise ValueError(f"unknown sampler {sampler!r}")
+    return estimator(spec, p, _member_test(spec, p, yarr), nsamples, seed, threads)
 
 
 # --- chi estimators ---------------------------------------------------------------
@@ -855,7 +865,9 @@ def y_candidates(
     one base matrix, so exact-correlation constraints stay satisfied.
     """
     if spec.generator is None:
-        raise ValueError("spec has no generator to propose y candidates")
+        raise SpecError(
+            ["Y letters need a generator to propose Y candidates; a target table has none"]
+        )
     ymarg = spec.y_marginal()
     gen = ymarg.generator
     k = p.k
@@ -908,7 +920,9 @@ def estimate_chi(
     """Per-k normalized values over a k sweep; params.k is ignored.
 
     With Y letters (m > 0) each k is the sup over a pool of up to
-    ``y_pool`` fixed Y-candidates of the X-section's volume.
+    ``y_pool`` fixed Y-candidates of the X-section's volume; proposing
+    them needs a generator, so a target table with Y letters raises
+    SpecError before any sampling.
     """
     if spec.m == 0:
         def point(p):

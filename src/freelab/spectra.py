@@ -537,20 +537,6 @@ def inner_product_stationarity(mu: SpectralMeasure, coeffs) -> tuple[float, floa
 # Serialization
 
 
-def measure_to_dict(mu: SpectralMeasure) -> dict:
-    if mu.kind == "semicircle":
-        return {"kind": "semicircle", "variance": mu.variance}
-    if mu.kind == "uniform":
-        return {"kind": "uniform", "interval": [mu.support[0], mu.support[1]]}
-    if mu.kind == "atomic":
-        return {"kind": "atomic", "atoms": [[loc, w] for loc, w in mu.atoms]}
-    return {
-        "kind": "grid",
-        "support": [mu.support[0], mu.support[1]],
-        "values": [float(v) for v in mu.values],
-    }
-
-
 def measure_from_dict(doc: dict) -> SpectralMeasure:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise MeasureFormatError("measure document must be an object with a 'kind'")

@@ -330,6 +330,12 @@ MALFORMED_SPECS = [
         ["give either targets or a generator, not both"],
         id="targets-and-generator",
     ),
+    pytest.param(
+        # valid for estimate_volume with a fixed y, but a sweep must propose Y candidates
+        {"targets": [{"word": [1], "value": 0.0}, {"word": [2, 2], "value": 1.0}]},
+        ["Y letters need a generator to propose Y candidates; a target table has none"],
+        id="target-table-with-y-letters",
+    ),
 ]
 
 

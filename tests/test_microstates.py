@@ -3,6 +3,7 @@ chi sweeps (plain and relative), and block decompositions."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,20 +209,31 @@ def test_marginals_restrict_the_letter_set():
 
 
 def test_spec_serialization_roundtrip(tmp_path):
+    docs = [
+        {"n": 1, "m": 1, "l_max": 3,
+         "generator": {"kind": "free",
+                       "factors": [{"kind": "semicircle", "variance": 1.0},
+                                   {"kind": "atomic", "atoms": [[-1.0, 0.5], [1.0, 0.5]]}],
+                       "assign": [0, 1]}},
+        {"n": 1, "m": 0, "l_max": 2,
+         "targets": [{"word": [1], "value": 0.0}, {"word": [1, 1], "value": 1.0}]},
+        {"n": 0, "m": 1, "l_max": 2,
+         "generator": {"kind": "matrix",
+                       "matrices": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]]}},
+    ]
     specs = [
         free_pair_spec(3),
         TracialSpec.from_targets(1, 0, 2, {(1,): 0.0, (1, 1): 1.0}),
         TracialSpec.matrix_model(0, 1, 2, [np.diag([1.0, -1.0])]),
     ]
-    for spec in specs:
-        blob = json.dumps(spec.to_dict())
-        back = TracialSpec.from_dict(json.loads(blob))
+    for doc, spec in zip(docs, specs):
+        back = TracialSpec.from_dict(json.loads(json.dumps(doc)))
         assert (back.n, back.m, back.l_max) == (spec.n, spec.m, spec.l_max)
         for w in spec.required_words(2):
             if spec.has_target(w):
                 assert back.target(w) == pytest.approx(spec.target(w), abs=1e-12)
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(specs[0].to_dict()))
+    path.write_text(json.dumps(docs[0]))
     loaded = TracialSpec.load(str(path))
     assert loaded.target((1, 1, 2)) == pytest.approx(specs[0].target((1, 1, 2)))
 
@@ -331,7 +343,8 @@ def test_member_mask_matches_the_naive_reference(n, with_y, k, l, eps, radius, v
         [matcore.gue_stack(k, count, variance, rng.derive(seed, i)) for i in range(n)], axis=1
     )
     yarrs = matcore.gue_stack(k, 1, 0.5, rng.derive(seed, 99)) if with_y else None
-    got = ms._member_mask(xstack, spec, p, yarrs=yarrs)
+    test = ms._member_test(spec, p, yarrs)  # None: a Y norm above R admits no row
+    got = test(xstack) if test else np.zeros(count, dtype=bool)
     assert (got == _naive_member_mask(xstack, spec, p, yarrs)).all()
 
 
@@ -458,6 +471,57 @@ def test_volume_is_bit_identical_at_one_and_two_threads(sampler, k, nsamples, se
     one = ms.estimate_volume(spec, p, sampler, nsamples=nsamples, seed=seed, threads=1)
     two = ms.estimate_volume(spec, p, sampler, nsamples=nsamples, seed=seed, threads=2)
     assert one == two
+
+
+SPLIT_CASES = {
+    "semicircle-k12": (sc_spec(), 12),
+    "semicircle-k16": (sc_spec(), 16),
+    "free-pair-k9": (TracialSpec.free_model(2, 0, 4, [semicircle(), two_atom()], [0, 1]), 9),
+    "conditioned-k9": (free_pair_spec(), 9),
+}
+
+
+@pytest.mark.parametrize("sampler", ["importance", "ball"])
+@pytest.mark.parametrize("case", list(SPLIT_CASES))
+def test_volume_is_bit_identical_across_sub_block_sizes(monkeypatch, case, sampler):
+    # every case has n k^2 > 64, where the default budget splits each chunk
+    spec, k = SPLIT_CASES[case]
+    if sampler == "importance":
+        p = MicrostateParams(k=k, l=4, eps=0.4, radius=4.0)
+    else:
+        # ball draws fail a depth-4 window; at R = 2.1 about half of them pass
+        # the norm test, some only after an eigen-solve
+        p = MicrostateParams(k=k, l=2, eps=0.4, radius=2.1)
+    y = ms.y_candidates(spec, p, 1, seed=1)[0][1] if spec.m else None
+    nkk = spec.n * k * k
+    default_rows = ms._SUBBLOCK_ENTRIES // nkk
+    assert 1 < default_rows < ms._CHUNK
+
+    def run(rows, threads, nsamples=4096 + 157):
+        # by default two chunks, the second short, so the second thread has work
+        monkeypatch.setattr(ms, "_SUBBLOCK_ENTRIES", rows * nkk)
+        return ms.estimate_volume(spec, p, sampler, y, nsamples, seed=3, threads=threads)
+
+    whole = run(ms._CHUNK, 1)
+    assert 0 < whole.accepted < whole.samples
+    for rows, threads in ((777, 1), (777, 2), (default_rows, 1), (default_rows, 2), (ms._CHUNK, 2)):
+        assert run(rows, threads) == whole, (rows, threads)
+    # one-row sub-blocks pay a filter pass per row, so they run on a short stream
+    assert run(1, 1, 300) == run(ms._CHUNK, 1, 300)
+
+
+def test_estimate_volume_memory_does_not_grow_with_the_chunk():
+    # a whole 4096-sample chunk at k=16 is 16 MB of X matrices alone; the
+    # sub-blocks hold about 4 MB of them
+    spec, p = sc_spec(), MicrostateParams(k=16, l=4, eps=0.4, radius=4.0)
+    ms.estimate_volume(spec, p, "importance", nsamples=100, seed=0)  # fill the caches
+    tracemalloc.start()
+    try:
+        ms.estimate_volume(spec, p, "importance", nsamples=4096, seed=0, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_zero_acceptance_reports_an_upper_bound():

