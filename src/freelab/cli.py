@@ -10,9 +10,13 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import re
 import sys
+from dataclasses import asdict
+
+import numpy as np
 
 from . import microstates as ms, ncalg, spectra, theorems
 
@@ -21,21 +25,35 @@ class UsageError(Exception):
     """Bad flags or malformed input files; no partial output."""
 
 
-def _render(args, doc, header, rows, lines) -> None:
+def jsonable(obj):
+    """JSON-safe copy: numpy scalars become Python ones and non-finite
+    floats the strings "inf", "-inf" and "nan"."""
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
+    return obj
+
+
+def _render(args, doc, table, lines) -> None:
     """Write a command's result in args.format to args.out or stdout.
 
-    ``doc`` is the JSON document, ``header`` and ``rows`` the CSV table,
-    ``lines`` the text report.  Non-finite floats reach JSON only as the
-    strings "inf", "-inf" and "nan"; CSV and text print them as Python
-    formats them.
+    ``doc`` is the JSON document, ``table`` the CSV rows as flat dicts
+    whose keys are the header, ``lines`` the text report.  Non-finite
+    floats reach JSON only as the strings "inf", "-inf" and "nan"; CSV
+    and text print them as Python formats them.
     """
     if args.format == "json":
-        text = json.dumps(theorems.jsonable(doc), sort_keys=True, allow_nan=False) + "\n"
+        text = json.dumps(jsonable(doc), sort_keys=True, allow_nan=False) + "\n"
     elif args.format == "csv":
         buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
+        w = csv.DictWriter(buf, list(table[0]), lineterminator="\n")
+        w.writeheader()
+        w.writerows(table)
         text = buf.getvalue()
     else:
         text = "\n".join(lines) + "\n"
@@ -111,8 +129,7 @@ def _cmd_chi_single(args) -> int:
         row["cov_correction"] = spectra.cov_correction(mu, f)
         row["field"] = args.field
         lines.append(f"cov_correction[{args.field}] = {row['cov_correction']:.6f}")
-    header = sorted(row)
-    _render(args, row, header, [[row[c] for c in header]], lines)
+    _render(args, row, [dict(sorted(row.items()))], lines)
     return 0
 
 
@@ -147,13 +164,13 @@ def _cmd_chi_mc(args) -> int:
         threads=_threads(args.threads), y_pool=args.y_pool,
     )
 
-    header = ["k", "l", "eps", "R", "N", "log_volume", "stderr", "normalized_chi", "y_id"]
-    rows, lines = [], []
+    per_k, lines = [], []
     for pt in est.per_k:
         stderr = pt.stderr * pt.k * pt.k
-        rows.append(
-            [pt.k, args.l, args.eps, radius, args.samples, pt.log_volume, stderr,
-             pt.value, pt.y_id]
+        per_k.append(
+            {"k": pt.k, "l": args.l, "eps": args.eps, "R": radius, "N": args.samples,
+             "log_volume": pt.log_volume, "stderr": stderr, "normalized_chi": pt.value,
+             "y_id": pt.y_id}
         )
         tag = f" y={pt.y_id}" if pt.y_id else ""
         lines.append(
@@ -165,7 +182,7 @@ def _cmd_chi_mc(args) -> int:
         lines.append(f"y candidates: {est.y_used}")
     doc = {
         "extrapolated": est.extrapolated,
-        "per_k": [dict(zip(header, r)) for r in rows],
+        "per_k": per_k,
         "n": spec.n,
         "m": spec.m,
         "l": args.l,
@@ -175,7 +192,7 @@ def _cmd_chi_mc(args) -> int:
         "seed": args.seed,
         "y_used": est.y_used,
     }
-    _render(args, doc, header, rows, lines)
+    _render(args, doc, per_k, lines)
     return 0
 
 
@@ -193,7 +210,7 @@ def _cmd_dq(args) -> int:
         raise UsageError(str(e))
     result = ncalg.bipoly_text(ncalg.dquotient(poly, args.index))
     doc = {"poly": args.poly, "index": args.index, "result": result}
-    _render(args, doc, list(doc), [list(doc.values())], [result])
+    _render(args, doc, [doc], [result])
     return 0
 
 
@@ -208,6 +225,8 @@ def _resolve_ids(token: str):
     if token == "statistical":
         return [i for i in theorems.CHECK_IDS if i not in theorems.DETERMINISTIC_IDS]
     ids = [t.strip() for t in token.split(",") if t.strip()]
+    if not ids:
+        raise UsageError(f"no check id in {token!r}")
     for i in ids:
         if i not in theorems.CHECK_IDS:
             raise UsageError(
@@ -241,16 +260,15 @@ def _cmd_check(args) -> int:
     det = [r for r in reports if not r.statistical]
     det_fail = not all(r.passed for r in det)
 
-    header = ["id", "relation", "lhs", "rhs", "tolerance", "passed", "statistical"]
-    rows = [
-        [r.id, r.relation, float(r.lhs), float(r.rhs), float(r.tolerance), r.passed,
-         r.statistical]
+    table = [
+        {"id": r.id, "relation": r.relation, "lhs": float(r.lhs), "rhs": float(r.rhs),
+         "tolerance": float(r.tolerance), "passed": r.passed, "statistical": r.statistical}
         for r in reports
     ]
     lines = [theorems.report_text(r) for r in reports]
     if det:
         lines.append(f"deterministic gate: {'FAIL' if det_fail else 'PASS'}")
-    _render(args, [r.to_dict() for r in reports], header, rows, lines)
+    _render(args, [asdict(r) for r in reports], table, lines)
     return 3 if det_fail else 0
 
 
@@ -336,10 +354,7 @@ def main(argv=None) -> int:
         problems = "".join(f"\n  - {p}" for p in e.problems)
         print(f"error: invalid specification:{problems}", file=sys.stderr)
         return 2
-    except (ValueError, ms.SpecTooShallow) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (ValueError, OSError) as e:  # SpecTooShallow is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 1
 

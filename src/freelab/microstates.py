@@ -429,7 +429,7 @@ def _generator_from_dict(g, problems: List[str]):
             for i, doc in enumerate(docs, start=1):
                 try:
                     factors.append(spectra.measure_from_dict(doc))
-                except (TypeError, ValueError) as e:
+                except spectra.MeasureFormatError as e:
                     problems.append(f"generator: factors[{i}]: {e}")
         if not isinstance(assign, list) or not all(_is_int(a) for a in assign):
             problems.append("generator: field 'assign' must be a list of factor indices")
@@ -562,38 +562,35 @@ def _trace_filter(words, targets, xstack, yarrs, eps):
     return rows, xs, sq
 
 
-def _member_mask(xstack, p, words, targets, yarrs=None):
-    """Mask over the (count, n, k, k) X rows: microstate membership.
+def _member_test(spec, p, yarrs=None):
+    """Membership of X rows with the Y tuple fixed: a function from a
+    (count, n, k, k) stack to its mask, or None when a Y matrix has norm
+    above R, so that no row is a member.
 
     A row is a member when every word of length 1..l traces strictly
-    within eps of its target and every X matrix has operator norm <= R;
-    ``words`` and ``targets`` come from :func:`_spec_words`, and the Y
-    tuple's norms are the caller's test (:func:`_member_test`).  The word
-    filter runs first, on the rows given (an estimator's sub-block), and
-    the norm test sees only its survivors: matcore.norms_leq takes the
-    Frobenius bound, then the x^4 certificate ||x||_op <= ||x^2||_F^(1/2)
-    from the squares the filter formed, and eigen-solves only what
-    neither resolves.
+    within eps of its target and every X matrix has operator norm <= R.
+    The words, their targets and the Y tuple's norm test are settled
+    here, once.  The word filter runs first, on the rows given (an
+    estimator's sub-block), and the norm test sees only its survivors:
+    matcore.norms_leq takes the Frobenius bound, then the x^4
+    certificate ||x||_op <= ||x^2||_F^(1/2) from the squares the filter
+    formed, and eigen-solves only what neither resolves.
     """
-    count, n, k, _ = xstack.shape
-    mask = np.zeros(count, dtype=bool)
-    rows, xs, sq = _trace_filter(words, targets, xstack, yarrs, p.eps)
-    if rows.size:
-        mask[rows] = (
-            matcore.norms_leq(xs.reshape(-1, k, k), p.radius, sq).reshape(-1, n).all(axis=1)
-        )
-    return mask
-
-
-def _member_test(spec, p, yarrs=None):
-    """Membership of X rows with the Y tuple fixed, as a function of a
-    (count, n, k, k) stack; the words, their targets and the Y tuple's
-    norm test are settled here, once.  None when a Y matrix has norm
-    above R, so that no row is a member."""
     words, targets = _spec_words(spec, p.l)
     if yarrs is not None and not matcore.norms_leq(yarrs, p.radius).all():
         return None
-    return lambda xstack: _member_mask(xstack, p, words, targets, yarrs)
+
+    def member(xstack):
+        count, n, k, _ = xstack.shape
+        mask = np.zeros(count, dtype=bool)
+        rows, xs, sq = _trace_filter(words, targets, xstack, yarrs, p.eps)
+        if rows.size:
+            mask[rows] = (
+                matcore.norms_leq(xs.reshape(-1, k, k), p.radius, sq).reshape(-1, n).all(axis=1)
+            )
+        return mask
+
+    return member
 
 
 def is_microstate(t: matcore.MatrixTuple, spec: TracialSpec, p: MicrostateParams) -> bool:
@@ -616,10 +613,6 @@ class VolumeEstimate:
     method: str
     accepted: int
     upper_bound: Optional[float] = None
-
-
-def _chunk_starts(nsamples: int):
-    return range(0, nsamples, _CHUNK)
 
 
 def _run_chunks(work, starts, threads: int):
@@ -656,7 +649,7 @@ def _accepted_chunks(n, k, nsamples, threads, fill, member, weigh):
             parts.append(weigh(x, member(x)))
         return np.concatenate(parts)
 
-    return _run_chunks(work, _chunk_starts(nsamples), threads)
+    return _run_chunks(work, range(0, nsamples, _CHUNK), threads)
 
 
 def _ball_volume(spec, p, member, nsamples, seed, threads) -> VolumeEstimate:

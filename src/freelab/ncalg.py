@@ -326,14 +326,14 @@ class NcBiPoly(_TermSum):
             raise ValueError("arity mismatch")
         return cls(left.n, _mul_terms(left, right, lambda a, b: (a, b)), alg)
 
-    def evaluate_pairs(self, t: matcore.MatrixTuple, embed=None):
+    def evaluate_pairs(self, t: matcore.MatrixTuple):
         """Evaluated tensor legs [(a, b), ...] with scalars folded into a."""
-        ev = _Evaluator(self.algebra, t, embed)
+        ev = _Evaluator(self.algebra, t)
         return [(ev.word(lkey) * s, ev.word(rkey)) for (lkey, rkey), s in self.sorted_terms()]
 
-    def apply(self, t: matcore.MatrixTuple, z: np.ndarray, embed=None) -> np.ndarray:
+    def apply(self, t: matcore.MatrixTuple, z: np.ndarray) -> np.ndarray:
         out = np.zeros((t.dim, t.dim), dtype=np.complex128)
-        return _apply_pairs(self.evaluate_pairs(t, embed), z, out)
+        return _apply_pairs(self.evaluate_pairs(t), z, out)
 
     def __repr__(self):
         return f"NcBiPoly({bipoly_text(self)!r})"
@@ -343,33 +343,28 @@ class NcBiPoly(_TermSum):
 
 
 class _Evaluator:
-    def __init__(self, alg: CoefficientAlgebra, t: matcore.MatrixTuple, embed):
+    """Words of a tuple in dimension k; a matrix coefficient g of
+    dimension d acts on it as g (x) 1_{k/d}."""
+
+    def __init__(self, alg: CoefficientAlgebra, t: matcore.MatrixTuple):
         self.alg = alg
         self.t = t
         self.k = t.dim
         self.eye = np.eye(self.k, dtype=np.complex128)
+        self.gens = {}
         if alg.kind == "matrix":
-            if embed is None:
-                d = alg.dim
-                if self.k % d != 0:
-                    raise ValueError(
-                        f"dimension mismatch: coefficients live in dim {d}, tuple in dim {self.k}"
-                    )
-                rep = np.eye(self.k // d)
-                embed = {name: np.kron(g, rep) for name, g in alg.gens.items()}
-            coerced = {}
-            for name, m in embed.items():
-                m = np.asarray(m, dtype=np.complex128)
-                if m.shape != (self.k, self.k):
-                    raise ValueError(f"embedded coefficient {name!r} is not {self.k}x{self.k}")
-                coerced[name] = m
-            embed = coerced
-        self.embed = embed or {}
+            d = alg.dim
+            if self.k % d != 0:
+                raise ValueError(
+                    f"dimension mismatch: coefficients live in dim {d}, tuple in dim {self.k}"
+                )
+            rep = np.eye(self.k // d)
+            self.gens = {name: np.kron(g, rep) for name, g in alg.gens.items()}
 
     def slot(self, slot: Slot) -> np.ndarray:
         m = self.eye
         for name, star in slot:
-            g = self.embed[name]
+            g = self.gens[name]
             m = m @ (g.conj().T if star else g)
         return m
 
@@ -381,7 +376,7 @@ class _Evaluator:
         return m
 
 
-def evaluate(f: NcPoly, t: matcore.MatrixTuple, embed=None):
+def evaluate(f: NcPoly, t: matcore.MatrixTuple):
     """Value of f at the tuple.
 
     A self-adjoint polynomial returns a SelfAdjointMatrix (after checking
@@ -389,7 +384,7 @@ def evaluate(f: NcPoly, t: matcore.MatrixTuple, embed=None):
     """
     if f.n != t.n:
         raise ValueError(f"polynomial arity {f.n} vs tuple arity {t.n}")
-    ev = _Evaluator(f.algebra, t, embed)
+    ev = _Evaluator(f.algebra, t)
     out = np.zeros((t.dim, t.dim), dtype=np.complex128)
     for key, s in f.terms.items():
         out += s * ev.word(key)
@@ -443,13 +438,13 @@ class NcJacobian:
     derivative tuple  (sum_i entry(i, j) # h_i)_j.
     """
 
-    def __init__(self, entries, t: matcore.MatrixTuple, embed=None):
+    def __init__(self, entries, t: matcore.MatrixTuple):
         self.n = len(entries)
         self.entries = entries
         self.t = t
         self.k = t.dim
         self._pairs = [
-            [entries[i][j].evaluate_pairs(t, embed) for j in range(self.n)]
+            [entries[i][j].evaluate_pairs(t) for j in range(self.n)]
             for i in range(self.n)
         ]
 
@@ -481,7 +476,7 @@ class NcJacobian:
         return big
 
 
-def jacobian(fs: Sequence[NcPoly], t: matcore.MatrixTuple, embed=None) -> NcJacobian:
+def jacobian(fs: Sequence[NcPoly], t: matcore.MatrixTuple) -> NcJacobian:
     n = len(fs)
     for f in fs:
         if f.n != n:
@@ -489,7 +484,7 @@ def jacobian(fs: Sequence[NcPoly], t: matcore.MatrixTuple, embed=None) -> NcJaco
         if f.n != t.n:
             raise ValueError("polynomial arity vs tuple arity mismatch")
     entries = [[dquotient(fs[j], i + 1) for j in range(n)] for i in range(n)]
-    return NcJacobian(entries, t, embed)
+    return NcJacobian(entries, t)
 
 
 def logabs_functional(jac: NcJacobian) -> float:

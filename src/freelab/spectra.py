@@ -26,6 +26,8 @@ own per-row reduction, so the block size cannot change a value.
 
 import functools
 import math
+import numbers
+import sys
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -35,13 +37,29 @@ _GRID_N = 2048           # default uniform grid resolution
 _GL_ORDER = 64           # Gauss-Legendre order per panel
 _X_PANELS = 32           # panels for integrals across the support
 _Y_PANELS = 24           # geometric panels for the log-singular axis
-_MASS_TOL = 1e-6
 _DRIFT_TOL = 1e-4
 _BLOCK_ROWS = 64         # tensor rows formed at once by the quadrature kernels
 
 
 class MeasureFormatError(ValueError):
     """Malformed spectral-measure document or parameters."""
+
+
+def _finite(v, what: str) -> float:
+    """v as a float; MeasureFormatError unless v is a finite real number."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not abs(v) <= sys.float_info.max:
+        raise MeasureFormatError(f"{what} must be a finite number, not {v!r}")
+    return float(v)
+
+
+def _interval(v, what: str):
+    """(a, b) with a < b from a pair of finite numbers."""
+    if not isinstance(v, (list, tuple)) or len(v) != 2:
+        raise MeasureFormatError(f"{what} must be a pair [a, b] of finite numbers, not {v!r}")
+    a, b = (_finite(x, what) for x in v)
+    if not b > a:
+        raise MeasureFormatError("empty support interval")
+    return a, b
 
 
 @functools.cache
@@ -76,7 +94,8 @@ class SpectralMeasure:
     Analytic kinds keep their closed-form densities; ``to_grid``
     converts when a grid is required.  Grid densities are renormalized
     so the trapezoid mass is exactly 1; the pre-normalization drift is
-    recorded in ``mass_drift`` and must stay below 1e-4.
+    recorded in ``mass_drift`` and must stay below 1e-4.  Every number
+    must be finite; any fault of shape or value is a MeasureFormatError.
     """
 
     __slots__ = ("kind", "atoms", "support", "values", "variance", "mass_drift", "_grid")
@@ -89,23 +108,28 @@ class SpectralMeasure:
         self.variance = variance
         self.mass_drift = 0.0
         if kind == "atomic":
-            w = np.array([a[1] for a in atoms], dtype=float)
+            if not isinstance(atoms, (list, tuple)) or not all(
+                isinstance(a, (list, tuple)) and len(a) == 2 for a in atoms
+            ):
+                raise MeasureFormatError("atoms must be a list of [location, weight] pairs")
+            self.atoms = [(_finite(x, "atom location"), _finite(w, "atom weight")) for x, w in atoms]
+            w = np.array([a[1] for a in self.atoms])
             if (w < 0).any():
                 raise MeasureFormatError("negative atom weight")
             if abs(w.sum() - 1.0) > 1e-10:
                 raise MeasureFormatError(f"atom weights sum to {w.sum()!r}, not 1")
-            self.atoms = [(float(a[0]), float(a[1])) for a in atoms]
             locs = [a[0] for a in self.atoms]
             self.support = (min(locs), max(locs))
         elif kind == "grid":
-            vals = np.asarray(values, dtype=float)
-            if vals.ndim != 1 or vals.size < 8:
-                raise MeasureFormatError("grid density needs >= 8 values")
+            try:
+                vals = np.asarray(values, dtype=float)
+            except (TypeError, ValueError, OverflowError) as e:
+                raise MeasureFormatError(f"grid values must be numbers ({e})") from None
+            if vals.ndim != 1 or vals.size < 8 or not np.isfinite(vals).all():
+                raise MeasureFormatError("grid density needs >= 8 finite values")
             if (vals < 0).any():
                 raise MeasureFormatError("negative density value")
-            a, b = float(support[0]), float(support[1])
-            if not b > a:
-                raise MeasureFormatError("empty support interval")
+            a, b = _interval(support, "grid support")
             h = (b - a) / (vals.size - 1)
             mass = np.trapezoid(vals, dx=h)
             if mass <= 0:
@@ -120,22 +144,20 @@ class SpectralMeasure:
             self._grid = np.linspace(a, b, vals.size)
             self._grid.setflags(write=False)
         elif kind == "semicircle":
-            if not variance > 0:
+            self.variance = _finite(variance, "semicircle variance")
+            if not self.variance > 0:
                 raise MeasureFormatError("semicircle variance must be positive")
-            c = math.sqrt(variance)
+            c = math.sqrt(self.variance)
             self.support = (-2.0 * c, 2.0 * c)
         elif kind == "uniform":
-            a, b = float(support[0]), float(support[1])
-            if not b > a:
-                raise MeasureFormatError("empty support interval")
-            self.support = (a, b)
+            self.support = _interval(support, "uniform interval")
         else:
             raise MeasureFormatError(f"unknown measure kind {kind!r}")
 
     # -- constructors -----------------------------------------------------
     @staticmethod
     def semicircle(variance: float) -> "SpectralMeasure":
-        return SpectralMeasure("semicircle", variance=float(variance))
+        return SpectralMeasure("semicircle", variance=variance)
 
     @staticmethod
     def uniform(a: float, b: float) -> "SpectralMeasure":
@@ -260,9 +282,9 @@ class ScalarField:
                 raise ValueError("field flagged diffeomorphism is not strictly monotone")
 
     @classmethod
-    def from_callable(cls, f, fprime, support, npoints=_GRID_N, diffeo=True):
-        x = np.linspace(support[0], support[1], npoints)
-        return cls(x, f(x), fprime(x), f=f, fprime=fprime, diffeo=diffeo)
+    def from_callable(cls, f, fprime, support):
+        x = np.linspace(support[0], support[1], _GRID_N)
+        return cls(x, f(x), fprime(x), f=f, fprime=fprime, diffeo=True)
 
     def __call__(self, x):
         if self._f is not None:
@@ -319,7 +341,7 @@ def identity_field(support) -> ScalarField:
     return affine_field(1.0, 0.0, support)
 
 
-def arcsine_gridded(variance: float, npoints: int = _GRID_N) -> SpectralMeasure:
+def arcsine_gridded(variance: float) -> SpectralMeasure:
     """Arcsine law of given variance as a grid measure.
 
     The exact density 1/(pi sqrt(a^2 - x^2)) on [-a, a] (a^2 = 2 *
@@ -330,7 +352,7 @@ def arcsine_gridded(variance: float, npoints: int = _GRID_N) -> SpectralMeasure:
     """
     a = math.sqrt(2.0 * variance)
     edge = a * (1.0 - 1e-4)
-    x = np.linspace(-edge, edge, npoints)
+    x = np.linspace(-edge, edge, _GRID_N)
     dens = 1.0 / (math.pi * np.sqrt(a * a - x * x))
     h = x[1] - x[0]
     dens = dens / np.trapezoid(dens, dx=h)
@@ -538,19 +560,19 @@ def inner_product_stationarity(mu: SpectralMeasure, coeffs) -> tuple[float, floa
 
 
 def measure_from_dict(doc: dict) -> SpectralMeasure:
+    """Measure of a JSON document; any fault is a MeasureFormatError."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise MeasureFormatError("measure document must be an object with a 'kind'")
     kind = doc["kind"]
     try:
         if kind == "semicircle":
-            return SpectralMeasure.semicircle(doc["variance"])
+            return SpectralMeasure(kind, variance=doc["variance"])
         if kind == "uniform":
-            a, b = doc["interval"]
-            return SpectralMeasure.uniform(a, b)
+            return SpectralMeasure(kind, support=doc["interval"])
         if kind == "atomic":
-            return SpectralMeasure.atomic([(p[0], p[1]) for p in doc["atoms"]])
+            return SpectralMeasure(kind, atoms=doc["atoms"])
         if kind == "grid":
-            return SpectralMeasure.gridded(tuple(doc["support"]), doc["values"])
+            return SpectralMeasure(kind, support=doc["support"], values=doc["values"])
     except KeyError as e:
         raise MeasureFormatError(f"measure document missing field {e}") from e
     raise MeasureFormatError(f"unknown measure kind {kind!r}")

@@ -10,8 +10,8 @@ configuration and seed.
 """
 
 import math
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -29,26 +29,6 @@ class CheckReport:
     statistical: bool
     seed: int
     diagnostics: Dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return jsonable(asdict(self))
-
-
-def jsonable(obj):
-    """JSON-safe copy: numpy scalars become Python ones and non-finite
-    floats the strings "inf", "-inf" and "nan"."""
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        return x if math.isfinite(x) else repr(x)
-    return obj
 
 
 def report_text(r: CheckReport) -> str:
@@ -442,7 +422,10 @@ def _chk_covgen(c):
     }
 
 
-def _brown_measure(t: float, npoints: int = 2001) -> spectra.SpectralMeasure:
+_BROWN_N = 2001  # density nodes of the evolved law
+
+
+def _brown_measure(t: float) -> spectra.SpectralMeasure:
     """Two-atom law evolved by a semicircular perturbation of variance t.
 
     The Cauchy transform solves t^2 G^3 - 2tzG^2 + (z^2 - 1 + t)G - z = 0;
@@ -452,9 +435,9 @@ def _brown_measure(t: float, npoints: int = 2001) -> spectra.SpectralMeasure:
     constant term, so that node keeps its own np.roots call.
     """
     edge = 1.0 + 2.0 * math.sqrt(t) + 0.25
-    xs = np.linspace(-edge, edge, npoints)
-    coeffs = np.stack([np.full(npoints, t * t), -2.0 * t * xs, xs * xs - 1.0 + t, -xs], axis=1)
-    comp = np.zeros((npoints, 3, 3))
+    xs = np.linspace(-edge, edge, _BROWN_N)
+    coeffs = np.stack([np.full(_BROWN_N, t * t), -2.0 * t * xs, xs * xs - 1.0 + t, -xs], axis=1)
+    comp = np.zeros((_BROWN_N, 3, 3))
     comp[:, 1, 0] = comp[:, 2, 1] = 1.0
     comp[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
     imag = np.array(np.linalg.eigvals(comp).imag)  # writable even if every root is real
@@ -605,8 +588,8 @@ def _chk_block(c):
 
 # id -> (check, statistical tier, default settings).  A check takes the
 # settings that check() validated and returns (relation, lhs, rhs,
-# tolerance, passed, diagnostics).  run_all derives each check's seed from
-# its position here, so the order is part of the output.
+# tolerance, passed, diagnostics).  `freelab check all` runs and reports
+# the checks in this order.
 _REGISTRY = {
     "T-CHAIN": (_chk_chain, True, {}),
     "T-MONO-Y": (_chk_mono_y, True, {}),
@@ -642,12 +625,3 @@ def check(check_id: str, **cfg) -> CheckReport:
     return CheckReport(
         check_id, relation, lhs, rhs, tol, passed, statistical, c["seed"], diagnostics
     )
-
-
-def run_all(ids: Optional[Sequence[str]] = None, **cfg) -> List[CheckReport]:
-    """Run the listed checks (default: all) with per-check derived seeds."""
-    ids = list(ids) if ids is not None else list(CHECK_IDS)
-    base = int(cfg.get("seed", 0))
-    return [
-        check(cid, **{**cfg, "seed": rng.derive(base, CHECK_IDS.index(cid))}) for cid in ids
-    ]

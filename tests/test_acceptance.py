@@ -14,6 +14,7 @@ import pytest
 from freelab import cli, matcore, microstates as ms, ncalg, spectra, theorems
 from freelab.microstates import MicrostateParams, TracialSpec
 from freelab.ncalg import CoefficientAlgebra, NcBiPoly, NcPoly
+from freelab.rng import derive
 
 
 def _pass(num, detail):
@@ -251,7 +252,10 @@ def test_criterion_09_mc_pipeline_sanity():
 @pytest.mark.statistical
 def test_criterion_10_inequality_suite():
     ids = ["T-CHAIN", "T-MONO-Y", "T-VS-JOINT", "T-SUBADD", "T-MAXBOUND"]
-    reports = theorems.run_all(ids, seed=0)
+    # each check at the seed of its registry position, derived from base seed 0
+    reports = [
+        theorems.check(cid, seed=derive(0, theorems.CHECK_IDS.index(cid))) for cid in ids
+    ]
     # the atomic generator needs 4 | k, so its sweep is pinned separately
     reports.append(theorems.check("T-GEN", seed=5, k_list=(4,)))
     lines = [theorems.report_text(r) for r in reports]

@@ -134,6 +134,31 @@ def test_chi_single_rejects_unknown_kind(tmp_path, capsys):
     assert "kind" in err
 
 
+MALFORMED_MEASURES = [
+    pytest.param({"kind": "uniform", "interval": [0]}, id="short-interval"),
+    pytest.param({"kind": "uniform", "interval": 5}, id="scalar-interval"),
+    pytest.param({"kind": "uniform", "interval": [0, float("inf")]}, id="infinite-interval"),
+    pytest.param({"kind": "atomic", "atoms": [["a", 1.0]]}, id="string-atom"),
+    pytest.param({"kind": "atomic", "atoms": [[1]]}, id="atom-without-weight"),
+    pytest.param({"kind": "atomic", "atoms": [[0.0, float("nan")]]}, id="nan-weight"),
+    pytest.param({"kind": "semicircle", "variance": "x"}, id="string-variance"),
+    pytest.param({"kind": "semicircle", "variance": float("inf")}, id="infinite-variance"),
+    pytest.param({"kind": "grid", "support": [0, 1], "values": "abc"}, id="string-values"),
+    pytest.param({"kind": "grid", "support": [0, 1], "values": [1.0] * 7 + [float("nan")]},
+                 id="nan-value"),
+]
+
+
+@pytest.mark.parametrize("doc", MALFORMED_MEASURES)
+def test_chi_single_malformed_measure_exits_2(tmp_path, capsys, doc):
+    # json.dumps writes inf and nan as the Infinity and NaN literals json.load accepts
+    path = write_json(tmp_path / "bad.json", doc)
+    code, out, err = run(capsys, "chi-single", path)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_chi_single_field_correction(tmp_path, capsys):
     path = write_json(tmp_path / "sc.json", {"kind": "semicircle", "variance": 1.0})
     code, out, _ = run(
@@ -312,6 +337,19 @@ MALFORMED_SPECS = [
                        "assign": [0, 1]}},
         ["generator: factors[2]: unknown measure kind 'cauchy'"],
         id="bad-factor-measure",
+    ),
+    pytest.param(
+        {"generator": {"kind": "free", "factors": [{"kind": "atomic", "atoms": [[1]]}, SC_FACTOR],
+                       "assign": [0, 1]}},
+        ["generator: factors[1]: atoms must be a list of [location, weight] pairs"],
+        id="factor-atom-without-weight",
+    ),
+    pytest.param(
+        {"generator": {"kind": "free",
+                       "factors": [{"kind": "semicircle", "variance": float("inf")}, SC_FACTOR],
+                       "assign": [0, 1]}},
+        ["generator: factors[1]: semicircle variance must be a finite number, not inf"],
+        id="factor-infinite-variance",
     ),
     pytest.param(
         {"generator": {"kind": "free", "factors": [SC_FACTOR], "assign": [0, 1]}},
