@@ -11,7 +11,6 @@ import csv
 import io
 import json
 import math
-import os
 import re
 import sys
 from dataclasses import asdict
@@ -76,11 +75,6 @@ def _load_json(path: str, what: str) -> dict:
         )
 
 
-def _threads(arg):
-    """0 means all cores; any other value is left to the caller's validator."""
-    return (os.cpu_count() or 1) if ms._is_int(arg) and arg == 0 else arg
-
-
 # --- chi-single -----------------------------------------------------------------
 
 
@@ -138,37 +132,25 @@ def _cmd_chi_single(args) -> int:
 
 def _parse_k_list(text: str):
     try:
-        ks = [int(v) for v in text.split(",") if v.strip()]
+        return [int(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise UsageError(f"bad k list {text!r}; expected comma-separated integers")
-    if not ks or ks != sorted(ks) or ks[0] < 1:
-        raise UsageError("k list must be ascending positive integers")
-    return ks
 
 
 def _cmd_chi_mc(args) -> int:
     spec = ms.TracialSpec.from_dict(_load_json(args.spec, "specification"))
-    ks = _parse_k_list(args.k)
-    for flag, value, low in (
-        ("samples", args.samples, 100), ("threads", args.threads, 0), ("y-pool", args.y_pool, 1),
-    ):
-        if value < low:
-            raise UsageError(f"{flag} must be an integer >= {low}, not {value}")
-    radius = args.radius if args.radius is not None else ms.suggested_radius(spec)
-    try:
-        params = ms.MicrostateParams(k=ks[0], l=args.l, eps=args.eps, radius=radius)
-    except ValueError as e:
-        raise UsageError(str(e))
-    est = ms.estimate_chi(
-        spec, params, ks, nsamples=args.samples, seed=args.seed,
-        threads=_threads(args.threads), y_pool=args.y_pool,
+    sweep = ms.Sweep(
+        k_list=_parse_k_list(args.k), l=args.l, eps=args.eps,
+        radius=args.radius if args.radius is not None else ms.suggested_radius(spec),
+        nsamples=args.samples, seed=args.seed, threads=args.threads, y_pool=args.y_pool,
     )
+    est = ms.estimate_chi(spec, sweep)
 
     per_k, lines = [], []
     for pt in est.per_k:
         stderr = pt.stderr * pt.k * pt.k
         per_k.append(
-            {"k": pt.k, "l": args.l, "eps": args.eps, "R": radius, "N": args.samples,
+            {"k": pt.k, "l": sweep.l, "eps": sweep.eps, "R": sweep.radius, "N": sweep.nsamples,
              "log_volume": pt.log_volume, "stderr": stderr, "normalized_chi": pt.value,
              "y_id": pt.y_id}
         )
@@ -185,11 +167,11 @@ def _cmd_chi_mc(args) -> int:
         "per_k": per_k,
         "n": spec.n,
         "m": spec.m,
-        "l": args.l,
-        "eps": args.eps,
-        "radius": radius,
-        "samples_per_k": args.samples,
-        "seed": args.seed,
+        "l": sweep.l,
+        "eps": sweep.eps,
+        "radius": sweep.radius,
+        "samples_per_k": sweep.nsamples,
+        "seed": sweep.seed,
         "y_used": est.y_used,
     }
     _render(args, doc, per_k, lines)
@@ -240,7 +222,7 @@ def _cmd_check(args) -> int:
     cfg = _load_json(args.config, "config") if args.config else {}
     if not isinstance(cfg, dict):
         raise UsageError(f"config must be a JSON object, not {type(cfg).__name__}")
-    # flags win over the config file
+    # flags win over the config file; threads defaults to every core (0)
     if args.k is not None:
         cfg["k_list"] = _parse_k_list(args.k)
     for key, val in (
@@ -250,11 +232,8 @@ def _cmd_check(args) -> int:
     ):
         if val is not None:
             cfg[key] = val
-    cfg["threads"] = _threads(cfg.get("threads", 0))
-    try:
-        theorems._mc_cfg(cfg)
-    except ValueError as e:
-        raise UsageError(str(e))
+    cfg.setdefault("threads", 0)
+    theorems._mc_cfg(cfg)  # every bad setting exits 2 before any check runs
 
     reports = [theorems.check(i, **cfg) for i in ids]
     det = [r for r in reports if not r.statistical]
@@ -350,9 +329,9 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except ms.SpecError as e:
+    except ms.ProblemsError as e:
         problems = "".join(f"\n  - {p}" for p in e.problems)
-        print(f"error: invalid specification:{problems}", file=sys.stderr)
+        print(f"error: {e.heading}:{problems}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as e:  # SpecTooShallow is a ValueError
         print(f"error: {e}", file=sys.stderr)

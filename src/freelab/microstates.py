@@ -12,8 +12,9 @@ of matching X-tuples; the per-k entropy value is
 with lambda the Lebesgue measure induced by the non-normalized trace
 inner product (matcore's lambda coordinates), and the reported
 extrapolation is max over k of (value - stderr).  ``estimate_chi`` is
-the one sweep over k: plain when m = 0, and when m > 0 the sup at each
-k over a pool of fixed Y-candidates.
+the one sweep over k, with every setting in one checked ``Sweep``:
+plain when m = 0, and when m > 0 the sup at each k over a pool of
+fixed Y-candidates.
 
 Targets come from an explicit table (tracial symmetry enforced: values
 constant on cyclic rotations and reversals, words canonicalized by
@@ -28,10 +29,10 @@ the reference density matched to the target second moments.  Zero
 acceptances yield -inf with a recorded one-sided upper bound.  Sampling
 is chunked over fixed index ranges of the counter-based generator and
 reduced in chunk order, so results are bit-identical for any thread
-count.  Each chunk streams through sub-blocks of rows, each drawn,
-tested and weighed before the next; like the samplers' own sub-blocks,
-their size only bounds memory (about 4 MB of matrices per thread at any
-k) and cannot change a result.
+count (0 means every core).  Each chunk streams through sub-blocks of
+rows, each drawn, tested and weighed before the next; like the
+samplers' own sub-blocks, their size only bounds memory (about 4 MB of
+matrices per thread at any k) and cannot change a result.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import combinations, product
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -208,12 +210,24 @@ class MatrixModel:
         return MatrixModel([self.tuple.mats[i - 1].array for i in letters])
 
 
-class SpecError(ValueError):
-    """An invalid tracial specification; ``problems`` lists every problem."""
+class ProblemsError(ValueError):
+    """Invalid input: ``problems`` lists every problem under ``heading``."""
 
     def __init__(self, problems):
         self.problems = list(problems)
-        super().__init__("invalid specification: " + "; ".join(self.problems))
+        super().__init__(f"{self.heading}: " + "; ".join(self.problems))
+
+
+class SpecError(ProblemsError):
+    """An invalid tracial specification."""
+
+    heading = "invalid specification"
+
+
+class SettingsError(ProblemsError):
+    """Invalid sweep or check settings."""
+
+    heading = "invalid settings"
 
 
 def _is_int(v) -> bool:
@@ -222,6 +236,20 @@ def _is_int(v) -> bool:
 
 def _is_real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _int_problems(name, v, low) -> List[str]:
+    """The problem of a setting that must be an integer >= low, if any."""
+    return [] if _is_int(v) and v >= low else [f"{name} must be an integer >= {low}, not {v!r}"]
+
+
+def _window_problems(l, eps, radius) -> List[str]:
+    """The problems of a window (l, eps, R): depth l >= 0, eps and R > 0."""
+    return _int_problems("l", l, 0) + [
+        f"{name} must be positive and finite, not {v!r}"
+        for name, v in (("eps", eps), ("radius", radius))
+        if not (_is_real(v) and math.isfinite(v) and v > 0)
+    ]
 
 
 class TracialSpec:
@@ -482,17 +510,47 @@ class MicrostateParams:
     radius: float
 
     def __post_init__(self):
-        problems = [
-            f"{name} must be an integer >= {low}, not {v!r}"
-            for name, v, low in (("k", self.k, 1), ("l", self.l, 0))
-            if not (_is_int(v) and v >= low)
-        ] + [
-            f"{name} must be positive and finite, not {v!r}"
-            for name, v in (("eps", self.eps), ("radius", self.radius))
-            if not (_is_real(v) and math.isfinite(v) and v > 0)
-        ]
+        problems = _int_problems("k", self.k, 1) + _window_problems(self.l, self.eps, self.radius)
         if problems:
             raise ValueError("; ".join(problems))
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """The settings of one k sweep, checked once: the window (l, eps,
+    radius) at each k of the ascending k_list, nsamples per k, the base
+    seed, threads (0 means every core) and the Y pool of a conditioned
+    run.  A SettingsError lists every bad setting."""
+
+    k_list: Tuple[int, ...]
+    l: int
+    eps: float
+    radius: float
+    nsamples: int = 100_000
+    seed: int = 0
+    threads: int = 1
+    y_pool: int = 32
+
+    def __post_init__(self):
+        ks = self.k_list
+        ok = isinstance(ks, (list, tuple)) and ks and all(_is_int(k) and k >= 1 for k in ks)
+        problems = [] if ok and list(ks) == sorted(ks) else [
+            f"k_list must be ascending positive integers, not {ks!r}"
+        ]
+        problems += _window_problems(self.l, self.eps, self.radius)
+        for name, low in (("nsamples", 100), ("threads", 0), ("y_pool", 1)):
+            problems += _int_problems(name, getattr(self, name), low)
+        if not _is_int(self.seed):
+            problems.append(f"seed must be an integer, not {self.seed!r}")
+        if problems:
+            raise SettingsError(problems)
+        conv = {"k_list": lambda ks: tuple(map(int, ks)), "eps": float, "radius": float}
+        for f in fields(self):
+            object.__setattr__(self, f.name, conv.get(f.name, int)(getattr(self, f.name)))
+
+    def at(self, k: int) -> MicrostateParams:
+        """The window at matrix size k."""
+        return MicrostateParams(k, self.l, self.eps, self.radius)
 
 
 def _spec_words(spec: TracialSpec, l: int):
@@ -616,6 +674,8 @@ class VolumeEstimate:
 
 
 def _run_chunks(work, starts, threads: int):
+    """work(c) for each start c, in order, on ``threads`` workers (0: every core)."""
+    threads = threads or os.cpu_count() or 1
     if threads <= 1:
         return [work(c) for c in starts]
     with ThreadPoolExecutor(max_workers=threads) as ex:
@@ -802,19 +862,16 @@ def _extrapolate(points: List[ChiPoint]) -> Tuple[float, float]:
     return max(finite, key=lambda t: t[0]) if finite else (float("-inf"), float("inf"))
 
 
-def _sweep(params, k_list, point) -> ChiEstimate:
-    """The one k sweep: ``point(p)`` gives the ChiPoint at each k of an
-    ascending k_list, in order; params.k is ignored.  ``y_used`` joins the
-    y_id of every point that carries one."""
-    ks = [int(k) for k in k_list]
-    if not ks or ks != sorted(ks):
-        raise ValueError("k_list must be nonempty and ascending")
-    pts = [point(replace(params, k=k)) for k in ks]
+def _sweep(sweep: Sweep, point) -> ChiEstimate:
+    """The one k sweep: ``point(p)`` gives the ChiPoint at the window p of
+    each k of sweep.k_list, in order.  ``y_used`` joins the y_id of every
+    point that carries one."""
+    pts = [point(sweep.at(k)) for k in sweep.k_list]
     y_used = "; ".join(f"k={pt.k}:{pt.y_id}" for pt in pts if pt.y_id)
     return ChiEstimate(pts, *_extrapolate(pts), y_used)
 
 
-def _pool_point(spec, p, cands, seed_of, nsamples, threads) -> ChiPoint:
+def _pool_point(spec, p, cands, seed_of, sweep: Sweep) -> ChiPoint:
     """The sup over a pool of (id, Y-tuple) candidates at p.k: candidate ci
     is measured with seed ``seed_of(ci)`` and the first of the largest
     volumes wins.  An empty pool gives the -inf row of an empty sup."""
@@ -824,7 +881,7 @@ def _pool_point(spec, p, cands, seed_of, nsamples, threads) -> ChiPoint:
             f"none (no {p.k}-dim Y-microstates found; empty sup)",
         )
     vols = [
-        estimate_volume(spec, p, "auto", ytup, nsamples, seed_of(ci), threads)
+        estimate_volume(spec, p, "auto", ytup, sweep.nsamples, seed_of(ci), sweep.threads)
         for ci, (_, ytup) in enumerate(cands)
     ]
     best = max(range(len(vols)), key=lambda ci: vols[ci].log_volume)
@@ -901,36 +958,27 @@ def y_candidates(
     return out
 
 
-def estimate_chi(
-    spec: TracialSpec,
-    params: MicrostateParams,
-    k_list: Sequence[int],
-    nsamples: int = 100_000,
-    seed: int = 0,
-    threads: int = 1,
-    y_pool: int = 32,
-) -> ChiEstimate:
-    """Per-k normalized values over a k sweep; params.k is ignored.
+def estimate_chi(spec: TracialSpec, sweep: Sweep) -> ChiEstimate:
+    """Per-k normalized values over the k sweep of ``sweep``.
 
     With Y letters (m > 0) each k is the sup over a pool of up to
-    ``y_pool`` fixed Y-candidates of the X-section's volume; proposing
-    them needs a generator, so a target table with Y letters raises
-    SpecError before any sampling.
+    ``sweep.y_pool`` fixed Y-candidates of the X-section's volume;
+    proposing them needs a generator, so a target table with Y letters
+    raises SpecError before any sampling.
     """
+    seed = sweep.seed
     if spec.m == 0:
         def point(p):
             ve = estimate_volume(
-                spec, p, "auto", None, nsamples, rng.derive(seed, 0xC41, p.k), threads
+                spec, p, "auto", None, sweep.nsamples, rng.derive(seed, 0xC41, p.k), sweep.threads
             )
             return _chi_point(spec, p.k, ve)
     else:
         def point(p):
-            cands = y_candidates(spec, p, y_pool, rng.derive(seed, 0x9CA, p.k))
-            return _pool_point(
-                spec, p, cands, lambda ci: rng.derive(seed, 0xE57, p.k, ci), nsamples, threads
-            )
+            cands = y_candidates(spec, p, sweep.y_pool, rng.derive(seed, 0x9CA, p.k))
+            return _pool_point(spec, p, cands, lambda ci: rng.derive(seed, 0xE57, p.k, ci), sweep)
 
-    return _sweep(params, k_list, point)
+    return _sweep(sweep, point)
 
 
 # --- block maps -----------------------------------------------------------------

@@ -41,34 +41,28 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*\*?$")
 
 
 class CoefficientAlgebra:
-    """Coefficient domain: scalars, or named generator matrices."""
+    """Coefficient domain: named generator matrices; with no generators,
+    the scalars."""
 
     def __init__(self, gens: Optional[Dict[str, np.ndarray]] = None):
-        if gens is None:
-            self.kind = "scalars"
-            self.gens: Dict[str, np.ndarray] = {}
-            self.dim = 0
-            self._sa: Dict[str, bool] = {}
-        else:
-            self.kind = "matrix"
-            self.gens = {}
-            self._sa = {}
-            dim = None
-            for name, value in gens.items():
-                if _INDET_RE.match(name) or not _NAME_RE.match(name) or name.endswith("*"):
-                    raise ValueError(f"generator name {name!r} collides with the term grammar")
-                a = np.asarray(value, dtype=np.complex128)
-                if a.ndim != 2 or a.shape[0] != a.shape[1]:
-                    raise ValueError(f"generator {name!r} is not square")
-                if not np.isfinite(a).all():
-                    raise ValueError(f"generator {name!r} has non-finite entries")
-                if dim is None:
-                    dim = a.shape[0]
-                elif a.shape[0] != dim:
-                    raise ValueError("generators must share one dimension")
-                self.gens[name] = a
-                self._sa[name] = bool(np.max(np.abs(a - a.conj().T)) == 0.0)
-            self.dim = dim or 0
+        self.gens: Dict[str, np.ndarray] = {}
+        self._sa: Dict[str, bool] = {}
+        dim = None
+        for name, value in (gens or {}).items():
+            if _INDET_RE.match(name) or not _NAME_RE.match(name) or name.endswith("*"):
+                raise ValueError(f"generator name {name!r} collides with the term grammar")
+            a = np.asarray(value, dtype=np.complex128)
+            if a.ndim != 2 or a.shape[0] != a.shape[1]:
+                raise ValueError(f"generator {name!r} is not square")
+            if not np.isfinite(a).all():
+                raise ValueError(f"generator {name!r} has non-finite entries")
+            if dim is None:
+                dim = a.shape[0]
+            elif a.shape[0] != dim:
+                raise ValueError("generators must share one dimension")
+            self.gens[name] = a
+            self._sa[name] = bool(np.max(np.abs(a - a.conj().T)) == 0.0)
+        self.dim = dim or 0
         self._norms: Dict[str, float] = {}
 
     @classmethod
@@ -93,16 +87,12 @@ class CoefficientAlgebra:
     def __eq__(self, other):
         if not isinstance(other, CoefficientAlgebra):
             return NotImplemented
-        if self.kind != other.kind:
-            return False
-        if self.kind == "scalars":
-            return True
         return self.gens.keys() == other.gens.keys() and all(
             np.array_equal(self.gens[k], other.gens[k]) for k in self.gens
         )
 
     def __repr__(self):
-        if self.kind == "scalars":
+        if not self.gens:
             return "CoefficientAlgebra(scalars)"
         return f"CoefficientAlgebra({len(self.gens)} generators, dim={self.dim})"
 
@@ -110,9 +100,9 @@ class CoefficientAlgebra:
 def _join(a: CoefficientAlgebra, b: CoefficientAlgebra) -> CoefficientAlgebra:
     if a is b or a == b:
         return a
-    if a.kind == "scalars":
+    if not a.gens:
         return b
-    if b.kind == "scalars":
+    if not b.gens:
         return a
     raise ValueError("mismatched coefficient algebras")
 
@@ -352,7 +342,7 @@ class _Evaluator:
         self.k = t.dim
         self.eye = np.eye(self.k, dtype=np.complex128)
         self.gens = {}
-        if alg.kind == "matrix":
+        if alg.gens:
             d = alg.dim
             if self.k % d != 0:
                 raise ValueError(
@@ -725,7 +715,7 @@ def parse_poly(text: str, n: int, algebra: Optional[CoefficientAlgebra] = None) 
             continue
         star = tok.endswith("*")
         name = tok[:-1] if star else tok
-        if alg.kind == "matrix" and name in alg.gens:
+        if name in alg.gens:
             cur_coefs[-1].append((name, star))
             saw_any = True
             continue

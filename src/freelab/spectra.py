@@ -237,7 +237,7 @@ class SpectralMeasure:
         if self.kind == "uniform":
             a, b = self.support
             return a + (b - a) * u
-        g = self if self.kind == "grid" else self.to_grid()
+        g = self.to_grid()
         x = g.grid()
         h = x[1] - x[0]
         cdf = np.concatenate([[0.0], np.cumsum((g.values[1:] + g.values[:-1]) * h / 2.0)])
@@ -445,7 +445,7 @@ def pushforward(mu: SpectralMeasure, f: ScalarField) -> SpectralMeasure:
     if not f.diffeo:
         raise ValueError("pushforward of a density needs a monotone field")
     _field_over(mu, f)
-    g = mu if mu.kind == "grid" else mu.to_grid()
+    g = mu.to_grid()
     x = g.grid()
     fx = f(x)
     if not f.increasing:
@@ -512,9 +512,7 @@ def conjugate_variable(mu: SpectralMeasure, npoints: int = _GRID_N) -> ScalarFie
     variance c^2 this gives J(x) = x / c^2; J(semicircle(1)) = id is
     the normalization anchor fixing the factor 2.
     """
-    g = mu if mu.kind == "grid" else mu.to_grid(npoints)
-    if g.kind != "grid":
-        raise ValueError("conjugate variable needs a density")
+    g = mu.to_grid(npoints)
     x = g.grid()
     p = g.values
     h = x[1] - x[0]
@@ -545,7 +543,7 @@ def inner_product_stationarity(mu: SpectralMeasure, coeffs) -> tuple[float, floa
     Equality of the two is the stationarity test passed by the
     semicircle law; coeffs are ascending polynomial coefficients.
     """
-    g = mu if mu.kind == "grid" else mu.to_grid()
+    g = mu.to_grid()
     j = conjugate_variable(g)
     x = g.grid()
     h = x[1] - x[0]

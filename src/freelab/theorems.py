@@ -10,7 +10,7 @@ configuration and seed.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Tuple
 
 import numpy as np
@@ -62,10 +62,10 @@ def _est_dict(est: ms.ChiEstimate) -> dict:
     }
 
 
-_MC_DEFAULTS = {
-    "k_list": (2, 3, 4, 5, 6), "nsamples": 50_000, "l": 2, "eps": 0.45,
-    "radius": 4.0, "seed": 0, "threads": 1, "y_pool": 8,
-}
+_MC_DEFAULTS = ms.Sweep(
+    k_list=(2, 3, 4, 5, 6), l=2, eps=0.45, radius=4.0, nsamples=50_000, seed=0, threads=1,
+    y_pool=8,
+)
 
 
 # x - c x^3 is increasing on the T-CONJ and T-COVGEN field domain
@@ -106,36 +106,24 @@ _CHECK_KEYS = {
 def _mc_cfg(cfg: dict) -> dict:
     """The settings of cfg over the Monte Carlo defaults, converted.
 
-    The one validator of a check configuration: a ValueError names every
-    bad key, the Monte Carlo ones and the per-check ones of _CHECK_KEYS
-    alike, and the window (l, eps, radius) is checked by MicrostateParams.
-    The per-check keys are returned only when cfg has them.
+    The one validator of a check configuration: a SettingsError lists
+    every bad key, the sweep's (checked by ms.Sweep) and the per-check
+    ones of _CHECK_KEYS alike.  Returns the sweep as "sweep" and the
+    per-check keys that cfg has.
     """
-    c = {key: cfg.get(key, default) for key, default in _MC_DEFAULTS.items()}
-    ks = c["k_list"]
-    problems = []
-    if not (
-        isinstance(ks, (list, tuple)) and ks
-        and all(ms._is_int(k) and k >= 1 for k in ks) and list(ks) == sorted(ks)
-    ):
-        problems.append(f"k_list must be ascending positive integers, not {ks!r}")
-    for key, low in (("nsamples", 100), ("threads", 1), ("y_pool", 1)):
-        if not (ms._is_int(c[key]) and c[key] >= low):
-            problems.append(f"{key} must be an integer >= {low}, not {c[key]!r}")
-    if not ms._is_int(c["seed"]):
-        problems.append(f"seed must be an integer, not {c['seed']!r}")
+    settings = {f.name: cfg[f.name] for f in fields(ms.Sweep) if f.name in cfg}
     try:
-        ms.MicrostateParams(k=1, l=c["l"], eps=c["eps"], radius=c["radius"])
-    except ValueError as e:
-        problems.append(str(e))
-    for key, (ok, what, _) in _CHECK_KEYS.items():
-        if key in cfg and not ok(cfg[key]):
-            problems.append(f"{key} must be {what}, not {cfg[key]!r}")
+        sweep, problems = replace(_MC_DEFAULTS, **settings), []
+    except ms.SettingsError as e:
+        sweep, problems = None, e.problems
+    problems += [
+        f"{key} must be {what}, not {cfg[key]!r}"
+        for key, (ok, what, _) in _CHECK_KEYS.items() if key in cfg and not ok(cfg[key])
+    ]
     if problems:
-        raise ValueError("invalid check configuration: " + "; ".join(problems))
-    out = {key: int(c[key]) for key in ("nsamples", "l", "seed", "threads", "y_pool")}
-    out.update(k_list=tuple(int(k) for k in ks), eps=float(c["eps"]), radius=float(c["radius"]))
-    out.update((key, conv(cfg[key])) for key, (_, _, conv) in _CHECK_KEYS.items() if key in cfg)
+        raise ms.SettingsError(problems)
+    out = {key: conv(cfg[key]) for key, (_, _, conv) in _CHECK_KEYS.items() if key in cfg}
+    out["sweep"] = sweep
     return out
 
 
@@ -147,18 +135,12 @@ def _ta():
     return spectra.SpectralMeasure.atomic([(-1.0, 0.5), (1.0, 0.5)])
 
 
-def _params(c):
-    return ms.MicrostateParams(k=1, l=c["l"], eps=c["eps"], radius=c["radius"])
-
-
 def _chi(c, tag, n, m, *factors):
     """The sweep of the free model whose letter i is factor i, conditioned
     over a Y pool when it has Y letters (m > 0)."""
-    spec = ms.TracialSpec.free_model(n, m, c["l"], list(factors), list(range(n + m)))
-    return ms.estimate_chi(
-        spec, _params(c), c["k_list"], nsamples=c["nsamples"],
-        seed=rng.derive(c["seed"], tag), threads=c["threads"], y_pool=c["y_pool"],
-    )
+    sweep = c["sweep"]
+    spec = ms.TracialSpec.free_model(n, m, sweep.l, list(factors), list(range(n + m)))
+    return ms.estimate_chi(spec, replace(sweep, seed=rng.derive(sweep.seed, tag)))
 
 
 def _free_pair(c, t_joint, t_x, t_y):
@@ -233,7 +215,7 @@ def _chk_maxbound(c):
     ok, tol = _one_sided(est.extrapolated, est.sigma, bound, 0.0)
     return "<=", est.extrapolated, bound, tol, ok, {
         "variance": 1.0,
-        "window_fattened_bound": 0.5 * math.log(2.0 * math.pi * math.e * (1.0 + c["eps"])),
+        "window_fattened_bound": 0.5 * math.log(2.0 * math.pi * math.e * (1 + c["sweep"].eps)),
         "estimate": _est_dict(est),
     }
 
@@ -286,11 +268,11 @@ def _chk_gen(c):
     its moments are exactly realized by quantile diagonals whenever
     4 | k, so both runs see faithful Y-microstates at the default sweep.
     """
-    powers = c["gen_powers"]
+    powers, s = c["gen_powers"], c["sweep"]
     sc = _sc()
     tb = spectra.SpectralMeasure.atomic([(-1.0, 0.25), (0.0, 0.5), (1.0, 0.25)])
     model = ms.FreeModel([sc, tb], [0, 1])
-    spec_y = ms.TracialSpec.free_model(1, 1, c["l"], [sc, tb], [0, 1])
+    spec_y = ms.TracialSpec.free_model(1, 1, s.l, [sc, tb], [0, 1])
 
     # targets for (X, Y^p1, ..., Y^pr) by expanding each letter into ys
     expand = {1: (1,)}
@@ -298,23 +280,23 @@ def _chk_gen(c):
         expand[2 + j] = (2,) * p
     targets = {}
     letters = 1 + len(powers)
-    for length in range(1, c["l"] + 1):
+    for length in range(1, s.l + 1):
         for w in np.ndindex(*([letters] * length)):
             word = tuple(int(i) + 1 for i in w)
             flat = tuple(i for letter in word for i in expand[letter])
             targets[ms.canonical_word(word)] = model.word_moment(ms.canonical_word(flat))
-    spec_z = ms.TracialSpec.from_targets(1, len(powers), c["l"], targets)
+    spec_z = ms.TracialSpec.from_targets(1, len(powers), s.l, targets)
 
     def sweep(spec, tag, image):
         # both sweeps draw the same pool per k; Z sees each candidate's powers
         def point(p):
-            pool = ms.y_candidates(spec_y, p, c["y_pool"], rng.derive(c["seed"], 0x47, p.k))
+            pool = ms.y_candidates(spec_y, p, s.y_pool, rng.derive(s.seed, 0x47, p.k))
             return ms._pool_point(
                 spec, p, [(desc, image(ytup)) for desc, ytup in pool],
-                lambda ci: rng.derive(c["seed"], tag, p.k, ci), c["nsamples"], c["threads"],
+                lambda ci: rng.derive(s.seed, tag, p.k, ci), s,
             )
 
-        return ms._sweep(_params(c), c["k_list"], point)
+        return ms._sweep(s, point)
 
     def powers_of(ytup):
         yb = ytup.mats[0].array
@@ -402,8 +384,8 @@ def _chk_covgen(c):
     F1 = ncalg.NcPoly.scalar(2, cth) * u + ncalg.NcPoly.scalar(2, sth) * v
     F2 = ncalg.NcPoly.scalar(2, -sth) * u + ncalg.NcPoly.scalar(2, cth) * v
     pair = matcore.MatrixTuple(
-        [matcore.sample_gue(6, 1.0, rng.derive(c["seed"], 1)),
-         matcore.sample_gue(6, 1.0, rng.derive(c["seed"], 2))]
+        [matcore.sample_gue(6, 1.0, rng.derive(c["sweep"].seed, 1)),
+         matcore.sample_gue(6, 1.0, rng.derive(c["sweep"].seed, 2))]
     )
     rotation = ncalg.logabs_functional(ncalg.jacobian([F1, F2], pair))
 
@@ -565,7 +547,7 @@ def _chk_block(c):
             rows.append({"N": big_n, "n": n, "lhs": lhs, "rhs": rhs})
             worst = max(worst, abs(lhs - rhs))
 
-    z = matcore.MatrixTuple([matcore.sample_gue(6, 1.0, rng.derive(c["seed"], 9))])
+    z = matcore.MatrixTuple([matcore.sample_gue(6, 1.0, rng.derive(c["sweep"].seed, 9))])
     parts = ms.block_split(z, 2)
     back = ms.block_assemble(parts, 2)
     roundtrip = float(np.max(np.abs(back.mats[0].array - z.mats[0].array)))
@@ -623,5 +605,5 @@ def check(check_id: str, **cfg) -> CheckReport:
     c = _mc_cfg({**defaults, **cfg})
     relation, lhs, rhs, tol, passed, diagnostics = run(c)
     return CheckReport(
-        check_id, relation, lhs, rhs, tol, passed, statistical, c["seed"], diagnostics
+        check_id, relation, lhs, rhs, tol, passed, statistical, c["sweep"].seed, diagnostics
     )

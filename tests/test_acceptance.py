@@ -7,6 +7,7 @@ and bound by the stated wall-clock budgets.
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -227,19 +228,15 @@ def test_criterion_09_mc_pipeline_sanity():
 
     # default sweep at a million samples per point
     spec = TracialSpec.from_targets(1, 0, 4, SC_TARGETS)
-    params = MicrostateParams(k=2, l=4, eps=0.4, radius=4.0)
-    est = ms.estimate_chi(
-        spec, params, [2, 3, 4, 5], nsamples=1_000_000, seed=2026, threads=4
-    )
+    sweep = ms.Sweep([2, 3, 4, 5], 4, 0.4, 4.0, nsamples=1_000_000, seed=2026, threads=4)
+    est = ms.estimate_chi(spec, sweep)
     gap = abs(est.extrapolated - 1.4189)
     assert gap < 0.5
 
     sc = spectra.SpectralMeasure("semicircle", variance=1.0)
     ta = spectra.SpectralMeasure("atomic", atoms=[(-1.0, 0.5), (1.0, 0.5)])
     rel_spec = TracialSpec.free_model(1, 1, 4, [sc, ta], [0, 1])
-    rel = ms.estimate_chi(
-        rel_spec, params, [2, 3, 4, 5], nsamples=200_000, seed=77, threads=4, y_pool=8
-    )
+    rel = ms.estimate_chi(rel_spec, replace(sweep, nsamples=200_000, seed=77, y_pool=8))
     rel_gap = abs(rel.extrapolated - 1.4189)
     assert rel_gap < 0.6
     _pass(

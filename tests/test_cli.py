@@ -441,7 +441,7 @@ def test_chi_mc_pool_below_one_is_a_usage_error(tmp_path, capsys, pool):
     )
     assert code == 2
     assert out == ""
-    assert "y-pool must be an integer >= 1" in err
+    assert "y_pool must be an integer >= 1" in err
 
 
 @pytest.mark.parametrize("flag,value,low", [("--samples", "99", 100), ("--threads", "-1", 0)])
@@ -457,6 +457,31 @@ def test_chi_mc_bad_samples_or_threads_exit_2_before_sampling(tmp_path, capsys, 
     assert code == 2
     assert out == ""
     assert f"{flag[2:]} must be an integer >= {low}, not {value}" in err
+
+
+def test_chi_mc_lists_every_bad_setting(tmp_path, capsys):
+    # it named only the k list, the first bad setting it met
+    spec = write_json(tmp_path / "spec.json", SC_SPEC)
+    code, out, err = run(
+        capsys, "chi-mc", "--spec", spec, "--k", "3,2", "--samples", "99", "--y-pool", "0",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "error: invalid settings:",
+        "  - k_list must be ascending positive integers, not [3, 2]",
+        "  - nsamples must be an integer >= 100, not 99",
+        "  - y_pool must be an integer >= 1, not 0",
+    ]
+
+
+def test_chi_mc_and_check_state_one_threads_rule(tmp_path, capsys):
+    # chi-mc asked for threads >= 0 and check for >= 1, though both read 0 as every core
+    spec = write_json(tmp_path / "spec.json", SC_SPEC)
+    for argv in (["chi-mc", "--spec", spec, "--k", "2"], ["check", "T-BLOCK"]):
+        code, out, err = run(capsys, *argv, "--threads", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: invalid settings:\n  - threads must be an integer >= 0, not -1\n"
 
 
 def test_chi_mc_relative_y_id_column(tmp_path, capsys):
@@ -559,12 +584,13 @@ def test_check_flags_override_config_file(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize(
     "config, flags, want",
-    [({"threads": 7}, [], 7), ({"threads": 7}, ["--threads", "3"], 3), ({}, [], "cores")],
+    [({"threads": 7}, [], 7), ({"threads": 7}, ["--threads", "3"], 3), ({}, [], 0)],
     ids=["config", "flag-over-config", "default-all-cores"],
 )
 def test_check_threads_order_is_flag_config_all_cores(tmp_path, monkeypatch, capsys,
                                                       config, flags, want):
-    # the flag once defaulted to 0 and so always replaced the config's threads
+    # the flag once defaulted to 0 and so always replaced the config's threads;
+    # 0 means every core, which the estimator's executor resolves
     captured = {}
 
     def fake(cid, **cfg):
@@ -575,11 +601,10 @@ def test_check_threads_order_is_flag_config_all_cores(tmp_path, monkeypatch, cap
         )
 
     monkeypatch.setattr(cli.theorems, "check", fake)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 5)
     cfg_path = write_json(tmp_path / "cfg.json", config)
     code, _, _ = run(capsys, "check", "T-BLOCK", "--config", cfg_path, *flags)
     assert code == 0
-    assert captured["threads"] == (5 if want == "cores" else want)
+    assert captured["threads"] == want
 
 
 @pytest.mark.parametrize(

@@ -4,13 +4,14 @@ chi sweeps (plain and relative), and block decompositions."""
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from freelab import matcore, microstates as ms, rng, spectra
-from freelab.microstates import MicrostateParams, TracialSpec
+from freelab.microstates import MicrostateParams, Sweep, TracialSpec
 
 
 def semicircle():
@@ -562,8 +563,7 @@ def test_volume_validation_errors():
 
 def test_chi_normalization_identity():
     spec = TracialSpec.from_targets(1, 0, 0, {})
-    p = MicrostateParams(k=1, l=0, eps=0.1, radius=2.0)
-    est = ms.estimate_chi(spec, p, [1, 2], nsamples=1000, seed=1)  # ball at k <= 2
+    est = ms.estimate_chi(spec, Sweep([1, 2], 0, 0.1, 2.0, nsamples=1000, seed=1))  # ball at k <= 2
     # k = 1: interval volume is exact and the stderr vanishes
     assert est.per_k[0].value == pytest.approx(math.log(4.0), abs=1e-14)
     assert est.per_k[0].stderr == 0.0
@@ -579,8 +579,7 @@ def test_chi_normalization_identity():
 
 def test_chi_semicircle_sweep_approaches_the_limit():
     spec = sc_spec()
-    p = MicrostateParams(k=1, l=4, eps=0.4, radius=4.0)
-    est = ms.estimate_chi(spec, p, [2, 3, 4], nsamples=30_000, seed=11)
+    est = ms.estimate_chi(spec, Sweep([2, 3, 4], 4, 0.4, 4.0, nsamples=30_000, seed=11))
     vals = [pt.value for pt in est.per_k]
     assert vals[0] < vals[1] < vals[2]
     assert 1.0 < est.extrapolated < 1.45
@@ -588,21 +587,60 @@ def test_chi_semicircle_sweep_approaches_the_limit():
 
 def test_chi_rerun_is_bitwise_deterministic():
     spec = sc_spec(2)
-    p = MicrostateParams(k=1, l=2, eps=0.4, radius=4.0)
-    a = ms.estimate_chi(spec, p, [2, 3], nsamples=20_000, seed=5)
-    b = ms.estimate_chi(spec, p, [2, 3], nsamples=20_000, seed=5)
+    sweep = Sweep([2, 3], 2, 0.4, 4.0, nsamples=20_000, seed=5)
+    a = ms.estimate_chi(spec, sweep)
+    b = ms.estimate_chi(spec, sweep)
     assert a == b
 
 
 def test_chi_input_validation():
     spec = sc_spec(2)
-    p = MicrostateParams(k=1, l=2, eps=0.4, radius=4.0)
     with pytest.raises(ValueError, match="ascending"):
-        ms.estimate_chi(spec, p, [3, 2], nsamples=1000)
+        ms.estimate_chi(spec, Sweep([3, 2], 2, 0.4, 4.0, nsamples=1000))
     with pytest.raises(ValueError, match="ascending"):
-        ms.estimate_chi(spec, p, [], nsamples=1000)
+        ms.estimate_chi(spec, Sweep([], 2, 0.4, 4.0, nsamples=1000))
     with pytest.raises(ValueError, match="ascending"):
-        ms.estimate_chi(free_pair_spec(2), p, [3, 2], y_pool=2, nsamples=1000)
+        ms.estimate_chi(free_pair_spec(2), Sweep([3, 2], 2, 0.4, 4.0, nsamples=1000, y_pool=2))
+
+
+def test_sweep_lists_every_bad_setting_and_stores_converted_values():
+    with pytest.raises(ms.SettingsError) as err:
+        Sweep((2, 1), -1, 0.0, float("inf"), nsamples=99, seed="s", threads=-1, y_pool=0)
+    assert err.value.heading == "invalid settings"
+    assert err.value.problems == [
+        "k_list must be ascending positive integers, not (2, 1)",
+        "l must be an integer >= 0, not -1",
+        "eps must be positive and finite, not 0.0",
+        "radius must be positive and finite, not inf",
+        "nsamples must be an integer >= 100, not 99",
+        "threads must be an integer >= 0, not -1",
+        "y_pool must be an integer >= 1, not 0",
+        "seed must be an integer, not 's'",
+    ]
+    sweep = Sweep([np.int64(2), 3], np.int64(2), 1, 4, nsamples=np.int64(100))
+    assert sweep == Sweep((2, 3), 2, 1.0, 4.0, nsamples=100)
+    assert type(sweep.k_list) is tuple and type(sweep.eps) is float
+    assert type(sweep.nsamples) is int
+    assert sweep.at(3) == MicrostateParams(k=3, l=2, eps=1.0, radius=4.0)
+
+
+def test_chi_on_every_core_is_bit_identical_to_one_thread(monkeypatch):
+    # threads 0 means every core: two here, and 8,192 samples are two chunks
+    workers = []
+    pool = ms.ThreadPoolExecutor
+
+    def recording(max_workers):
+        workers.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(ms.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(ms, "ThreadPoolExecutor", recording)
+    spec = sc_spec(2)
+    sweep = Sweep([3, 4], 2, 0.4, 4.0, nsamples=8192, seed=4, threads=1)
+    one = ms.estimate_chi(spec, sweep)
+    assert workers == []
+    assert ms.estimate_chi(spec, replace(sweep, threads=0)) == one
+    assert workers == [2, 2]
 
 
 # --- relative chi -------------------------------------------------------------------
@@ -628,8 +666,7 @@ def test_y_candidates_pass_the_marginal_test():
 
 def test_relative_chi_of_a_free_pair_matches_the_x_marginal():
     spec = free_pair_spec()
-    p = MicrostateParams(k=1, l=3, eps=0.4, radius=4.0)
-    est = ms.estimate_chi(spec, p, [2, 3], y_pool=6, nsamples=20_000, seed=21)
+    est = ms.estimate_chi(spec, Sweep([2, 3], 3, 0.4, 4.0, nsamples=20_000, seed=21, y_pool=6))
     assert 0.8 < est.extrapolated < 1.5
     assert est.y_used.startswith("k=2:") and "; k=3:" in est.y_used
     assert est.y_used == "; ".join(f"k={pt.k}:{pt.y_id}" for pt in est.per_k)
@@ -638,25 +675,24 @@ def test_relative_chi_of_a_free_pair_matches_the_x_marginal():
 
 def test_relative_chi_detects_exact_correlation():
     corr = TracialSpec.free_model(1, 1, 4, [semicircle()], [0, 0])
-    p = MicrostateParams(k=1, l=2, eps=0.2, radius=4.0)
-    rel = ms.estimate_chi(corr, p, [3, 4], y_pool=4, nsamples=30_000, seed=22)
-    plain = ms.estimate_chi(corr.marginal([1]), p, [3, 4], nsamples=30_000, seed=23)
+    sweep = Sweep([3, 4], 2, 0.2, 4.0, nsamples=30_000)
+    rel = ms.estimate_chi(corr, replace(sweep, seed=22, y_pool=4))
+    plain = ms.estimate_chi(corr.marginal([1]), replace(sweep, seed=23))
     for rp, pp in zip(rel.per_k, plain.per_k):
         assert pp.value - rp.value > 0.25
 
 
 def test_relative_reduces_to_plain_without_y_letters():
     spec = sc_spec(2)
-    p = MicrostateParams(k=1, l=2, eps=0.4, radius=4.0)
-    a = ms.estimate_chi(spec, p, [2], nsamples=5000, seed=3, y_pool=4)
-    b = ms.estimate_chi(spec, p, [2], nsamples=5000, seed=3)
+    sweep = Sweep([2], 2, 0.4, 4.0, nsamples=5000, seed=3)
+    a = ms.estimate_chi(spec, replace(sweep, y_pool=4))
+    b = ms.estimate_chi(spec, sweep)
     assert a == b and not a.y_used
 
 
 def test_pool_of_minus_inf_volumes_names_its_first_candidate(monkeypatch):
     # the Y law's quantile diagonals pass a tiny window, no X sample does
     spec = free_pair_spec(2)
-    p = MicrostateParams(k=1, l=2, eps=1e-3, radius=4.0)
     vols = []
     real = ms.estimate_volume
 
@@ -666,7 +702,7 @@ def test_pool_of_minus_inf_volumes_names_its_first_candidate(monkeypatch):
         return ve
 
     monkeypatch.setattr(ms, "estimate_volume", recording)
-    est = ms.estimate_chi(spec, p, [2], y_pool=3, nsamples=300, seed=8)
+    est = ms.estimate_chi(spec, Sweep([2], 2, 1e-3, 4.0, nsamples=300, seed=8, y_pool=3))
     assert vols == [float("-inf")] * 3
     assert est.per_k[0].log_volume == float("-inf")
     assert est.per_k[0].y_id == "free#0"
@@ -675,8 +711,7 @@ def test_pool_of_minus_inf_volumes_names_its_first_candidate(monkeypatch):
 
 def test_relative_empty_pool_reports_minus_inf():
     spec = free_pair_spec(2)
-    p = MicrostateParams(k=1, l=2, eps=0.05, radius=4.0)
-    est = ms.estimate_chi(spec, p, [1], y_pool=4, nsamples=200, seed=25)
+    est = ms.estimate_chi(spec, Sweep([1], 2, 0.05, 4.0, nsamples=200, seed=25, y_pool=4))
     assert est.extrapolated == float("-inf")
     assert "empty sup" in est.y_used
     assert est.per_k[0].value == float("-inf")

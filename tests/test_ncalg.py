@@ -75,6 +75,19 @@ def test_mismatched_algebras_rejected():
         f * g
 
 
+def test_the_algebra_with_no_generators_is_the_scalars():
+    # it compared unequal to scalars() and evaluating over it divided by dimension 0
+    empty = CoefficientAlgebra.matrix_model({})
+    assert empty == CoefficientAlgebra.scalars()
+    assert repr(empty) == "CoefficientAlgebra(scalars)"
+    x = sa(np.diag([2.0, -1.0]))
+    f = NcPoly.indet(1, 1, empty) * NcPoly.indet(1, 1, empty) + 0.5
+    assert f == NcPoly.indet(1, 1) * NcPoly.indet(1, 1) + 0.5
+    got = as_array(ncalg.evaluate(f, matcore.MatrixTuple([x])))
+    assert np.array_equal(got, np.diag([4.5, 1.5]))
+    assert ncalg.parse_poly("t1 t1 + 0.5", 1, empty) == f
+
+
 def test_mismatched_arities_rejected():
     # a sum kept the left operand's arity, so f + g and g + f differed
     f, g = NcPoly.indet(2, 1), NcPoly.indet(3, 1)

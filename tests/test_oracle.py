@@ -16,6 +16,17 @@ and its volume is
 over that s interval, with V_m(r) the volume of the m-ball of radius r.
 The operator-norm cutoff cannot bind once R >= sqrt(k (t2 + eps)), the
 radius of the outer Hilbert-Schmidt ball; R = 6 covers k <= 24.
+
+With a fixed Y, tr(x y) is one more linear form.  For the free pair of a
+semicircle X and the two-atom law +-1 as Y, at Y = diag(+1 (k/2 times),
+-1 (k/2 times)), the unit vectors 1/sqrt(k) and Y/sqrt(k) are orthogonal,
+so with s1 = tr x / sqrt(k), s2 = tr(x Y) / sqrt(k) and the other
+d - 2 coordinates as x_rest the window is
+
+    |s1|, |s2| < eps sqrt(k),   k (1 - eps) < s1^2 + s2^2 + ||x_rest||^2 < k (1 + eps),
+
+a two-dimensional integral of (d - 2)-dimensional shell volumes.  The
+words in Y alone trace exactly to their targets 0 and 1.
 """
 
 import math
@@ -23,7 +34,7 @@ import math
 import numpy as np
 import pytest
 
-from freelab import microstates as ms, spectra
+from freelab import matcore, microstates as ms, spectra
 
 T1, T2, EPS, RADIUS = 0.0, 1.0, 0.4, 6.0
 SAMPLES, SEED = 4096, 1
@@ -51,6 +62,26 @@ def oracle_log_volume(k, t1=T1, t2=T2, eps=EPS, nodes=20_001):
     w[[0, -1]] *= 0.5
     top = f.max()
     return top + math.log(np.sum(w * np.exp(f - top)))
+
+
+def fixed_y_oracle_log_volume(k, eps=EPS, nodes=2_001, rows=128):
+    """log vol of the fixed-Y window by the trapezoid rule over (s1, s2),
+    summed in blocks of ``rows`` values of s1."""
+    m = k * k - 2
+    s = np.linspace(-eps * math.sqrt(k), eps * math.sqrt(k), nodes)
+    logw = np.full(nodes, math.log(s[1] - s[0]))
+    logw[[0, -1]] -= math.log(2.0)
+    blocks = []
+    for r in range(0, nodes, rows):
+        q = s[r : r + rows, None] ** 2 + s**2
+        outer = k * (1.0 + eps) - q
+        inner = np.maximum(k * (1.0 - eps) - q, 0.0)
+        f = _log_ball(m, np.sqrt(outer)) + np.log1p(-((inner / outer) ** (0.5 * m)))
+        f += logw[r : r + rows, None] + logw
+        top = f.max()
+        blocks.append(top + math.log(np.sum(np.exp(f - top))))
+    top = max(blocks)
+    return top + math.log(sum(math.exp(b - top) for b in blocks))
 
 
 def _estimate(k, sampler):
@@ -90,3 +121,38 @@ def test_importance_matches_the_oracle(k):
     # k = 16 is left out: its error is 1 to 12 stated stderr, depending on the seed
     est = _estimate(k, "importance")
     assert abs(est.log_volume - oracle_log_volume(k)) <= 4.0 * est.stderr_log
+
+
+FIXED_Y = [(2, 1.862), (4, 11.985), (6, 22.446), (8, 32.372), (10, 40.711), (12, 46.581)]
+
+
+def _estimate_fixed_y(k, sampler):
+    spec = ms.TracialSpec.free_model(
+        1, 1, 2,
+        [spectra.SpectralMeasure.semicircle(1.0),
+         spectra.SpectralMeasure.atomic([(-1.0, 0.5), (1.0, 0.5)])],
+        [0, 1],
+    )
+    y = matcore.MatrixTuple(
+        [matcore.SelfAdjointMatrix.hermitian_part(np.diag([1.0] * (k // 2) + [-1.0] * (k // 2)))]
+    )
+    p = ms.MicrostateParams(k=k, l=2, eps=EPS, radius=RADIUS)
+    return ms.estimate_volume(spec, p, sampler, y=y, nsamples=SAMPLES, seed=SEED)
+
+
+@pytest.mark.parametrize("k,want", FIXED_Y)
+def test_fixed_y_oracle_values(k, want):
+    assert math.sqrt(k * (1.0 + EPS)) <= RADIUS
+    assert fixed_y_oracle_log_volume(k) == pytest.approx(want, abs=1e-3)
+
+
+@pytest.mark.parametrize("k", [k for k, _ in FIXED_Y])
+def test_ball_matches_the_fixed_y_oracle(k):
+    est = _estimate_fixed_y(k, "ball")
+    assert abs(est.log_volume - fixed_y_oracle_log_volume(k)) <= 4.0 * est.stderr_log + 0.005
+
+
+@pytest.mark.parametrize("k", [k for k, _ in FIXED_Y])
+def test_importance_matches_the_fixed_y_oracle(k):
+    est = _estimate_fixed_y(k, "importance")
+    assert abs(est.log_volume - fixed_y_oracle_log_volume(k)) <= 4.0 * est.stderr_log
