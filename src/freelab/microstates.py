@@ -12,9 +12,9 @@ of matching X-tuples; the per-k entropy value is
 with lambda the Lebesgue measure induced by the non-normalized trace
 inner product (matcore's lambda coordinates), and the reported
 extrapolation is max over k of (value - stderr).  ``estimate_chi`` is
-the one sweep over k, with every setting in one checked ``Sweep``:
-plain when m = 0, and when m > 0 the sup at each k over a pool of
-fixed Y-candidates.
+the one sweep over k, with every setting in one checked ``Sweep``: at
+each k the sup over a pool of fixed Y-candidates, where the plain
+estimate (m = 0) is the pool of one empty candidate.
 
 Targets come from an explicit table (tracial symmetry enforced: values
 constant on cyclic rotations and reversals, words canonicalized by
@@ -23,9 +23,10 @@ length: a free family of scalar laws (moments via non-crossing cumulant
 sums) or an explicit matrix model, whose traces may be complex and are
 conjugated for a word whose canonical form is a rotation of its reversal.
 
-Estimators: ball rejection (uniform in the Hilbert-Schmidt ball that
-contains the operator-norm ball) and Gaussian importance sampling with
-the reference density matched to the target second moments.  Zero
+One estimator streams the log-weights of accepted draws from either of
+two proposals: ball rejection (uniform in the Hilbert-Schmidt ball that
+contains the set; every weight equal) and Gaussian importance sampling
+with the reference density matched to the target second moments.  Zero
 acceptances yield -inf with a recorded one-sided upper bound.  Sampling
 is chunked over fixed index ranges of the counter-based generator and
 reduced in chunk order, so results are bit-identical for any thread
@@ -131,8 +132,6 @@ def _cumulants(moments: List[float]) -> List[float]:
 class FreeModel:
     """Free family of scalar laws; letters may share a factor (aliasing)."""
 
-    kind = "free"
-
     def __init__(self, factors: Sequence[spectra.SpectralMeasure], assign: Sequence[int]):
         self.factors = list(factors)
         self.assign = tuple(int(a) for a in assign)
@@ -187,8 +186,6 @@ class MatrixModel:
     is stored as a float when the reversal of w is one of its rotations,
     which makes it real.
     """
-
-    kind = "matrix"
 
     def __init__(self, mats: Sequence[np.ndarray]):
         self.tuple = matcore.MatrixTuple(
@@ -382,22 +379,16 @@ class TracialSpec:
     # marginals ---------------------------------------------------------------
 
     def marginal(self, letters: Sequence[int]) -> "TracialSpec":
-        """Sub-specification on the given 1-based letters, all as X."""
+        """Sub-specification of a generator's model on the given 1-based
+        letters, all as X; a target table has no generator to restrict."""
         letters = tuple(int(i) for i in letters)
         if any(i < 1 or i > self.letters for i in letters):
             raise ValueError("marginal letter out of range")
-        if self.generator is not None:
-            return TracialSpec(
-                len(letters), 0, self.l_max, generator=self.generator.restrict(letters)
-            )
-        new: Dict[Tuple[int, ...], float] = {}
-        for length in range(1, self.l_max + 1):
-            for w in product(range(1, len(letters) + 1), repeat=length):
-                old = tuple(letters[i - 1] for i in w)
-                c = canonical_word(old)
-                if c in self.targets:
-                    new[canonical_word(w)] = self.targets[c]
-        return TracialSpec(len(letters), 0, self.l_max, targets=new)
+        if self.generator is None:
+            raise SpecError(["a target table has no generator to restrict to a marginal"])
+        return TracialSpec(
+            len(letters), 0, self.l_max, generator=self.generator.restrict(letters)
+        )
 
     def y_marginal(self) -> "TracialSpec":
         if self.m == 0:
@@ -674,8 +665,9 @@ class VolumeEstimate:
 
 
 def _run_chunks(work, starts, threads: int):
-    """work(c) for each start c, in order, on ``threads`` workers (0: every core)."""
-    threads = threads or os.cpu_count() or 1
+    """work(c) for each start c, in order, on ``threads`` workers (0: every
+    core), but never more workers than starts, and no pool for one."""
+    threads = min(threads or os.cpu_count() or 1, len(starts))
     if threads <= 1:
         return [work(c) for c in starts]
     with ThreadPoolExecutor(max_workers=threads) as ex:
@@ -683,16 +675,16 @@ def _run_chunks(work, starts, threads: int):
 
 
 def _accepted_chunks(n, k, nsamples, threads, fill, member, weigh):
-    """Per chunk, in chunk order: the weights of its accepted rows, in row order.
+    """Per chunk, in chunk order: the log-weights of its accepted rows, in row order.
 
     Each chunk of _CHUNK samples streams through sub-blocks of rows: a
     sub-block is drawn by ``fill(i, start, out)`` for each X letter i into
     one reused (rows, n, k, k) buffer x, tested by ``member``, and
-    ``weigh(x, mask)`` gives the weights of its accepted rows before the
-    next is drawn.  Every row is drawn from its own counter block, tested
-    and weighed alone, and a chunk's weights are reduced whole, so the
-    sub-blocks only bound memory.  ``member`` None accepts no row, and
-    nothing is drawn.
+    ``weigh`` gives the log-weights of its accepted rows x[member(x)]
+    before the next is drawn.  Every row is drawn from its own counter
+    block, tested and weighed alone, and a chunk's weights are reduced
+    whole, so the sub-blocks only bound memory.  ``member`` None accepts
+    no row, and nothing is drawn.
     """
     if member is None:
         return []
@@ -706,13 +698,15 @@ def _accepted_chunks(n, k, nsamples, threads, fill, member, weigh):
             x = buf[: min(rows, count - r0)]
             for i in range(n):
                 fill(i, c0 + r0, x[:, i])
-            parts.append(weigh(x, member(x)))
+            parts.append(weigh(x[member(x)]))
         return np.concatenate(parts)
 
     return _run_chunks(work, range(0, nsamples, _CHUNK), threads)
 
 
-def _ball_volume(spec, p, member, nsamples, seed, threads) -> VolumeEstimate:
+def _ball(spec, p, seed):
+    """Uniform draws in a Hilbert-Schmidt ball per letter; every row weighs
+    0, so the reduction is (acc, 0, acc, acc) and acc/N is binomial."""
     n, k = spec.n, p.k
     # the second-moment window already confines the set to the HS ball of
     # radius sqrt(k (m2 + eps)), so shrink the sampling region to match
@@ -728,27 +722,19 @@ def _ball_volume(spec, p, member, nsamples, seed, threads) -> VolumeEstimate:
     def fill(i, start, out):
         matcore.ball_stack(k, len(out), radii[i], seeds[i], start=start, out=out)
 
-    def weigh(x, mask):  # every accepted row counts the same
-        return np.zeros(np.count_nonzero(mask))
+    def weigh(xs):
+        return np.zeros(len(xs))
 
-    accepted = sum(w.size for w in _accepted_chunks(n, k, nsamples, threads, fill, member, weigh))
-    if accepted == 0:
-        return VolumeEstimate(
-            float("-inf"),
-            float("inf"),
-            nsamples,
-            "ball-rejection",
-            0,
-            upper_bound=log_region - math.log(nsamples),
-        )
-    phat = accepted / nsamples
-    stderr = math.sqrt((1.0 - phat) / (phat * nsamples))
-    return VolumeEstimate(
-        log_region + math.log(phat), stderr, nsamples, "ball-rejection", accepted
-    )
+    def close(acc, mx, s1, s2, nsamples):
+        phat = acc / nsamples
+        return log_region + math.log(phat), math.sqrt((1.0 - phat) / (phat * nsamples))
+
+    return "ball-rejection", fill, weigh, close, log_region
 
 
-def _importance_volume(spec, p, member, nsamples, seed, threads) -> VolumeEstimate:
+def _importance(spec, p, seed):
+    """GUE draws with each letter's variance matched to its second-moment
+    target; the stderr is the delta method's."""
     n, k = spec.n, p.k
     variances = []
     for i in range(1, n + 1):
@@ -760,16 +746,32 @@ def _importance_volume(spec, p, member, nsamples, seed, threads) -> VolumeEstima
     def fill(i, start, out):
         matcore.gue_stack(k, len(out), variances[i], seeds[i], start=start, out=out)
 
-    def weigh(x, mask):
-        xs = x[mask]
+    def weigh(xs):
         logw = np.full(len(xs), log_norm)
         for i in range(n):
             frob2 = np.sum(np.abs(xs[:, i]) ** 2, axis=(1, 2))
             logw += k * frob2 / (2.0 * variances[i])
         return logw
 
+    def close(acc, mx, s1, s2, nsamples):
+        rel_var = max(nsamples * s2 / (s1 * s1) - 1.0, 0.0)
+        return mx + math.log(s1) - math.log(nsamples), math.sqrt(rel_var / nsamples)
+
+    return "gaussian-importance", fill, weigh, close, n * matcore.ball_log_volume(k, p.radius)
+
+
+def _volume(spec, p, proposal, member, nsamples, threads) -> VolumeEstimate:
+    """The one estimator over a proposal (method, fill, weigh, close, region).
+
+    The log-weights w (volume over proposal density) of the accepted rows
+    stream into (acc, mx = max w, s1 = sum e^(w - mx), s2 = sum e^(2(w - mx))),
+    which ``close(acc, mx, s1, s2, N)`` turns into (log volume, stderr).  No
+    acceptance gives -inf with the bound region - log N, where ``region``
+    is a log-volume containing the set.
+    """
+    method, fill, weigh, close, region = proposal
     acc, mx, s1, s2 = 0, float("-inf"), 0.0, 0.0
-    for logw in _accepted_chunks(n, k, nsamples, threads, fill, member, weigh):
+    for logw in _accepted_chunks(spec.n, p.k, nsamples, threads, fill, member, weigh):
         if not logw.size:
             continue
         cm = float(logw.max())
@@ -783,14 +785,11 @@ def _importance_volume(spec, p, member, nsamples, seed, threads) -> VolumeEstima
         mx = m2
         acc += logw.size
     if acc == 0:
-        bound = n * matcore.ball_log_volume(k, p.radius) - math.log(nsamples)
         return VolumeEstimate(
-            float("-inf"), float("inf"), nsamples, "gaussian-importance", 0, upper_bound=bound
+            float("-inf"), float("inf"), nsamples, method, 0,
+            upper_bound=region - math.log(nsamples),
         )
-    log_volume = mx + math.log(s1) - math.log(nsamples)
-    rel_var = max(nsamples * s2 / (s1 * s1) - 1.0, 0.0)
-    stderr = math.sqrt(rel_var / nsamples)
-    return VolumeEstimate(log_volume, stderr, nsamples, "gaussian-importance", acc)
+    return VolumeEstimate(*close(acc, mx, s1, s2, nsamples), nsamples, method, acc)
 
 
 def estimate_volume(
@@ -807,8 +806,9 @@ def estimate_volume(
     With a fixed ``y`` the X-section of the joint microstate set is
     measured; the specification must then carry m = y.n Y-letters.
     """
-    if nsamples < 100:
-        raise ValueError("need at least 100 samples")
+    problems = _int_problems("nsamples", nsamples, 100) + _int_problems("threads", threads, 0)
+    if problems:
+        raise SettingsError(problems)
     if y is None:
         if spec.m != 0:
             raise ValueError("spec has Y letters: pass the fixed y tuple")
@@ -822,10 +822,11 @@ def estimate_volume(
     method = sampler
     if sampler == "auto":
         method = "ball" if p.k <= 2 else "importance"
-    estimator = {"ball": _ball_volume, "importance": _importance_volume}.get(method)
-    if estimator is None:
+    proposal = {"ball": _ball, "importance": _importance}.get(method)
+    if proposal is None:
         raise ValueError(f"unknown sampler {sampler!r}")
-    return estimator(spec, p, _member_test(spec, p, yarr), nsamples, seed, threads)
+    member = _member_test(spec, p, yarr)
+    return _volume(spec, p, proposal(spec, p, seed), member, nsamples, threads)
 
 
 # --- chi estimators ---------------------------------------------------------------
@@ -848,13 +849,6 @@ class ChiEstimate:
     y_used: str
 
 
-def _chi_point(spec, k, ve) -> ChiPoint:
-    if ve.log_volume == float("-inf"):
-        return ChiPoint(k, ve.log_volume, float("-inf"), float("inf"))
-    value = ve.log_volume / (k * k) + 0.5 * spec.n * math.log(k)
-    return ChiPoint(k, ve.log_volume, value, ve.stderr_log / (k * k))
-
-
 def _extrapolate(points: List[ChiPoint]) -> Tuple[float, float]:
     """The extrapolation max over k of (value - stderr), with the stderr of
     the first k attaining it; (-inf, inf) when no k has a finite value."""
@@ -875,19 +869,22 @@ def _pool_point(spec, p, cands, seed_of, sweep: Sweep) -> ChiPoint:
     """The sup over a pool of (id, Y-tuple) candidates at p.k: candidate ci
     is measured with seed ``seed_of(ci)`` and the first of the largest
     volumes wins.  An empty pool gives the -inf row of an empty sup."""
+    k = p.k
     if not cands:
         return ChiPoint(
-            p.k, float("-inf"), float("-inf"), float("inf"),
-            f"none (no {p.k}-dim Y-microstates found; empty sup)",
+            k, float("-inf"), float("-inf"), float("inf"),
+            f"none (no {k}-dim Y-microstates found; empty sup)",
         )
     vols = [
         estimate_volume(spec, p, "auto", ytup, sweep.nsamples, seed_of(ci), sweep.threads)
         for ci, (_, ytup) in enumerate(cands)
     ]
     best = max(range(len(vols)), key=lambda ci: vols[ci].log_volume)
-    pt = _chi_point(spec, p.k, vols[best])
-    pt.y_id = cands[best][0]
-    return pt
+    ve, y_id = vols[best], cands[best][0]
+    if ve.log_volume == float("-inf"):
+        return ChiPoint(k, ve.log_volume, float("-inf"), float("inf"), y_id)
+    value = ve.log_volume / (k * k) + 0.5 * spec.n * math.log(k)
+    return ChiPoint(k, ve.log_volume, value, ve.stderr_log / (k * k), y_id)
 
 
 def _haar_unitary(k: int, seed: int) -> np.ndarray:
@@ -961,22 +958,19 @@ def y_candidates(
 def estimate_chi(spec: TracialSpec, sweep: Sweep) -> ChiEstimate:
     """Per-k normalized values over the k sweep of ``sweep``.
 
-    With Y letters (m > 0) each k is the sup over a pool of up to
-    ``sweep.y_pool`` fixed Y-candidates of the X-section's volume;
-    proposing them needs a generator, so a target table with Y letters
-    raises SpecError before any sampling.
+    Each k is the sup over a pool of fixed Y-candidates of the X-section's
+    volume.  With no Y letters (m = 0) the pool is the one empty candidate,
+    so the sup is the plain volume.  With Y letters the pool holds up to
+    ``sweep.y_pool`` candidates; proposing them needs a generator, so a
+    target table with Y letters raises SpecError before any sampling.
     """
     seed = sweep.seed
-    if spec.m == 0:
-        def point(p):
-            ve = estimate_volume(
-                spec, p, "auto", None, sweep.nsamples, rng.derive(seed, 0xC41, p.k), sweep.threads
-            )
-            return _chi_point(spec, p.k, ve)
-    else:
-        def point(p):
-            cands = y_candidates(spec, p, sweep.y_pool, rng.derive(seed, 0x9CA, p.k))
-            return _pool_point(spec, p, cands, lambda ci: rng.derive(seed, 0xE57, p.k, ci), sweep)
+
+    def point(p):
+        if spec.m == 0:
+            return _pool_point(spec, p, [("", None)], lambda ci: rng.derive(seed, 0xC41, p.k), sweep)
+        cands = y_candidates(spec, p, sweep.y_pool, rng.derive(seed, 0x9CA, p.k))
+        return _pool_point(spec, p, cands, lambda ci: rng.derive(seed, 0xE57, p.k, ci), sweep)
 
     return _sweep(sweep, point)
 

@@ -370,13 +370,8 @@ def _autocorr(mu: SpectralMeasure, ys: np.ndarray) -> np.ndarray:
     per y, so sqrt-type density endpoints always sit on panel edges.
     """
     a, b = mu.support
-    xs, ws = _gl_rule()
-    edges = np.linspace(0.0, 1.0, _X_PANELS + 1)
-    mids = (edges[:-1] + edges[1:]) / 2.0
-    halfs = np.diff(edges) / 2.0
-    # unit-interval nodes (panel, order) mapped into [lo, hi] per y
-    un = (mids[:, None] + halfs[:, None] * xs[None, :]).ravel()
-    uw = (halfs[:, None] * np.broadcast_to(ws, (_X_PANELS, _GL_ORDER))).ravel()
+    # unit-interval nodes and weights, mapped into [lo, hi] per y
+    un, uw = _gl_panels(np.linspace(0.0, 1.0, _X_PANELS + 1))
     out = np.empty(ys.size)
     for r in range(0, ys.size, _BLOCK_ROWS):
         y = ys[r:r + _BLOCK_ROWS, None]

@@ -209,6 +209,14 @@ def test_marginals_restrict_the_letter_set():
         sc_spec().y_marginal()
 
 
+def test_a_target_table_has_no_marginal():
+    table = TracialSpec.from_targets(2, 0, 2, {(1,): 0.0, (1, 2): 0.5})
+    with pytest.raises(ms.SpecError, match="no generator"):
+        table.marginal([1])
+    with pytest.raises(ms.SpecError, match="no generator"):
+        TracialSpec.from_targets(1, 1, 2, {(2,): 0.0}).y_marginal()
+
+
 def test_spec_serialization_roundtrip(tmp_path):
     docs = [
         {"n": 1, "m": 1, "l_max": 3,
@@ -543,7 +551,7 @@ def test_zero_acceptance_reports_an_upper_bound():
 def test_volume_validation_errors():
     spec = sc_spec(2)
     p = MicrostateParams(k=2, l=2, eps=0.4, radius=4.0)
-    with pytest.raises(ValueError, match="100 samples"):
+    with pytest.raises(ValueError, match="nsamples must be an integer >= 100"):
         ms.estimate_volume(spec, p, nsamples=50)
     with pytest.raises(ValueError, match="unknown sampler"):
         ms.estimate_volume(spec, p, sampler="quadrature")
@@ -556,6 +564,19 @@ def test_volume_validation_errors():
     two_y = tuple_of([np.eye(2), np.eye(2)])
     with pytest.raises(ValueError, match="arity"):
         ms.estimate_volume(pair, p, y=two_y)
+
+
+def test_volume_settings_follow_the_sweep_rules():
+    spec = sc_spec(2)
+    p = MicrostateParams(k=2, l=2, eps=0.4, radius=4.0)
+    with pytest.raises(ms.SettingsError) as err:
+        ms.estimate_volume(spec, p, nsamples=150.0, threads=-3)
+    assert err.value.problems == [
+        "nsamples must be an integer >= 100, not 150.0",
+        "threads must be an integer >= 0, not -3",
+    ]
+    with pytest.raises(ms.SettingsError, match="threads must be an integer >= 0, not -3"):
+        ms.estimate_volume(spec, p, threads=-3, nsamples=200)
 
 
 # --- chi sweeps -------------------------------------------------------------------
@@ -640,6 +661,12 @@ def test_chi_on_every_core_is_bit_identical_to_one_thread(monkeypatch):
     one = ms.estimate_chi(spec, sweep)
     assert workers == []
     assert ms.estimate_chi(spec, replace(sweep, threads=0)) == one
+    assert workers == [2, 2]
+    # one chunk runs on the calling thread, and a pool has no more workers than chunks
+    workers.clear()
+    ms.estimate_chi(spec, replace(sweep, nsamples=4096, threads=0))
+    assert workers == []
+    assert ms.estimate_chi(spec, replace(sweep, threads=8)) == one
     assert workers == [2, 2]
 
 
