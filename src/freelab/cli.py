@@ -111,7 +111,7 @@ def _cmd_chi_single(args) -> int:
     except spectra.MeasureFormatError as e:
         raise UsageError(str(e))
     energy = spectra.log_energy(mu)
-    chi = spectra.chi_single(mu)
+    chi = spectra.chi_from_log_energy(energy)
     row = {"kind": mu.kind, "log_energy": energy, "chi_single": chi}
     lines = [
         f"measure kind: {mu.kind}",

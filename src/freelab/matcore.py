@@ -115,30 +115,27 @@ def eval_word_trace(t: MatrixTuple, word) -> complex:
     return complex(np.trace(acc) / t.dim)
 
 
-@lru_cache(maxsize=64)
-def sa_basis(k: int) -> np.ndarray:
-    """(k^2, k, k) orthonormal Hermitian basis for <a,b> = Tr(ab).
+def sa_basis(k: int, start: int, stop: int) -> np.ndarray:
+    """Elements start..stop-1 of the k^2-element orthonormal Hermitian
+    basis for <a,b> = Tr(ab), as a (stop - start, k, k) stack.
 
     Order: diagonal units E_ii (i ascending), then for each i < j the
     pair (E_ij + E_ji)/sqrt(2), (iE_ij - iE_ji)/sqrt(2), row-major in
     (i, j).  Coordinates in this basis are exactly the lambda
-    coordinates of the module docstring.
+    coordinates of the module docstring.  Only the asked-for elements
+    are built, and nothing is kept: the whole basis at k = 32 is 16 MB.
     """
-    basis = np.zeros((k * k, k, k), dtype=np.complex128)
-    pos = 0
-    for i in range(k):
-        basis[pos, i, i] = 1.0
-        pos += 1
+    c = np.arange(start, stop)
+    basis = np.zeros((c.size, k, k), dtype=np.complex128)
+    diag = c < k
+    pos = np.arange(c.size)
+    basis[pos[diag], c[diag], c[diag]] = 1.0
+    pair, imag = np.divmod(c[~diag] - k, 2)
+    iu, ju = np.triu_indices(k, 1)
+    i, j, pos = iu[pair], ju[pair], pos[~diag]
     inv = 1.0 / math.sqrt(2.0)
-    for i in range(k):
-        for j in range(i + 1, k):
-            basis[pos, i, j] = inv
-            basis[pos, j, i] = inv
-            pos += 1
-            basis[pos, i, j] = 1j * inv
-            basis[pos, j, i] = -1j * inv
-            pos += 1
-    basis.setflags(write=False)
+    basis[pos, i, j] = np.where(imag, 1j * inv, inv)
+    basis[pos, j, i] = np.where(imag, -1j * inv, inv)
     return basis
 
 

@@ -22,6 +22,18 @@ change-of-variables log-ratio matrix, the principal-value integrand)
 are formed _BLOCK_ROWS rows at a time, so their temporaries stay
 cache-sized.  Each row sees the same element-wise operations and its
 own per-row reduction, so the block size cannot change a value.
+
+The log-ratio matrix L is never held whole: cov_correction contracts it
+one slab of rows at a time.  L is bitwise symmetric (numerator and
+denominator only change sign, the diagonal midpoint is a commutative
+sum), so a slab of rows, transposed, is the same slab of columns, and
+one BLAS gemv per slab gives those entries of v @ L.  Unlike the block
+size, the slab width can change a value: the gemv sums a group of four
+output entries in one order and a tail of fewer in another, and a slab
+of fewer than four rows goes down other paths again.  So a slab is
+64 * ceil(_BLOCK_ROWS / 64) rows wide, a multiple of 64 whatever the
+block size, and the rows left over join the last slab: each entry of
+v @ L is then summed exactly as in one gemv over the whole matrix.
 """
 
 import functools
@@ -403,9 +415,14 @@ def log_energy(mu: SpectralMeasure) -> float:
     return 2.0 * (patch + tail)
 
 
+def chi_from_log_energy(energy: float) -> float:
+    """One-variable free entropy of a law of log energy I: I + 3/4 + (1/2) log(2 pi)."""
+    return energy + 0.75 + 0.5 * math.log(2.0 * math.pi)
+
+
 def chi_single(mu: SpectralMeasure) -> float:
-    """One-variable free entropy: I(mu) + 3/4 + (1/2) log(2 pi)."""
-    return log_energy(mu) + 0.75 + 0.5 * math.log(2.0 * math.pi)
+    """One-variable free entropy of mu: chi_from_log_energy(log_energy(mu))."""
+    return chi_from_log_energy(log_energy(mu))
 
 
 def semicircle_entropy(variance: float) -> float:
@@ -452,24 +469,19 @@ def pushforward(mu: SpectralMeasure, f: ScalarField) -> SpectralMeasure:
     return SpectralMeasure.gridded((ya, yb), q)
 
 
-def _log_ratios(f: ScalarField, x: np.ndarray) -> np.ndarray:
-    """L[i, j] = log(|f(x_i) - f(x_j)| / |x_i - x_j|), and log|f'| at the
-    midpoint where x_i and x_j lie within 1e-12 (the diagonal)."""
-    fx = f(x)
-    out = np.empty((x.size, x.size))
-    for r in range(0, x.size, _BLOCK_ROWS):
-        s = x[r:r + _BLOCK_ROWS, None]
-        den = s - x
-        near = np.abs(den) < 1e-12
-        num = fx[r:r + _BLOCK_ROWS, None] - fx
-        den[near] = 1.0
-        blk = out[r:r + _BLOCK_ROWS]
-        np.divide(np.abs(num), np.abs(den), out=blk)
-        diag = np.flatnonzero(near)  # 1-D: far cheaper than a 2-D np.nonzero
-        i, j = np.divmod(diag, x.size)
-        blk.reshape(-1)[diag] = np.abs(f.deriv_at((x[r + i] + x[j]) / 2.0))
-        np.log(blk, out=blk)
-    return out
+def _log_ratio_rows(f: ScalarField, x: np.ndarray, fx: np.ndarray, rows: slice) -> np.ndarray:
+    """Rows of L[i, j] = log(|f(x_i) - f(x_j)| / |x_i - x_j|), and log|f'|
+    at the midpoint where x_i and x_j lie within 1e-12 (the diagonal);
+    fx is f(x)."""
+    den = x[rows, None] - x
+    near = np.abs(den) < 1e-12
+    num = fx[rows, None] - fx
+    den[near] = 1.0
+    blk = np.divide(np.abs(num), np.abs(den))
+    diag = np.flatnonzero(near)  # 1-D: far cheaper than a 2-D np.nonzero
+    i, j = np.divmod(diag, x.size)
+    blk.reshape(-1)[diag] = np.abs(f.deriv_at((x[rows][i] + x[j]) / 2.0))
+    return np.log(blk, out=blk)
 
 
 def cov_correction(mu: SpectralMeasure, f: ScalarField) -> float:
@@ -480,7 +492,9 @@ def cov_correction(mu: SpectralMeasure, f: ScalarField) -> float:
     The integrand extends continuously to log|f'(s)| on the diagonal,
     so for monotone smooth f there is no singularity and a tensor
     Gauss-Legendre rule applies; for atomic mu the double sum is finite
-    even though both log energies are -inf.
+    even though both log energies are -inf.  The value is v @ L @ v over
+    the nodes' weights v, with L contracted in slabs of rows (module
+    docstring): bit for bit the product over the whole matrix.
     """
     if not f.diffeo:
         raise ValueError("change of variables needs a monotone field")
@@ -491,7 +505,14 @@ def cov_correction(mu: SpectralMeasure, f: ScalarField) -> float:
     else:
         x, w = _gl_panels(np.linspace(*mu.support, _X_PANELS + 1))
         v = w * mu.density(x)
-    return float(v @ _log_ratios(f, x) @ v)
+    fx = f(x)
+    width = 64 * -(-_BLOCK_ROWS // 64)
+    edges = [*range(0, max(x.size - width, 0) + 1, width), x.size]
+    vl = np.empty(x.size)
+    for r, stop in zip(edges, edges[1:]):
+        blk = _log_ratio_rows(f, x, fx, slice(r, stop))
+        vl[r:stop] = v @ np.ascontiguousarray(blk.T)
+    return float(vl @ v)
 
 
 # ---------------------------------------------------------------------------
@@ -532,20 +553,24 @@ def conjugate_variable(mu: SpectralMeasure, npoints: int = _GRID_N) -> ScalarFie
     return ScalarField(x, j, dj)
 
 
-def inner_product_stationarity(mu: SpectralMeasure, coeffs) -> tuple[float, float]:
-    """Pair (int J(x) P(x) dmu, int x P(x) dmu) for P given by coeffs.
+def inner_product_stationarity(mu: SpectralMeasure, polys) -> list[tuple[float, float]]:
+    """Pairs (int J(x) P(x) dmu, int x P(x) dmu), one per P in polys.
 
     Equality of the two is the stationarity test passed by the
-    semicircle law; coeffs are ascending polynomial coefficients.
+    semicircle law; each P is a sequence of ascending polynomial
+    coefficients.  J is solved once for all of them.
     """
     g = mu.to_grid()
     j = conjugate_variable(g)
     x = g.grid()
     h = x[1] - x[0]
-    px = np.polynomial.polynomial.polyval(x, np.asarray(coeffs, dtype=float))
-    lhs = float(np.trapezoid(j.values * px * g.values, dx=h))
-    rhs = float(np.trapezoid(x * px * g.values, dx=h))
-    return lhs, rhs
+    pairs = []
+    for coeffs in polys:
+        px = np.polynomial.polynomial.polyval(x, np.asarray(coeffs, dtype=float))
+        lhs = float(np.trapezoid(j.values * px * g.values, dx=h))
+        rhs = float(np.trapezoid(x * px * g.values, dx=h))
+        pairs.append((lhs, rhs))
+    return pairs
 
 
 # ---------------------------------------------------------------------------

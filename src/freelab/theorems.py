@@ -459,13 +459,14 @@ def _chk_conj(c):
     eps = c["fd_eps"]
     rows = []
     worst = 0.0
-    for name, coeffs in (("t", [0.0, 1.0]), ("t^2", [0.0, 0.0, 1.0]), ("t^3", [0.0, 0.0, 0.0, 1.0])):
+    polys = (("t", [0.0, 1.0]), ("t^2", [0.0, 0.0, 1.0]), ("t^3", [0.0, 0.0, 0.0, 1.0]))
+    pairs = spectra.inner_product_stationarity(mu, [coeffs for _, coeffs in polys])
+    for (name, coeffs), (pairing, moment_route) in zip(polys, pairs):
         up = [c + eps * p for c, p in zip([0.0, 1.0, 0.0, 0.0], coeffs + [0.0] * (4 - len(coeffs)))]
         dn = [c - eps * p for c, p in zip([0.0, 1.0, 0.0, 0.0], coeffs + [0.0] * (4 - len(coeffs)))]
         chi_up = spectra.chi_single(spectra.pushforward(mu, spectra.polynomial_field(up, dom)))
         chi_dn = spectra.chi_single(spectra.pushforward(mu, spectra.polynomial_field(dn, dom)))
         fd = (chi_up - chi_dn) / (2.0 * eps)
-        pairing, moment_route = spectra.inner_product_stationarity(mu, coeffs)
         worst = max(worst, abs(fd - pairing))
         rows.append(
             {"p": name, "finite_difference": fd, "pairing": pairing,

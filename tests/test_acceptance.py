@@ -161,8 +161,10 @@ def test_criterion_06_conjugate_variable_suite():
     assert sup_dev < 1e-2
 
     worst_pair = 0.0
-    for coeffs in ([0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0]):
-        lhs, rhs = spectra.inner_product_stationarity(sc, coeffs)
+    polys = ([0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0])
+    pairs = spectra.inner_product_stationarity(sc, polys)
+    assert len(pairs) == 3
+    for lhs, rhs in pairs:
         worst_pair = max(worst_pair, abs(lhs - rhs))
     assert worst_pair < 2e-2
 

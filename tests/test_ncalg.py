@@ -402,6 +402,73 @@ def test_logabs_chain_rule():
         assert abs(lhs - rhs) < 1e-8
 
 
+# --- the chunked real matrix against whole-basis references --------------------
+# The references build the whole basis with the element loop and apply it in
+# one stack, as as_real_matrix once did; the chunked kernel must match bit for bit.
+
+
+def _basis_ref(k):
+    basis = np.zeros((k * k, k, k), dtype=np.complex128)
+    pos = 0
+    for i in range(k):
+        basis[pos, i, i] = 1.0
+        pos += 1
+    inv = 1.0 / math.sqrt(2.0)
+    for i in range(k):
+        for j in range(i + 1, k):
+            basis[pos, i, j] = inv
+            basis[pos, j, i] = inv
+            pos += 1
+            basis[pos, i, j] = 1j * inv
+            basis[pos, j, i] = -1j * inv
+            pos += 1
+    return basis
+
+
+def _real_matrix_ref(jac):
+    k, n = jac.k, jac.n
+    d = k * k
+    basis = _basis_ref(k)
+    big = np.zeros((n * d, n * d))
+    for i in range(n):
+        for j in range(n):
+            img = np.zeros((d, k, k), dtype=np.complex128)
+            for a, b in jac._pairs[i][j]:
+                img += a @ basis @ b
+            img = 0.5 * (img + np.conj(np.swapaxes(img, -1, -2)))
+            big[j * d : (j + 1) * d, i * d : (i + 1) * d] = matcore.to_coords(img).T
+    return big
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 7, 32])
+def test_sa_basis_slices_match_the_whole_basis_bits(k):
+    whole = _basis_ref(k)
+    d = k * k
+    assert np.array_equal(_bits(matcore.sa_basis(k, 0, d)), _bits(whole))
+    for start, stop in ((0, 1), (0, min(k + 1, d)), (d // 3, d // 2 + 1), (d - 1, d)):
+        assert np.array_equal(_bits(matcore.sa_basis(k, start, stop)), _bits(whole[start:stop]))
+
+
+@pytest.mark.parametrize("few", [False, True], ids=["default-chunks", "4-element-chunks"])
+@pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (1, 7), (1, 32), (2, 3), (2, 6)])
+def test_chunked_real_matrix_matches_whole_basis_bits(n, k, few, monkeypatch):
+    if few:  # many chunk edges and a partial last chunk
+        monkeypatch.setattr(ncalg, "_CHUNK_ENTRIES", 5 * k * k - 1)
+    rng = np.random.default_rng(100 + 10 * n + k)
+    t = [NcPoly.indet(n, i + 1) for i in range(n)]
+    if n == 1:
+        fs = [t[0] + 0.15 * t[0] * t[0] * t[0] - 0.4 * t[0] * t[0]]
+    else:
+        fs = [t[0] * t[1] + 0.7 * t[1] * t[0] * t[0] + 0.5 * t[0],
+              t[1] * t[1] * t[1] - 2.0 * t[0] * t[1] * t[0] + t[1]]
+    jac = ncalg.jacobian(fs, rand_tuple(rng, n, k))
+    assert np.array_equal(_bits(jac.as_real_matrix()), _bits(_real_matrix_ref(jac)))
+
+
 # --- majorants ---------------------------------------------------------------
 
 

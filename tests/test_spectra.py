@@ -161,15 +161,15 @@ def test_conjugate_variable_uniform_closed_form():
 
 def test_stationarity_semicircle():
     sc = SM.semicircle(1.0)
-    for coeffs, val in (([0, 1], 1.0), ([0, 0, 1], 0.0), ([0, 0, 0, 1], 2.0)):
-        lhs, rhs = spectra.inner_product_stationarity(sc, coeffs)
+    polys, vals = ([0, 1], [0, 0, 1], [0, 0, 0, 1]), (1.0, 0.0, 2.0)
+    for (lhs, rhs), val in zip(spectra.inner_product_stationarity(sc, polys), vals, strict=True):
         assert abs(lhs - rhs) < 2e-2
         assert abs(lhs - val) < 2e-2
 
 
 def test_stationarity_fails_off_semicircle():
     u = SM.uniform(-math.sqrt(3.0), math.sqrt(3.0))
-    lhs, rhs = spectra.inner_product_stationarity(u, [0, 0, 0, 1])
+    [(lhs, rhs)] = spectra.inner_product_stationarity(u, [[0, 0, 0, 1]])
     assert abs(lhs - rhs) > 0.1
 
 
@@ -356,6 +356,26 @@ def test_blocked_cov_correction_matches_full_tensor_bits(name, block_rows):
     # a repeated atom puts near pairs off the diagonal
     at = SM.atomic([(a + (b - a) * u, 0.25) for u in (0.1, 0.6, 0.6, 0.9)])
     for f in fields:
+        got = spectra.cov_correction(at, f)
+        assert np.array_equal(_bits(got), _bits(_cov_correction_ref(at, f)))
+
+
+@pytest.mark.parametrize("rows", [7, 64, 100])
+@pytest.mark.parametrize("natoms", [3, 5, 7, 65, 67, 130])
+def test_slabbed_cov_correction_on_atoms_matches_full_tensor_bits(natoms, rows, monkeypatch):
+    # slabs are 64 or 128 rows wide; these counts leave remainders that are
+    # not multiples of 4 or 64, and 3, 5, 7 atoms fit in one narrow slab
+    monkeypatch.setattr(spectra, "_BLOCK_ROWS", rows)
+    locs = np.random.default_rng(natoms).uniform(-1.5, 1.5, natoms)
+    locs[1] = locs[0]  # a repeated atom: near pairs off the diagonal
+    w = np.random.default_rng(natoms + 1).uniform(0.5, 1.5, natoms)
+    at = SM.atomic(zip(locs.tolist(), (w / w.sum()).tolist()))
+    dom = (-2.0, 2.0)
+    for f in (
+        spectra.affine_field(1.7, 0.3, dom),
+        spectra.polynomial_field([0.0, 1.0, 0.0, 1.0], dom),
+        spectra.arctan_field(2.0, dom),
+    ):
         got = spectra.cov_correction(at, f)
         assert np.array_equal(_bits(got), _bits(_cov_correction_ref(at, f)))
 

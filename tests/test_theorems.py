@@ -3,6 +3,7 @@ reduced sweep, report plumbing and serialization."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +100,20 @@ def test_covgen_three_routes_agree():
     assert d["matrix_vs_scalar"] < 1e-8
     assert abs(d["route_matrix"] - d["route_quadrature"]) < 2e-2
     assert abs(d["rotation_logabs"]) < 1e-8
+
+
+@pytest.mark.parametrize("cid", ["T-COVGEN", "T-COV1"])
+def test_change_of_variables_checks_run_in_bounded_memory(cid):
+    # a whole 2048 x 2048 log-ratio matrix is 32 MB, and the k = 32
+    # Hermitian basis or its image stack 16 MB each; neither may be held
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        assert th.check(cid).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_brown_margins_and_variances():

@@ -6,10 +6,14 @@ and its result by attribute: ``estimate_volume``'s ``p.k`` and the
 result's ``samples``, ``accepted`` and ``log_volume``, which feed
 samples_per_s and the golden replay; ``_run_chunks``'s ``work``, which
 it wraps to attribute worker time; ``y_candidates``'s ``pool`` and the
-length of its result; and ``theorems.check``'s ``check_id``.  A renamed
-argument, or a call that skips the module attribute, would break every
-benchmark operation or leave its metrics at 0.  These tests run the CLI
-as the benchmark does and read what the tracer reads.
+length of its result; and ``theorems.check``'s ``check_id``.  It also
+times the quadrature and Jacobian kernels of the battery by name
+(``spectra.cov_correction``, ``log_energy``, ``conjugate_variable`` and
+``pushforward``; ``ncalg.jacobian``, ``logabs_functional`` and the method
+``NcJacobian.as_real_matrix``) and counts their calls.  A renamed
+argument, or a call that skips the module or class attribute, would break
+every benchmark operation or leave its metrics at 0.  These tests run the
+CLI as the benchmark does and read what the tracer reads.
 """
 
 import contextlib
@@ -17,7 +21,7 @@ import inspect
 import io
 from pathlib import Path
 
-from freelab import cli, theorems
+from freelab import cli, ncalg, spectra, theorems
 from freelab import microstates as ms
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -74,3 +78,29 @@ def test_checks_run_through_the_module_attribute(monkeypatch):
     checks = record(monkeypatch, theorems, "check")
     run_cli("check", "T-BLOCK", "--threads", "1", "--format", "json")
     assert [a["check_id"] for a, _ in checks] == ["T-BLOCK"]
+
+
+def test_battery_kernels_run_through_the_module_and_class_attributes(monkeypatch):
+    kernels = {
+        (ncalg.NcJacobian, "as_real_matrix"): (["self"], 2),
+        (ncalg, "jacobian"): (["fs", "t"], 2),
+        (ncalg, "logabs_functional"): (["jac"], 2),
+        (spectra, "cov_correction"): (["mu", "f"], 8),
+        (spectra, "log_energy"): (["mu"], 14),
+        (spectra, "conjugate_variable"): (["mu"], 1),  # once per T-CONJ, for all three P
+        (spectra, "pushforward"): (["mu", "f"], 12),
+    }
+    calls = {key: record(monkeypatch, *key) for key in kernels}
+    run_cli("check", "T-COVGEN,T-COV1,T-CONJ", "--threads", "1", "--format", "json")
+    for key, (argnames, count) in kernels.items():
+        assert len(calls[key]) == count, key
+        assert all(list(args) == argnames for args, _ in calls[key]), key
+
+
+def test_chi_single_runs_the_log_energy_quadrature_once(monkeypatch, tmp_path):
+    energies = record(monkeypatch, spectra, "log_energy")
+    corrections = record(monkeypatch, spectra, "cov_correction")
+    path = tmp_path / "semicircle.json"
+    path.write_text('{"kind": "semicircle", "variance": 1.0}')
+    run_cli("chi-single", str(path), "--field", "poly:0,1,0,1", "--format", "json")
+    assert len(energies) == 1 and len(corrections) == 1
