@@ -3,7 +3,7 @@
 Modules
 -------
 rng          counter-based deterministic random streams
-matcore      Hermitian tuples, word traces, LAPACK eigenvalues, norm certificate, samplers
+matcore      Hermitian tuples, word traces, operator-norm test (LAPACK last), samplers
 ncalg        operator-coefficient polynomials and difference quotients
 spectra      one-variable spectral measures and entropy functionals
 microstates  matricial microstate sets and volume/entropy estimators

@@ -1,4 +1,4 @@
-"""Self-adjoint matrix tuples, word traces, eigenvalues, and samplers.
+"""Self-adjoint matrix tuples, word traces, operator-norm tests, and samplers.
 
 Volume element convention used throughout the package: on the real
 vector space of k x k Hermitian matrices we use the inner product
@@ -219,12 +219,7 @@ def _hermitian_into(ext: np.ndarray, k: int, out: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Eigenvalues and operator-norm tests
-
-
-def eigenvalues(m: SelfAdjointMatrix) -> np.ndarray:
-    """Ascending eigenvalues (LAPACK Hermitian eigen-solve)."""
-    return np.linalg.eigvalsh(m.array)
+# Operator-norm tests
 
 
 def operator_norms(stack: np.ndarray) -> np.ndarray:

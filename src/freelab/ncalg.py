@@ -2,37 +2,34 @@
 
 Polynomials in indeterminates t1..tn carry coefficients from a fixed
 algebra: plain scalars, or a concrete matrix model given by named
-generator matrices of a common dimension.  A term is a word
-
-    b0 t_{i1} b1 ... t_{ik} bk
-
-kept in canonical normal form: scalar factors are folded into one
-complex number per term, named coefficients stay symbolic as ordered
-products, and the adjoint of a Hermitian generator folds back to the
-generator.  Equality of normal forms is exact and decidable.
+generator matrices of a common dimension.  A term is one flat word of
+letters, such as  b0 t1 b1 t2 b*,  with the int i for t_i and the string
+"b" or "b*" for a generator or its adjoint, times one complex scalar.
+Named coefficients stay symbolic in their order, and the adjoint of a
+Hermitian generator folds back to the generator, so equality of normal
+forms is exact and decidable.
 
 Difference quotients split each word at every occurrence of the marked
-indeterminate and land in the tensor square; an evaluated tensor leg
-(a, b) acts on a matrix z as a @ z @ b.  Jacobians collect the split
-derivatives of a polynomial map; flattened over the orthonormal
-Hermitian coordinates of matcore they become real matrices, from which
-the log-determinant functional is read off.  Power series appear only
-as truncations together with a majorant growth certificate.
+indeterminate and land in the tensor square, keyed by pairs of words; an
+evaluated tensor leg (a, b) acts on a matrix z as a @ z @ b.  Jacobians
+collect the split derivatives of a polynomial map; flattened over the
+orthonormal Hermitian coordinates of matcore they become real matrices,
+from which the log-determinant functional is read off.  Perturbative
+inverses are truncations guarded by a majorant growth test.
 """
 
 from __future__ import annotations
 
-import math
+import cmath
 import re
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import matcore
 
-Slot = Tuple[Tuple[str, bool], ...]  # ordered product of (name, star)
-TermKey = Tuple[Tuple[int, ...], Tuple[Slot, ...]]
-PairKey = Tuple[TermKey, TermKey]
+Word = Tuple[Union[int, str], ...]  # t_i as the int i, a coefficient as "b" or "b*"
+PairKey = Tuple[Word, Word]
 
 _SINGULAR_FLOOR = 1e-12
 _HERM_TOL = 1e-12
@@ -64,7 +61,6 @@ class CoefficientAlgebra:
             self.gens[name] = a
             self._sa[name] = bool(np.max(np.abs(a - a.conj().T)) == 0.0)
         self.dim = dim or 0
-        self._norms: Dict[str, float] = {}
 
     @classmethod
     def scalars(cls) -> "CoefficientAlgebra":
@@ -78,12 +74,7 @@ class CoefficientAlgebra:
         return self._sa[name]
 
     def norm(self, name: str) -> float:
-        if name not in self._norms:
-            b = self.gens[name]
-            gram = matcore.SelfAdjointMatrix.hermitian_part(b.conj().T @ b)
-            ev = matcore.eigenvalues(gram)
-            self._norms[name] = math.sqrt(max(float(ev[-1]), 0.0))
-        return self._norms[name]
+        return float(np.linalg.norm(self.gens[name], 2))
 
     def __eq__(self, other):
         if not isinstance(other, CoefficientAlgebra):
@@ -108,42 +99,33 @@ def _join(a: CoefficientAlgebra, b: CoefficientAlgebra) -> CoefficientAlgebra:
     raise ValueError("mismatched coefficient algebras")
 
 
-def _norm_slot(slot: Slot, alg: CoefficientAlgebra) -> Slot:
+def _norm_word(word: Word, n: int, alg: CoefficientAlgebra) -> Word:
     out = []
-    for name, star in slot:
-        if name not in alg.gens:
-            raise ValueError(f"unknown coefficient {name!r}")
-        out.append((name, star and not alg.is_selfadjoint(name)))
+    for letter in word:
+        if isinstance(letter, str):
+            name = letter.removesuffix("*")
+            if name not in alg.gens:
+                raise ValueError(f"unknown coefficient {name!r}")
+            out.append(name if alg.is_selfadjoint(name) else letter)
+        else:
+            i = int(letter)
+            if not 1 <= i <= n:
+                raise ValueError(f"indeterminate index out of range in word {tuple(word)}")
+            out.append(i)
     return tuple(out)
 
 
-def _adj_slot(slot: Slot, alg: CoefficientAlgebra) -> Slot:
-    return tuple(
-        (name, (not star) and not alg.is_selfadjoint(name))
-        for name, star in reversed(slot)
-    )
-
-
-def _norm_term(key: TermKey, n: int, alg: CoefficientAlgebra) -> TermKey:
-    word, coefs = key
-    word = tuple(int(i) for i in word)
-    if any(i < 1 or i > n for i in word):
-        raise ValueError(f"indeterminate index out of range in word {word}")
-    coefs = tuple(_norm_slot(s, alg) for s in coefs)
-    if len(coefs) != len(word) + 1:
-        raise ValueError("term needs one coefficient slot per gap")
-    return (word, coefs)
-
-
-def _key_mul(a: TermKey, b: TermKey) -> TermKey:
-    """Product of two terms: the words concatenate, the two slots that meet merge."""
-    (w1, c1), (w2, c2) = a, b
-    return (w1 + w2, c1[:-1] + (c1[-1] + c2[0],) + c2[1:])
-
-
-def _term_sort_key(key: TermKey):
-    word, coefs = key
-    return (len(word), word, coefs)
+def _term_sort_key(word: Word):
+    """Indeterminate count, the indeterminates, then the coefficient runs
+    between them ("b*" sorts right after "b": * precedes every name character)."""
+    indets = tuple(x for x in word if isinstance(x, int))
+    runs: List[tuple] = [()]
+    for x in word:
+        if isinstance(x, int):
+            runs.append(())
+        else:
+            runs[-1] += (x,)
+    return (len(indets), indets, tuple(runs))
 
 
 def _mul_terms(a: "_TermSum", b: "_TermSum", key_mul) -> dict:
@@ -157,7 +139,7 @@ def _mul_terms(a: "_TermSum", b: "_TermSum", key_mul) -> dict:
 
 class _TermSum:
     """Finite sum of keyed terms with complex scalars: the ring behind
-    NcPoly (a key is a term) and NcBiPoly (a key is a pair of terms).
+    NcPoly (a key is a word) and NcBiPoly (a key is a pair of words).
 
     A subclass says how a key is normalised (``_norm_key``), how two keys
     multiply (``_mul_key``), how keys sort (``_sort_key``) and which key
@@ -178,10 +160,6 @@ class _TermSum:
             clean[key] = clean.get(key, 0.0) + z
         self.terms = {k: v for k, v in clean.items() if v != 0}
 
-    def _new(self, terms, algebra, *factors):
-        """A result of the same class and arity; factors are the operands."""
-        return type(self)(self.n, terms, algebra)
-
     @classmethod
     def zero(cls, n, algebra=None):
         return cls(n, {}, algebra)
@@ -201,7 +179,7 @@ class _TermSum:
         terms = dict(self.terms)
         for k, v in other.terms.items():
             terms[k] = terms.get(k, 0.0) + v
-        return self._new(terms, alg, self, other)
+        return type(self)(self.n, terms, alg)
 
     def __sub__(self, other):
         return self + (self._coerce(other) * -1.0)
@@ -209,10 +187,10 @@ class _TermSum:
     def __mul__(self, other):
         if np.isscalar(other):
             z = complex(other)
-            return self._new({k: v * z for k, v in self.terms.items()}, self.algebra, self)
+            return type(self)(self.n, {k: v * z for k, v in self.terms.items()}, self.algebra)
         other = self._coerce(other)
         alg = _join(self.algebra, other.algebra)
-        return self._new(_mul_terms(self, other, self._mul_key), alg, self, other)
+        return type(self)(self.n, _mul_terms(self, other, self._mul_key), alg)
 
     def __rmul__(self, other):
         if np.isscalar(other):
@@ -242,20 +220,16 @@ class _TermSum:
 class NcPoly(_TermSum):
     """Element of the coefficient algebra's polynomial ring in t1..tn."""
 
-    __slots__ = ("truncated",)
-    _UNIT: TermKey = ((), ((),))
+    __slots__ = ()
+    _UNIT: Word = ()
     _sort_key = staticmethod(_term_sort_key)
-    _mul_key = staticmethod(_key_mul)
 
-    def __init__(self, n, terms, algebra=None, truncated=False):
-        super().__init__(n, terms, algebra)
-        self.truncated = bool(truncated)
+    @staticmethod
+    def _mul_key(a: Word, b: Word) -> Word:
+        return a + b
 
-    def _norm_key(self, key: TermKey) -> TermKey:
-        return _norm_term(key, self.n, self.algebra)
-
-    def _new(self, terms, algebra, *factors):
-        return NcPoly(self.n, terms, algebra, any(f.truncated for f in factors))
+    def _norm_key(self, key: Word) -> Word:
+        return _norm_word(key, self.n, self.algebra)
 
     # construction helpers ------------------------------------------------
 
@@ -269,21 +243,24 @@ class NcPoly(_TermSum):
 
     @classmethod
     def indet(cls, n, i, algebra=None):
-        return cls(n, {((i,), ((), ())): 1.0}, algebra)
+        return cls(n, {(i,): 1.0}, algebra)
 
     @classmethod
     def coefficient(cls, n, name, algebra, star=False):
-        return cls(n, {((), (((name, star),),)): 1.0}, algebra)
+        return cls(n, {(name + "*" * star,): 1.0}, algebra)
 
     # structure -----------------------------------------------------------
 
     def adjoint(self) -> "NcPoly":
+        # a Hermitian generator's "h*" folds back to "h" in the constructor
         terms = {}
-        for (word, coefs), s in self.terms.items():
-            aw = tuple(reversed(word))
-            ac = tuple(_adj_slot(c, self.algebra) for c in reversed(coefs))
-            terms[(aw, ac)] = terms.get((aw, ac), 0.0) + s.conjugate()
-        return NcPoly(self.n, terms, self.algebra, self.truncated)
+        for word, s in self.terms.items():
+            aw = tuple(
+                x if isinstance(x, int) else x[:-1] if x.endswith("*") else x + "*"
+                for x in reversed(word)
+            )
+            terms[aw] = s.conjugate()
+        return NcPoly(self.n, terms, self.algebra)
 
     def is_selfadjoint(self) -> bool:
         return self.equals(self.adjoint())
@@ -296,15 +273,15 @@ class NcBiPoly(_TermSum):
     """Element of the tensor square; legs act on z as (a, b): z -> a z b."""
 
     __slots__ = ()
-    _UNIT: PairKey = (NcPoly._UNIT, NcPoly._UNIT)
+    _UNIT: PairKey = ((), ())
 
     def _norm_key(self, key: PairKey) -> PairKey:
-        return (_norm_term(key[0], self.n, self.algebra), _norm_term(key[1], self.n, self.algebra))
+        return (_norm_word(key[0], self.n, self.algebra), _norm_word(key[1], self.n, self.algebra))
 
     @staticmethod
     def _mul_key(a: PairKey, b: PairKey) -> PairKey:
         # (a (x) b)(c (x) d) = ac (x) bd, leg by leg
-        return (_key_mul(a[0], b[0]), _key_mul(a[1], b[1]))
+        return (a[0] + b[0], a[1] + b[1])
 
     @staticmethod
     def _sort_key(key: PairKey):
@@ -319,12 +296,11 @@ class NcBiPoly(_TermSum):
 
     def evaluate_pairs(self, t: matcore.MatrixTuple):
         """Evaluated tensor legs [(a, b), ...] with scalars folded into a."""
-        ev = _Evaluator(self.algebra, t)
-        return [(ev.word(lkey) * s, ev.word(rkey)) for (lkey, rkey), s in self.sorted_terms()]
-
-    def apply(self, t: matcore.MatrixTuple, z: np.ndarray) -> np.ndarray:
-        out = np.zeros((t.dim, t.dim), dtype=np.complex128)
-        return _apply_pairs(self.evaluate_pairs(t), z, out)
+        mats = _letter_values(self.algebra, t)
+        return [
+            (_word_value(lw, mats, t.dim) * s, _word_value(rw, mats, t.dim))
+            for (lw, rw), s in self.sorted_terms()
+        ]
 
     def __repr__(self):
         return f"NcBiPoly({bipoly_text(self)!r})"
@@ -333,38 +309,28 @@ class NcBiPoly(_TermSum):
 # evaluation ---------------------------------------------------------------
 
 
-class _Evaluator:
-    """Words of a tuple in dimension k; a matrix coefficient g of
-    dimension d acts on it as g (x) 1_{k/d}."""
+def _letter_values(alg: CoefficientAlgebra, t: matcore.MatrixTuple) -> dict:
+    """Letter -> matrix at the tuple, in dimension k; a matrix coefficient g
+    of dimension d acts as g (x) 1_{k/d}."""
+    k = t.dim
+    mats = {i + 1: m.array for i, m in enumerate(t.mats)}
+    if alg.gens:
+        if k % alg.dim != 0:
+            raise ValueError(
+                f"dimension mismatch: coefficients live in dim {alg.dim}, tuple in dim {k}"
+            )
+        rep = np.eye(k // alg.dim)
+        for name, g in alg.gens.items():
+            mats[name] = np.kron(g, rep)
+            mats[name + "*"] = mats[name].conj().T
+    return mats
 
-    def __init__(self, alg: CoefficientAlgebra, t: matcore.MatrixTuple):
-        self.alg = alg
-        self.t = t
-        self.k = t.dim
-        self.eye = np.eye(self.k, dtype=np.complex128)
-        self.gens = {}
-        if alg.gens:
-            d = alg.dim
-            if self.k % d != 0:
-                raise ValueError(
-                    f"dimension mismatch: coefficients live in dim {d}, tuple in dim {self.k}"
-                )
-            rep = np.eye(self.k // d)
-            self.gens = {name: np.kron(g, rep) for name, g in alg.gens.items()}
 
-    def slot(self, slot: Slot) -> np.ndarray:
-        m = self.eye
-        for name, star in slot:
-            g = self.gens[name]
-            m = m @ (g.conj().T if star else g)
-        return m
-
-    def word(self, key: TermKey) -> np.ndarray:
-        word, coefs = key
-        m = self.slot(coefs[0])
-        for j, letter in enumerate(word):
-            m = m @ self.t.mats[letter - 1].array @ self.slot(coefs[j + 1])
-        return m
+def _word_value(word: Word, mats: dict, k: int) -> np.ndarray:
+    m = np.eye(k, dtype=np.complex128)
+    for letter in word:
+        m = m @ mats[letter]
+    return m
 
 
 def evaluate(f: NcPoly, t: matcore.MatrixTuple):
@@ -375,10 +341,10 @@ def evaluate(f: NcPoly, t: matcore.MatrixTuple):
     """
     if f.n != t.n:
         raise ValueError(f"polynomial arity {f.n} vs tuple arity {t.n}")
-    ev = _Evaluator(f.algebra, t)
+    mats = _letter_values(f.algebra, t)
     out = np.zeros((t.dim, t.dim), dtype=np.complex128)
-    for key, s in f.terms.items():
-        out += s * ev.word(key)
+    for word, s in f.terms.items():
+        out += s * _word_value(word, mats, t.dim)
     if f.is_selfadjoint():
         scale = max(1.0, float(np.max(np.abs(out))))
         gap = float(np.max(np.abs(out - out.conj().T)))
@@ -393,14 +359,11 @@ def dquotient(f: NcPoly, i: int) -> NcBiPoly:
     if not 1 <= i <= f.n:
         raise ValueError(f"index {i} out of 1..{f.n}")
     terms: Dict[PairKey, complex] = {}
-    for (word, coefs), s in f.terms.items():
+    for word, s in f.terms.items():
         for j, letter in enumerate(word):
-            if letter != i:
-                continue
-            lkey = (word[:j], coefs[: j + 1])
-            rkey = (word[j + 1 :], coefs[j + 1 :])
-            key = (lkey, rkey)
-            terms[key] = terms.get(key, 0.0) + s
+            if letter == i:
+                key = (word[:j], word[j + 1 :])
+                terms[key] = terms.get(key, 0.0) + s
     return NcBiPoly(f.n, terms, f.algebra)
 
 
@@ -412,13 +375,6 @@ def compose(f: NcPoly, gs: Sequence[NcPoly]) -> NcPoly:
     for g in gs:
         alg = _join(alg, g.algebra)
     return _compose_graded(f, [[g] for g in gs], 0, alg)[0]
-
-
-def _apply_pairs(pairs, z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Accumulate sum a @ z @ b over evaluated tensor legs into out."""
-    for a, b in pairs:
-        out += a @ z @ b
-    return out
 
 
 class NcJacobian:
@@ -446,7 +402,8 @@ class NcJacobian:
         for j in range(self.n):
             acc = np.zeros((self.k, self.k), dtype=np.complex128)
             for i in range(self.n):
-                _apply_pairs(self._pairs[i][j], hs[i], acc)
+                for a, b in self._pairs[i][j]:
+                    acc += a @ hs[i] @ b
             out.append(acc)
         return out
 
@@ -480,11 +437,11 @@ class NcJacobian:
 
 def jacobian(fs: Sequence[NcPoly], t: matcore.MatrixTuple) -> NcJacobian:
     n = len(fs)
+    if n != t.n:
+        raise ValueError("polynomial arity vs tuple arity mismatch")
     for f in fs:
         if f.n != n:
             raise ValueError("component arity must match the number of components")
-        if f.n != t.n:
-            raise ValueError("polynomial arity vs tuple arity mismatch")
     entries = [[dquotient(fs[j], i + 1) for j in range(n)] for i in range(n)]
     return NcJacobian(entries, t)
 
@@ -502,16 +459,14 @@ def logabs_functional(jac: NcJacobian) -> float:
 
 
 def _majorant_levels(f: NcPoly, radii: Sequence[float]) -> Dict[int, float]:
-    """Commutative majorant per degree: coefficients to norm products, t_i to radii."""
+    """Commutative majorant per degree: coefficients to norms, t_i to radii."""
     levels: Dict[int, float] = {}
-    for (word, coefs), s in f.terms.items():
+    for word, s in f.terms.items():
         v = abs(s)
-        for slot in coefs:
-            for name, _ in slot:
-                v *= f.algebra.norm(name)
-        for letter in word:
-            v *= radii[letter - 1]
-        levels[len(word)] = levels.get(len(word), 0.0) + v
+        for x in word:
+            v *= radii[x - 1] if isinstance(x, int) else f.algebra.norm(x.removesuffix("*"))
+        degree = sum(isinstance(x, int) for x in word)
+        levels[degree] = levels.get(degree, 0.0) + v
     return levels
 
 
@@ -531,17 +486,6 @@ def majorant_value(f: NcPoly, radii: Sequence[float]) -> float:
     if any(r <= 0 for r in radii):
         raise ValueError("radii must be positive")
     return sum(_majorant_levels(f, radii).values())
-
-
-def majorant_radius(f: NcPoly, radii: Sequence[float]) -> bool:
-    """Convergence certificate at the given multiradius.
-
-    Polynomials always pass.  A truncated series passes when the last two
-    nonzero majorant degree levels still shrink (ratio < 1).
-    """
-    if len(radii) != f.n:
-        raise ValueError("need one radius per indeterminate")
-    return not f.truncated or _still_shrinks(_majorant_levels(f, radii))
 
 
 # perturbative inversion ----------------------------------------------------
@@ -565,18 +509,13 @@ def _compose_graded(f: NcPoly, gs, order, alg):
     """Substitute graded tuples into f, keeping grades <= order."""
     n = gs[0][0].n if gs else f.n
     out = [NcPoly.zero(n, alg) for _ in range(order + 1)]
-    for (word, coefs), s in f.terms.items():
-        acc = [NcPoly(n, {((), (coefs[0],)): s}, alg)] + [
-            NcPoly.zero(n, alg) for _ in range(order)
-        ]
-        for j, letter in enumerate(word):
-            acc = _graded_mul(acc, gs[letter - 1], order, n, alg)
-            slot_poly = [NcPoly(n, {((), (coefs[j + 1],)): 1.0}, alg)] + [
-                NcPoly.zero(n, alg) for _ in range(order)
-            ]
-            acc = _graded_mul(acc, slot_poly, order, n, alg)
-        for m in range(order + 1):
-            out[m] = out[m] + acc[m]
+    for word, s in f.terms.items():
+        acc = [NcPoly.scalar(n, s, alg)]
+        for letter in word:  # a coefficient letter is a grade-0 factor
+            g = gs[letter - 1] if isinstance(letter, int) else [NcPoly(n, {(letter,): 1.0}, alg)]
+            acc = _graded_mul(acc, g, order, n, alg)
+        for m, am in enumerate(acc):
+            out[m] = out[m] + am
     return out
 
 
@@ -617,7 +556,6 @@ def perturbation_inverse(
         total = NcPoly.zero(n, alg)
         for m in range(order + 1):
             total = total + gs[i][m] * (eps**m)
-        total.truncated = True
         out.append(total)
     return out
 
@@ -634,14 +572,8 @@ def _fmt_scalar(z: complex) -> str:
     return repr(complex(z))
 
 
-def _word_parts(key: TermKey) -> List[str]:
-    word, coefs = key
-    parts: List[str] = []
-    for j, slot in enumerate(coefs):
-        parts.extend(name + ("*" if star else "") for name, star in slot)
-        if j < len(word):
-            parts.append(f"t{word[j]}")
-    return parts
+def _word_parts(word: Word) -> List[str]:
+    return [f"t{x}" if isinstance(x, int) else x for x in word]
 
 
 def _signed_sum(f: _TermSum, key_parts) -> str:
@@ -662,8 +594,8 @@ def poly_text(f: NcPoly) -> str:
 def bipoly_text(f: NcBiPoly) -> str:
     """Tensor terms as `left (x) right`, ordered by split position."""
 
-    def leg(key: TermKey) -> str:
-        return " ".join(_word_parts(key)) or "1"
+    def leg(word: Word) -> str:
+        return " ".join(_word_parts(word)) or "1"
 
     return _signed_sum(f, lambda pair: [leg(pair[0]), "(x)", leg(pair[1])])
 
@@ -680,7 +612,8 @@ def parse_poly(text: str, n: int, algebra: Optional[CoefficientAlgebra] = None) 
 
     Tokens: `tK` (indeterminate, 1-based), decimal literals (scalars),
     coefficient names from the algebra (optional trailing `*` for the
-    adjoint), with `+` or `-` between terms.
+    adjoint), with `+` or `-` between terms.  A literal, a term's scalar
+    product or the running sum that is not finite is a parse error.
     """
     alg = algebra if algebra is not None else CoefficientAlgebra.scalars()
     tokens = text.split()
@@ -689,17 +622,17 @@ def parse_poly(text: str, n: int, algebra: Optional[CoefficientAlgebra] = None) 
     out = NcPoly.zero(n, alg)
     sign = 1.0
     cur_scalar: complex = 1.0
-    cur_word: List[int] = []
-    cur_coefs: List[List[Tuple[str, bool]]] = [[]]
+    cur_word: list = []
     saw_any = False
 
     def flush(pos):
-        nonlocal out, sign, cur_scalar, cur_word, cur_coefs, saw_any
+        nonlocal out, sign, cur_scalar, cur_word, saw_any
         if not saw_any:
             raise PolyParseError(f"token {pos}: empty term")
-        key = (tuple(cur_word), tuple(tuple(s) for s in cur_coefs))
-        out = out + NcPoly(n, {key: sign * cur_scalar}, alg)
-        sign, cur_scalar, cur_word, cur_coefs, saw_any = 1.0, 1.0, [], [[]], False
+        out = out + NcPoly(n, {tuple(cur_word): sign * cur_scalar}, alg)
+        if not all(cmath.isfinite(v) for v in out.terms.values()):
+            raise PolyParseError(f"token {pos}: the sum is not finite")
+        sign, cur_scalar, cur_word, saw_any = 1.0, 1.0, [], False
 
     for pos, tok in enumerate(tokens, start=1):
         if tok in ("+", "-"):
@@ -718,17 +651,16 @@ def parse_poly(text: str, n: int, algebra: Optional[CoefficientAlgebra] = None) 
             if not 1 <= i <= n:
                 raise PolyParseError(f"token {pos}: t{i} out of range 1..{n}")
             cur_word.append(i)
-            cur_coefs.append([])
             saw_any = True
             continue
         if _NUM_RE.match(tok):
             cur_scalar *= float(tok)
+            if not cmath.isfinite(cur_scalar):
+                raise PolyParseError(f"token {pos}: scalar {tok!r} makes the term not finite")
             saw_any = True
             continue
-        star = tok.endswith("*")
-        name = tok[:-1] if star else tok
-        if name in alg.gens:
-            cur_coefs[-1].append((name, star))
+        if tok.removesuffix("*") in alg.gens:
+            cur_word.append(tok)
             saw_any = True
             continue
         raise PolyParseError(f"token {pos}: unknown token {tok!r}")

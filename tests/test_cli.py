@@ -75,6 +75,19 @@ def test_dq_grammar_error_carries_position(capsys):
     assert "token 2" in err
 
 
+@pytest.mark.parametrize(
+    "poly,token",
+    [("1e400 t1", "token 1"), ("1e200 1e200 t1", "token 2"), ("1e308 t1 + 1e308 t1", "token 5")],
+    ids=["literal", "product", "sum"],
+)
+def test_dq_non_finite_scalar_exits_2(capsys, poly, token):
+    # each crashed with an uncaught OverflowError when the result was printed
+    code, out, err = run(capsys, "dq", poly, "1")
+    assert code == 2
+    assert out == ""
+    assert token in err and "not finite" in err
+
+
 def test_dq_rejects_bad_index(capsys):
     code, _, err = run(capsys, "dq", "t1", "0")
     assert code == 2
