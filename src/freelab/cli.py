@@ -120,6 +120,8 @@ def _cmd_chi_single(args) -> int:
     ]
     if args.field:
         f = _parse_field(args.field, _field_support(mu))
+        if not f.diffeo:
+            raise UsageError(f"bad field parameters in {args.field!r}: f is not monotone")
         row["cov_correction"] = spectra.cov_correction(mu, f)
         row["field"] = args.field
         lines.append(f"cov_correction[{args.field}] = {row['cov_correction']:.6f}")

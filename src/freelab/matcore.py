@@ -161,23 +161,6 @@ def to_coords(h: np.ndarray) -> np.ndarray:
     return out
 
 
-def from_coords(c: np.ndarray, k: int) -> np.ndarray:
-    """Inverse of :func:`to_coords`; returns (..., k, k) exactly Hermitian.
-
-    Entry (i, i) is the diagonal coordinate; entry (i, j), i < j, is
-    (c_re * 1/sqrt(2), c_im * 1/sqrt(2)) with one rounding per part, and
-    (j, i) is its exact conjugate.  Every sampler builds its matrices
-    through the same gather (:func:`_hermitian_into`).
-    """
-    c = np.asarray(c, dtype=np.float64)
-    lead = c.shape[:-1]
-    ext = np.empty(lead + (_ext_width(k),))
-    ext[..., : k * k] = c
-    out = np.empty(lead + (k, k), dtype=np.complex128)
-    _hermitian_into(ext, k, out)
-    return out
-
-
 def _ext_width(k: int) -> int:
     # k^2 coordinates, k(k-1)/2 negated imaginary parts, one zero
     return k * k + k * (k - 1) // 2 + 1
@@ -307,7 +290,8 @@ def gue_stack(
     imaginary parts N(0, v/2k)).  Sample ``index`` consumes the counter
     block ``[B*(start+index), B*(start+index+1))`` with block size
     B = 2*ceil(k^2/2), so disjoint index ranges are independent.  Each
-    coordinate is normal * sqrt(variance/k), placed as in :func:`from_coords`.
+    coordinate is normal * sqrt(variance/k), exactly the normal at variance
+    k, and :func:`_hermitian_into` places it in :func:`to_coords`'s layout.
     Each sample reads only its own counter block and each element goes
     through the same operations in the same order, so neither the
     sub-blocks of :func:`_fill_stack`, a split of ``[start, start+count)``,
@@ -325,9 +309,9 @@ def gue_stack(
     return _fill_stack(out, count, k, seed, start, 2 * ((kk + 1) // 2), finish)
 
 
-def sample_gue(k: int, variance: float, seed: int, index: int = 0) -> SelfAdjointMatrix:
-    """Single GUE draw; ``index`` selects the counter block."""
-    return SelfAdjointMatrix(gue_stack(k, 1, variance, seed, start=index)[0])
+def sample_gue(k: int, variance: float, seed: int) -> SelfAdjointMatrix:
+    """Single GUE draw: the first of :func:`gue_stack`."""
+    return SelfAdjointMatrix(gue_stack(k, 1, variance, seed)[0])
 
 
 def ball_log_volume(k: int, radius: float) -> float:
@@ -351,7 +335,7 @@ def ball_stack(
     Sample ``index`` uses counter block size B = 2*ceil(k^2/2) + 2; the
     word at offset B-2 feeds the radius uniform (B-1 is spare).  Each
     coordinate is g * (rho * u^(1/d) / |g|), then placed as in
-    :func:`from_coords`; as for :func:`gue_stack`, sub-blocking, a split
+    :func:`_hermitian_into` as for :func:`gue_stack`; sub-blocking, a split
     of the counter range, or filling ``out`` cannot change a draw.
     """
     d = k * k

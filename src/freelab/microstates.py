@@ -67,15 +67,7 @@ class SpecTooShallow(ValueError):
 def canonical_word(word) -> Tuple[int, ...]:
     """Minimal cyclic rotation over the word and its reversal."""
     w = tuple(int(i) for i in word)
-    if not w:
-        return w
-    best = w
-    for base in (w, w[::-1]):
-        for s in range(len(base)):
-            rot = base[s:] + base[:s]
-            if rot < best:
-                best = rot
-    return best
+    return min(_min_rotation(w), _min_rotation(w[::-1]))
 
 
 def _min_rotation(w: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -330,10 +322,6 @@ class TracialSpec:
     @classmethod
     def free_model(cls, n, m, l_max, factors, assign) -> "TracialSpec":
         return cls(n, m, l_max, generator=FreeModel(factors, assign))
-
-    @classmethod
-    def matrix_model(cls, n, m, l_max, mats) -> "TracialSpec":
-        return cls(n, m, l_max, generator=MatrixModel(mats))
 
     # lookups ---------------------------------------------------------------
 

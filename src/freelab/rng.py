@@ -89,11 +89,6 @@ def normals_from_words(w: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def uniforms(seed: int, start: int, count: int) -> np.ndarray:
-    """Uniforms on [0, 1), one stream word each."""
-    return uniforms_from_words(words(seed, start, count))
-
-
 def normals(seed: int, start: int, count: int) -> np.ndarray:
     """Standard normals; consumes 2*ceil(count/2) words from ``start``.
 

@@ -208,22 +208,26 @@ class SpectralMeasure:
         raise ValueError("atomic measure has no density")
 
     def moment(self, p: int) -> float:
-        """p-th raw moment."""
-        if p == 0:
-            return 1.0
-        if self.kind == "atomic":
-            return float(sum(w * loc**p for loc, w in self.atoms))
-        if self.kind == "semicircle":
-            if p % 2:
-                return 0.0
-            m = p // 2
-            catalan = math.comb(2 * m, m) / (m + 1)
-            return catalan * self.variance**m
-        if self.kind == "uniform":
-            a, b = self.support
-            return (b ** (p + 1) - a ** (p + 1)) / ((p + 1) * (b - a))
-        x, w = _gl_panels(np.linspace(*self.support, _X_PANELS + 1))
-        return float(np.sum(w * self.density(x) * x**p))
+        """p-th raw moment; a ValueError when it overflows a float."""
+        a, b = self.support
+        try:
+            if p == 0:
+                value = 1.0
+            elif self.kind == "atomic":
+                value = float(sum(w * loc**p for loc, w in self.atoms))
+            elif self.kind == "semicircle":
+                m = p // 2
+                value = 0.0 if p % 2 else math.comb(2 * m, m) / (m + 1) * self.variance**m
+            elif self.kind == "uniform":
+                value = (b ** (p + 1) - a ** (p + 1)) / ((p + 1) * (b - a))
+            else:
+                x, w = _gl_panels(np.linspace(a, b, _X_PANELS + 1))
+                value = float(np.sum(w * self.density(x) * x**p))
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError(f"moment {p} of {self!r} overflows a float")
+        return value
 
     def to_grid(self, npoints: int = _GRID_N) -> "SpectralMeasure":
         """Uniform-grid version (renormalized); identity on grid kind."""
@@ -269,83 +273,53 @@ class SpectralMeasure:
 
 
 class ScalarField:
-    """Real function on an interval with derivative values.
-
-    Stores a grid representation (grid, values, deriv) as the common
-    contract and keeps exact callables when constructed from them, so
-    quadratures do not pay interpolation error.  ``diffeo=True``
-    asserts strictly monotone sampled values.
+    """Real function f on an interval and its derivative fp, as exact
+    vectorized callables.  ``diffeo=True`` asserts a diffeomorphism: f must
+    strictly increase or decrease over the _GRID_N-point grid of ``support``.
     """
 
-    __slots__ = ("grid_x", "values", "deriv", "_f", "_fp", "diffeo")
+    __slots__ = ("f", "fp", "support", "diffeo")
 
-    def __init__(self, grid_x, values, deriv, f=None, fprime=None, diffeo=False):
-        self.grid_x = np.asarray(grid_x, dtype=float)
-        self.values = np.asarray(values, dtype=float)
-        self.deriv = np.asarray(deriv, dtype=float)
-        if not (self.grid_x.shape == self.values.shape == self.deriv.shape):
-            raise ValueError("grid, values, deriv must share a shape")
-        self._f = f
-        self._fp = fprime
+    def __init__(self, f, fp, support, diffeo):
+        self.f = f
+        self.fp = fp
+        self.support = (float(support[0]), float(support[1]))
         self.diffeo = diffeo
         if diffeo:
-            d = np.diff(self.values)
+            d = np.diff(f(np.linspace(*self.support, _GRID_N)))
             if not ((d > 0).all() or (d < 0).all()):
                 raise ValueError("field flagged diffeomorphism is not strictly monotone")
 
-    @classmethod
-    def from_callable(cls, f, fprime, support):
-        x = np.linspace(support[0], support[1], _GRID_N)
-        return cls(x, f(x), fprime(x), f=f, fprime=fprime, diffeo=True)
-
     def __call__(self, x):
-        if self._f is not None:
-            return self._f(np.asarray(x, dtype=float))
-        return np.interp(x, self.grid_x, self.values)
+        return self.f(np.asarray(x, dtype=float))
 
     def deriv_at(self, x):
-        if self._fp is not None:
-            return self._fp(np.asarray(x, dtype=float))
-        return np.interp(x, self.grid_x, self.deriv)
-
-    @property
-    def increasing(self) -> bool:
-        return bool(self.values[-1] > self.values[0])
+        return self.fp(np.asarray(x, dtype=float))
 
 
 def affine_field(a: float, b: float, support) -> ScalarField:
     """x -> a x + b; a must be nonzero."""
     if a == 0:
         raise ValueError("affine field needs nonzero slope")
-    return ScalarField.from_callable(
-        lambda x: a * x + b, lambda x: np.full_like(x, float(a)), support
-    )
+    return ScalarField(lambda x: a * x + b, lambda x: np.full_like(x, float(a)), support, True)
 
 
 def polynomial_field(coeffs, support) -> ScalarField:
-    """x -> sum coeffs[j] x^j (ascending); flagged diffeo iff monotone."""
+    """x -> sum coeffs[j] x^j (ascending); flagged diffeo iff f' keeps one strict sign."""
+    poly = np.polynomial.polynomial
     c = np.asarray(coeffs, dtype=float)
-    dc = c[1:] * np.arange(1, c.size)
-
-    def f(x):
-        return np.polynomial.polynomial.polyval(x, c)
-
-    def fp(x):
-        return np.polynomial.polynomial.polyval(x, dc) if dc.size else np.zeros_like(x)
-
-    x = np.linspace(support[0], support[1], _GRID_N)
-    mono = (fp(x) > 0).all() or (fp(x) < 0).all()
-    return ScalarField(x, f(x), fp(x), f=f, fprime=fp, diffeo=bool(mono))
+    f = functools.partial(poly.polyval, c=c)
+    fp = functools.partial(poly.polyval, c=poly.polyder(c))
+    d = fp(np.linspace(support[0], support[1], _GRID_N))
+    return ScalarField(f, fp, support, diffeo=bool((d > 0).all() or (d < 0).all()))
 
 
 def arctan_field(scale: float, support) -> ScalarField:
     """x -> scale * arctan(x); strictly increasing for scale > 0."""
     if scale <= 0:
         raise ValueError("scale must be positive")
-    return ScalarField.from_callable(
-        lambda x: scale * np.arctan(x),
-        lambda x: scale / (1.0 + x * x),
-        support,
+    return ScalarField(
+        lambda x: scale * np.arctan(x), lambda x: scale / (1.0 + x * x), support, True
     )
 
 
@@ -436,7 +410,7 @@ def semicircle_entropy(variance: float) -> float:
 
 def _field_over(mu: SpectralMeasure, f: ScalarField) -> None:
     a, b = mu.support
-    ga, gb = f.grid_x[0], f.grid_x[-1]
+    ga, gb = f.support
     if a < ga - 1e-12 or b > gb + 1e-12:
         raise ValueError(
             f"field domain [{ga}, {gb}] does not cover measure support [{a}, {b}]"
@@ -460,7 +434,7 @@ def pushforward(mu: SpectralMeasure, f: ScalarField) -> SpectralMeasure:
     g = mu.to_grid()
     x = g.grid()
     fx = f(x)
-    if not f.increasing:
+    if fx[0] > fx[-1]:
         x, fx = x[::-1], fx[::-1]
     ya, yb = fx[0], fx[-1]
     y = np.linspace(ya, yb, x.size)
@@ -519,8 +493,9 @@ def cov_correction(mu: SpectralMeasure, f: ScalarField) -> float:
 # Conjugate variables
 
 
-def conjugate_variable(mu: SpectralMeasure, npoints: int = _GRID_N) -> ScalarField:
-    """J(x) = 2 PV integral p(t)/(x - t) dt on the support grid.
+def conjugate_variable(mu: SpectralMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """(x, J(x)) with x the grid of mu.to_grid() and J(x) = 2 PV integral
+    p(t)/(x - t) dt.
 
     The principal value splits as the regular part
     int (p(t) - p(x))/(x - t) dt (the integrand tends to -p'(x) on the
@@ -528,7 +503,7 @@ def conjugate_variable(mu: SpectralMeasure, npoints: int = _GRID_N) -> ScalarFie
     variance c^2 this gives J(x) = x / c^2; J(semicircle(1)) = id is
     the normalization anchor fixing the factor 2.
     """
-    g = mu.to_grid(npoints)
+    g = mu.to_grid()
     x = g.grid()
     p = g.values
     h = x[1] - x[0]
@@ -548,9 +523,7 @@ def conjugate_variable(mu: SpectralMeasure, npoints: int = _GRID_N) -> ScalarFie
     # the laws of interest; clamp to the neighbour to avoid nan * 0
     logterm[0] = logterm[1]
     logterm[-1] = logterm[-2]
-    j = 2.0 * (regular + p * logterm)
-    dj = np.gradient(j, h)
-    return ScalarField(x, j, dj)
+    return x, 2.0 * (regular + p * logterm)
 
 
 def inner_product_stationarity(mu: SpectralMeasure, polys) -> list[tuple[float, float]]:
@@ -561,13 +534,12 @@ def inner_product_stationarity(mu: SpectralMeasure, polys) -> list[tuple[float, 
     coefficients.  J is solved once for all of them.
     """
     g = mu.to_grid()
-    j = conjugate_variable(g)
-    x = g.grid()
+    x, j = conjugate_variable(g)
     h = x[1] - x[0]
     pairs = []
     for coeffs in polys:
         px = np.polynomial.polynomial.polyval(x, np.asarray(coeffs, dtype=float))
-        lhs = float(np.trapezoid(j.values * px * g.values, dx=h))
+        lhs = float(np.trapezoid(j * px * g.values, dx=h))
         rhs = float(np.trapezoid(x * px * g.values, dx=h))
         pairs.append((lhs, rhs))
     return pairs

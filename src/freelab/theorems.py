@@ -513,11 +513,10 @@ def _chk_max(c):
     deviations = {}
     for name in ("uniform", "arcsine"):
         g = family[name].to_grid()
-        j = spectra.conjugate_variable(g)
+        xs, j = spectra.conjugate_variable(g)
         lo, hi = g.quantile(0.05), g.quantile(0.95)
-        xs = j.grid_x
         sel = (xs >= lo) & (xs <= hi)
-        deviations[name] = float(np.max(np.abs(j.values[sel] - xs[sel])))
+        deviations[name] = float(np.max(np.abs(j[sel] - xs[sel])))
     ok = (
         lhs >= margin_floor
         and uniform_gap > 0.0

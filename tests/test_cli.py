@@ -190,6 +190,17 @@ def test_chi_single_rejects_unknown_field(tmp_path, capsys):
     assert "unknown field" in err
 
 
+@pytest.mark.parametrize("field", ["poly:0,0,1", "poly:5", "affine:0,1", "arctan:-1"])
+def test_chi_single_bad_field_parameters_exit_2(tmp_path, capsys, field):
+    # x^2 and a constant are not monotone on [-2.4, 2.4]: bad parameters, not a failure
+    path = write_json(tmp_path / "sc.json", {"kind": "semicircle", "variance": 1.0})
+    code, out, err = run(capsys, "chi-single", path, "--field", field)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: bad field parameters in {field!r}")
+    assert len(err.splitlines()) == 1
+
+
 def test_chi_single_out_file_matches_stdout(tmp_path, capsys):
     path = write_json(tmp_path / "sc.json", {"kind": "semicircle", "variance": 1.0})
     code, out, _ = run(capsys, "chi-single", path)
@@ -418,6 +429,24 @@ def test_chi_mc_non_finite_window_exits_2_before_sampling(tmp_path, capsys, monk
     assert code == 2
     assert out == ""
     assert f"{flag[2:]} must be positive and finite" in err
+
+
+@pytest.mark.parametrize("factor,l", [
+    ({"kind": "atomic", "atoms": [[1e300, 1.0]]}, "2"),
+    ({"kind": "uniform", "interval": [-1e300, 1e300]}, "2"),
+    ({"kind": "semicircle", "variance": 1e300}, "4"),
+    ({"kind": "uniform", "interval": [-5e102, 5e102]}, "2"),  # b^3 - a^3 is inf, no exception
+], ids=["atomic", "uniform", "semicircle", "uniform-silent"])
+def test_chi_mc_overflowing_moment_exits_1(tmp_path, capsys, factor, l):
+    spec = {"n": 1, "m": 0, "l_max": 4,
+            "generator": {"kind": "free", "factors": [factor], "assign": [0]}}
+    path = write_json(tmp_path / "spec.json", spec)
+    code, out, err = run(capsys, "chi-mc", "--spec", path, "--k", "2", "--samples", "200",
+                         "--l", l, "--threads", "1")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: moment ") and "overflows a float" in err
 
 
 def test_chi_mc_missing_file(capsys):

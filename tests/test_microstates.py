@@ -112,7 +112,7 @@ def random_model(n, k, seed):
 @settings(max_examples=30, deadline=None, derandomize=True)
 def test_a_matrix_model_is_a_microstate_of_its_own_spec(n, k, l, eps, seed):
     # from three letters on, tau(x1 x3 x2) is complex: the spec must keep it
-    spec = TracialSpec.matrix_model(n, 0, l, random_model(n, k, seed))
+    spec = TracialSpec(n, 0, l, generator=ms.MatrixModel(random_model(n, k, seed)))
     t = spec.generator.tuple
     radius = 1.0 + float(matcore.operator_norms(t.stack()).max())
     assert ms.is_microstate(t, spec, MicrostateParams(k=k, l=l, eps=eps, radius=radius))
@@ -121,7 +121,7 @@ def test_a_matrix_model_is_a_microstate_of_its_own_spec(n, k, l, eps, seed):
 
 
 def test_a_three_letter_model_has_complex_targets():
-    spec = TracialSpec.matrix_model(3, 0, 3, random_model(3, 4, 1))
+    spec = TracialSpec(3, 0, 3, generator=ms.MatrixModel(random_model(3, 4, 1)))
     x = [m.array for m in spec.generator.tuple]
     want = np.trace(x[0] @ x[2] @ x[1]) / 4
     assert abs(want.imag) > 0.5
@@ -233,7 +233,7 @@ def test_spec_serialization_roundtrip(tmp_path):
     specs = [
         free_pair_spec(3),
         TracialSpec.from_targets(1, 0, 2, {(1,): 0.0, (1, 1): 1.0}),
-        TracialSpec.matrix_model(0, 1, 2, [np.diag([1.0, -1.0])]),
+        TracialSpec(0, 1, 2, generator=ms.MatrixModel([np.diag([1.0, -1.0])])),
     ]
     for doc, spec in zip(docs, specs):
         back = TracialSpec.from_dict(json.loads(json.dumps(doc)))
@@ -254,7 +254,7 @@ def test_suggested_radius_tracks_support_bounds():
     assert ms.suggested_radius(wide_sc) == pytest.approx(14.0)
     wide = TracialSpec.free_model(1, 1, 2, [semicircle(), two_atom(2.0)], [0, 1])
     assert ms.suggested_radius(wide) == pytest.approx(6.0)
-    model = TracialSpec.matrix_model(0, 1, 2, [np.diag([3.0, -1.0])])
+    model = TracialSpec(0, 1, 2, generator=ms.MatrixModel([np.diag([3.0, -1.0])]))
     assert ms.suggested_radius(model) == pytest.approx(8.0)
 
 
@@ -367,7 +367,7 @@ def test_member_mask_matches_the_naive_reference(n, with_y, k, l, eps, radius, v
 def test_membership_is_invariant_under_unitary_conjugation(k, l, eps, seed):
     # a model's own words sit on target, its targets shifted by 2 eps miss
     # by eps: both verdicts keep a margin of eps from the window edge
-    own = TracialSpec.matrix_model(2, 0, l, random_model(2, k, seed))
+    own = TracialSpec(2, 0, l, generator=ms.MatrixModel(random_model(2, k, seed)))
     shifted = TracialSpec.from_targets(
         2, 0, l, {w: own.target(w) + 2.0 * eps for w in own.required_words(l)}
     )
@@ -683,7 +683,7 @@ def test_y_candidates_pass_the_marginal_test():
         assert desc.startswith("free#")
         assert ms.is_microstate(tup, ymarg, p)
     flip = np.array([[0.0, 1.0], [1.0, 0.0]])
-    model = TracialSpec.matrix_model(1, 1, 2, [flip, np.diag([1.0, -1.0])])
+    model = TracialSpec(1, 1, 2, generator=ms.MatrixModel([flip, np.diag([1.0, -1.0])]))
     pm = MicrostateParams(k=4, l=2, eps=0.2, radius=4.0)
     mcands = ms.y_candidates(model, pm, 2, seed=6)
     assert mcands and all(d.startswith("model#") for d, _ in mcands)

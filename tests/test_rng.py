@@ -35,13 +35,15 @@ def test_partitioned_ranges_concatenate():
     whole = rng.normals(7, 0, 4096)
     parts = np.concatenate([rng.normals(7, s, 1024) for s in (0, 1024, 2048, 3072)])
     assert (whole == parts).all()
-    wu = rng.uniforms(7, 0, 512)
-    pu = np.concatenate([rng.uniforms(7, s, 128) for s in (0, 128, 256, 384)])
+    wu = rng.uniforms_from_words(rng.words(7, 0, 512))
+    pu = np.concatenate(
+        [rng.uniforms_from_words(rng.words(7, s, 128)) for s in (0, 128, 256, 384)]
+    )
     assert (wu == pu).all()
 
 
 def test_uniform_range_and_moments():
-    u = rng.uniforms(99, 0, 200000)
+    u = rng.uniforms_from_words(rng.words(99, 0, 200000))
     assert ((0.0 <= u) & (u < 1.0)).all()
     assert abs(u.mean() - 0.5) < 3 * 0.2887 / math.sqrt(u.size)
     assert abs(u.var() - 1.0 / 12.0) < 1e-3
@@ -60,6 +62,6 @@ def test_derive_gives_distinct_streams():
     seeds = {rng.derive(11, t) for t in range(64)}
     assert len(seeds) == 64
     assert rng.derive(11, 1, 2) != rng.derive(11, 2, 1)
-    a = rng.uniforms(rng.derive(11, 3), 0, 64)
-    b = rng.uniforms(rng.derive(11, 4), 0, 64)
+    a = rng.uniforms_from_words(rng.words(rng.derive(11, 3), 0, 64))
+    b = rng.uniforms_from_words(rng.words(rng.derive(11, 4), 0, 64))
     assert not (a == b).all()

@@ -9,7 +9,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from freelab import matcore, spectra
-from freelab.spectra import ScalarField, SpectralMeasure as SM
+from freelab.spectra import SpectralMeasure as SM
 
 HALF_LOG_2PIE = 0.5 * math.log(2.0 * math.pi * math.e)  # 1.4189385...
 
@@ -144,19 +144,17 @@ def test_change_of_variables_identity_grid():
 
 def test_conjugate_variable_semicircle_is_identity():
     for c2 in (0.25, 1.0, 2.0):
-        j = spectra.conjugate_variable(SM.semicircle(c2))
-        x = j.grid_x
+        x, j = spectra.conjugate_variable(SM.semicircle(c2))
         inner = np.abs(x) <= 0.9 * 2.0 * math.sqrt(c2)
-        assert np.abs(j.values - x / c2)[inner].max() < 1e-2
+        assert np.abs(j - x / c2)[inner].max() < 1e-2
 
 
 def test_conjugate_variable_uniform_closed_form():
     a, b = -1.0, 1.0
-    j = spectra.conjugate_variable(SM.uniform(a, b))
-    x = j.grid_x
+    x, j = spectra.conjugate_variable(SM.uniform(a, b))
     inner = (x > -0.9) & (x < 0.9)
     want = (2.0 / (b - a)) * np.log((x[inner] - a) / (b - x[inner]))
-    assert np.abs(j.values[inner] - want).max() < 1e-6
+    assert np.abs(j[inner] - want).max() < 1e-6
 
 
 def test_stationarity_semicircle():
@@ -212,13 +210,6 @@ def test_esd_matches_semicircle():
         np.abs(np.arange(0, k) / k - grid_cdf).max(),
     )
     assert ks < 0.05
-
-
-def test_scalarfield_gridonly_interpolation():
-    x = np.linspace(0.0, 1.0, 101)
-    f = ScalarField(x, x**2, 2 * x)
-    assert abs(f(np.array(0.505)) - 0.505**2) < 1e-4
-    assert abs(f.deriv_at(np.array(0.25)) - 0.5) < 1e-12
 
 
 def test_measure_serialization_roundtrip():
@@ -385,8 +376,9 @@ def test_slabbed_cov_correction_on_atoms_matches_full_tensor_bits(natoms, rows, 
 def test_blocked_conjugate_variable_matches_full_tensor_bits(name, block_rows):
     mu = BIT_MEASURES[name]
     for npoints in (spectra._GRID_N, 3 * block_rows + 2):
-        j = spectra.conjugate_variable(mu, npoints)
-        assert np.array_equal(_bits(j.values), _bits(_conjugate_ref(mu, npoints)))
+        x, j = spectra.conjugate_variable(mu.to_grid(npoints))
+        assert np.array_equal(_bits(x), _bits(mu.to_grid(npoints).grid()))
+        assert np.array_equal(_bits(j), _bits(_conjugate_ref(mu, npoints)))
 
 
 def test_gauss_legendre_rule_is_shared_and_read_only():
