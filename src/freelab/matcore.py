@@ -248,10 +248,11 @@ def norms_leq(stack: np.ndarray, radius: float, sq_frob=None) -> np.ndarray:
 # Samplers
 
 
-# Rows of a sampler's sub-block hold about this many normals, so the
-# words, Box-Muller and gather temporaries of one sub-block stay cache-sized
-# at large k while a whole chunk is one sub-block at small k.
-_SUBBLOCK_NORMALS = 2**16
+# The one sub-block size of the Monte Carlo path, in matrix entries (1 MiB
+# complex): k^2-entry rows here, n k^2-entry rows in microstates' estimator,
+# so an estimator sub-block is one pass here per letter.  Measured as the
+# smallest of 2^15..2^18 that slowed no benchmark command (see README).
+_SUBBLOCK_ENTRIES = 2**16
 
 
 def _fill_stack(out, count, k, seed, start, block, finish) -> np.ndarray:
@@ -268,7 +269,7 @@ def _fill_stack(out, count, k, seed, start, block, finish) -> np.ndarray:
     elif out.shape != (count, k, k) or out.dtype != np.complex128:
         raise ValueError(f"out must be complex128 of shape {(count, k, k)}")
     npairs = 2 * ((k * k + 1) // 2)
-    rows = max(1, min(count, _SUBBLOCK_NORMALS // block))
+    rows = max(1, min(count, _SUBBLOCK_ENTRIES // (k * k)))
     ext = np.empty((rows, _ext_width(k)))
     for r0 in range(0, count, rows):
         m = min(rows, count - r0)

@@ -31,9 +31,9 @@ acceptances yield -inf with a recorded one-sided upper bound.  Sampling
 is chunked over fixed index ranges of the counter-based generator and
 reduced in chunk order, so results are bit-identical for any thread
 count (0 means every core).  Each chunk streams through sub-blocks of
-rows, each drawn, tested and weighed before the next; like the
-samplers' own sub-blocks, their size only bounds memory (about 4 MB of
-matrices per thread at any k) and cannot change a result.
+rows, each drawn, tested and weighed before the next; their size is
+matcore's one sub-block size (1 MiB of matrices per thread at any k),
+which only bounds memory and cannot change a result.
 """
 
 from __future__ import annotations
@@ -53,10 +53,6 @@ import numpy as np
 from . import matcore, rng, spectra
 
 _CHUNK = 4096
-# Rows of an estimator's sub-block hold about this many complex matrix
-# entries (4 MB), so a sub-block's draws, word products and norm test stay
-# that size at any k, while at n k^2 <= 64 a whole chunk is one sub-block.
-_SUBBLOCK_ENTRIES = 2**18
 _TARGET_TOL = 1e-12
 
 
@@ -665,22 +661,25 @@ def _run_chunks(work, starts, threads: int):
 def _accepted_chunks(n, k, nsamples, threads, fill, member, weigh):
     """Per chunk, in chunk order: the log-weights of its accepted rows, in row order.
 
-    Each chunk of _CHUNK samples streams through sub-blocks of rows: a
-    sub-block is drawn by ``fill(i, start, out)`` for each X letter i into
-    one reused (rows, n, k, k) buffer x, tested by ``member``, and
-    ``weigh`` gives the log-weights of its accepted rows x[member(x)]
-    before the next is drawn.  Every row is drawn from its own counter
-    block, tested and weighed alone, and a chunk's weights are reduced
-    whole, so the sub-blocks only bound memory.  ``member`` None accepts
-    no row, and nothing is drawn.
+    Each chunk of _CHUNK samples streams through the fewest sub-blocks of
+    equal rows that hold at most matcore._SUBBLOCK_ENTRIES entries over all
+    n letters (equal rows, not full ones and a short tail, measured fewer
+    page faults): a sub-block is drawn by ``fill(i, start, out)``, one
+    sampler pass per X letter i, into one reused (rows, n, k, k) buffer x,
+    tested by ``member``, and ``weigh`` gives the log-weights of its
+    accepted rows x[member(x)] before the next is drawn.  Every row is
+    drawn from its own counter block, tested and weighed alone, and a
+    chunk's weights are reduced whole, so the sub-blocks only bound
+    memory.  ``member`` None accepts no row, and nothing is drawn.
     """
     if member is None:
         return []
-    rows = max(1, min(_CHUNK, _SUBBLOCK_ENTRIES // (n * k * k)))
+    most = max(1, matcore._SUBBLOCK_ENTRIES // (n * k * k))
 
     def work(c0):
         count = min(_CHUNK, nsamples - c0)
-        buf = np.empty((min(rows, count), n, k, k), dtype=np.complex128)
+        rows = -(-count // -(-count // most))  # ceil(count / ceil(count / most))
+        buf = np.empty((rows, n, k, k), dtype=np.complex128)
         parts = []
         for r0 in range(0, count, rows):
             x = buf[: min(rows, count - r0)]

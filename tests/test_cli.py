@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -190,15 +191,22 @@ def test_chi_single_rejects_unknown_field(tmp_path, capsys):
     assert "unknown field" in err
 
 
-@pytest.mark.parametrize("field", ["poly:0,0,1", "poly:5", "affine:0,1", "arctan:-1"])
+@pytest.mark.parametrize(
+    "field",
+    ["poly:0,0,1", "poly:5", "affine:0,1", "arctan:-1", "affine:1e308,0", "poly:0,1e308,0,1e308"],
+)
 def test_chi_single_bad_field_parameters_exit_2(tmp_path, capsys, field):
-    # x^2 and a constant are not monotone on [-2.4, 2.4]: bad parameters, not a failure
+    # x^2 and a constant are not monotone on [-2.4, 2.4], and the 1e308 fields
+    # overflow there: bad parameters, not a failure, and no numpy warning
     path = write_json(tmp_path / "sc.json", {"kind": "semicircle", "variance": 1.0})
-    code, out, err = run(capsys, "chi-single", path, "--field", field)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "chi-single", path, "--field", field)
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: bad field parameters in {field!r}")
     assert len(err.splitlines()) == 1
+    assert [str(w.message) for w in caught] == []
 
 
 def test_chi_single_out_file_matches_stdout(tmp_path, capsys):

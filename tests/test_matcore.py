@@ -267,8 +267,7 @@ def _draw(sampler, k, count, seed, start, out=None):
 def _draw_plans(draw):
     sampler = draw(st.sampled_from(["gue", "ball"]))
     k = draw(st.integers(1, 16))
-    block = 2 * ((k * k + 1) // 2) + (2 if sampler == "ball" else 0)
-    rows = max(1, matcore._SUBBLOCK_NORMALS // block)  # rows per sub-block
+    rows = max(1, matcore._SUBBLOCK_ENTRIES // (k * k))  # rows per sub-block
     # small counts, or counts just around one or two whole sub-blocks
     near_edge = st.builds(lambda m, d: max(0, m * rows + d), st.integers(1, 2), st.integers(-3, 3))
     count = draw(st.one_of(st.integers(0, 40), near_edge))

@@ -490,10 +490,20 @@ SPLIT_CASES = {
 }
 
 
+def _sampler_passes(monkeypatch, spec, p, sampler, y, nsamples):
+    """rng.words calls of one single-threaded estimate: one per sampler pass."""
+    calls = []
+    words = rng.words
+    monkeypatch.setattr(rng, "words", lambda *a: calls.append(a) or words(*a))
+    ms.estimate_volume(spec, p, sampler, y, nsamples, seed=3, threads=1)
+    monkeypatch.setattr(rng, "words", words)
+    return len(calls)
+
+
 @pytest.mark.parametrize("sampler", ["importance", "ball"])
 @pytest.mark.parametrize("case", list(SPLIT_CASES))
 def test_volume_is_bit_identical_across_sub_block_sizes(monkeypatch, case, sampler):
-    # every case has n k^2 > 64, where the default budget splits each chunk
+    # every case has n k^2 > 16, where the default size splits each chunk
     spec, k = SPLIT_CASES[case]
     if sampler == "importance":
         p = MicrostateParams(k=k, l=4, eps=0.4, radius=4.0)
@@ -503,12 +513,20 @@ def test_volume_is_bit_identical_across_sub_block_sizes(monkeypatch, case, sampl
         p = MicrostateParams(k=k, l=2, eps=0.4, radius=2.1)
     y = ms.y_candidates(spec, p, 1, seed=1)[0][1] if spec.m else None
     nkk = spec.n * k * k
-    default_rows = ms._SUBBLOCK_ENTRIES // nkk
+    default_rows = matcore._SUBBLOCK_ENTRIES // nkk
     assert 1 < default_rows < ms._CHUNK
+
+    # at the default size each letter fills a sub-block in one sampler pass,
+    # with n = 2 letters at the semicircle cases' k as well
+    pair = SPLIT_CASES["free-pair-k9"][0]
+    for s, ys in [(spec, y)] + ([(pair, None)] if case.startswith("semicircle") else []):
+        most = matcore._SUBBLOCK_ENTRIES // (s.n * k * k)  # rows per sub-block, at most
+        sub_blocks = -(-ms._CHUNK // most) + -(-157 // most)
+        assert _sampler_passes(monkeypatch, s, p, sampler, ys, 4096 + 157) == s.n * sub_blocks
 
     def run(rows, threads, nsamples=4096 + 157):
         # by default two chunks, the second short, so the second thread has work
-        monkeypatch.setattr(ms, "_SUBBLOCK_ENTRIES", rows * nkk)
+        monkeypatch.setattr(matcore, "_SUBBLOCK_ENTRIES", rows * nkk)
         return ms.estimate_volume(spec, p, sampler, y, nsamples, seed=3, threads=threads)
 
     whole = run(ms._CHUNK, 1)
@@ -520,17 +538,18 @@ def test_volume_is_bit_identical_across_sub_block_sizes(monkeypatch, case, sampl
 
 
 def test_estimate_volume_memory_does_not_grow_with_the_chunk():
-    # a whole 4096-sample chunk at k=16 is 16 MB of X matrices alone; the
-    # sub-blocks hold about 4 MB of them
-    spec, p = sc_spec(), MicrostateParams(k=16, l=4, eps=0.4, radius=4.0)
-    ms.estimate_volume(spec, p, "importance", nsamples=100, seed=0)  # fill the caches
-    tracemalloc.start()
-    try:
-        ms.estimate_volume(spec, p, "importance", nsamples=4096, seed=0, threads=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    # a whole 4096-sample chunk at k=16, or of a pair at k=8, is 16 MiB of X
+    # matrices alone; the sub-blocks hold about 1 MiB of them
+    for spec, k in ((sc_spec(), 16), (SPLIT_CASES["free-pair-k9"][0], 8)):
+        p = MicrostateParams(k=k, l=4, eps=0.4, radius=4.0)
+        ms.estimate_volume(spec, p, "importance", nsamples=100, seed=0)  # fill the caches
+        tracemalloc.start()
+        try:
+            ms.estimate_volume(spec, p, "importance", nsamples=4096, seed=0, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20, (spec.n, k, peak)
 
 
 def test_zero_acceptance_reports_an_upper_bound():
