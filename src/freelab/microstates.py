@@ -14,7 +14,9 @@ inner product (matcore's lambda coordinates), and the reported
 extrapolation is max over k of (value - stderr).  ``estimate_chi`` is
 the one sweep over k, with every setting in one checked ``Sweep``: at
 each k the sup over a pool of fixed Y-candidates, where the plain
-estimate (m = 0) is the pool of one empty candidate.
+estimate (m = 0) is the pool of one empty candidate.  An estimate
+settles the fixed Y tuple (its norms and its Y-only words) before any
+draw, and traces only the words with an X letter on the samples.
 
 Targets come from an explicit table (tracial symmetry enforced: values
 constant on cyclic rotations and reversals, words canonicalized by
@@ -535,49 +537,49 @@ def _spec_words(spec: TracialSpec, l: int):
     return words, np.array([spec.target(w) for w in words])
 
 
-def _letter(i, xs, yarrs):
-    """Letter i (1-based) over the rows of xs; a Y letter as one (1, k, k) matrix."""
-    n = xs.shape[1]
-    return xs[:, i - 1] if i <= n else yarrs[i - 1 - n][None]
-
-
-def _product(cache, word, xs, yarrs):
-    """Product of the letters of ``word``, extending its longest cached prefix.
-
-    Every prefix of length >= 2 formed on the way is cached, so words that
-    share a prefix share its matmuls.
-    """
+def _product(cache, word, letter):
+    """Product of the letters ``letter(i)`` of ``word``, extending its
+    longest cached prefix; each prefix of length >= 2 formed on the way is
+    cached, so words that share a prefix share its matmuls."""
     j = len(word)
     while j > 1 and word[:j] not in cache:
         j -= 1
-    acc = cache[word[:j]] if j > 1 else _letter(word[0], xs, yarrs)
+    acc = cache[word[:j]] if j > 1 else letter(word[0])
     for i in range(j, len(word)):
-        acc = acc @ _letter(word[i], xs, yarrs)
+        acc = acc @ letter(word[i])
         cache[word[: i + 1]] = acc
     return acc
 
 
-def _trace_filter(words, targets, xstack, yarrs, eps):
+def _trace(cache, w, letter):
+    """Trace of the word w = uv with |u| = ceil(|w|/2), as sum(u * v^T),
+    so only products up to half the depth are formed."""
+    h = (len(w) + 1) // 2
+    u = _product(cache, w[:h], letter)
+    if len(w) == 1:
+        return np.einsum("...ii->...", u)
+    return np.einsum("...ij,...ji->...", u, _product(cache, w[h:], letter))
+
+
+def _trace_filter(words, targets, xstack, yarrs, eps, ycache):
     """Rows of xstack whose every word traces strictly within eps of its target.
 
-    A word uv with |u| = ceil(|uv|/2) is traced as tr(uv) = sum(u * v^T),
-    so only products up to half the depth are formed.  Rejected rows are
-    dropped after each word, but copied out only once the survivors are at
-    most half the rows held: a chunk that mostly survives is never copied.
-    Returns the surviving row indices, their X matrices and, when the
-    filter formed every x_i^2, the ||x_i^2||_F of their matrices in order.
+    Products start from ``ycache``, the Y-only ones already formed.
+    Rejected rows are dropped after each word, but copied out only once
+    the survivors are at most half the rows held: a chunk that mostly
+    survives is never copied.  Returns the surviving row indices, their X
+    matrices and, when the filter formed every x_i^2, the ||x_i^2||_F of
+    their matrices in order.
     """
     n, k = xstack.shape[1], xstack.shape[-1]
-    rows, xs, cache = np.arange(len(xstack)), xstack, {}
+    rows, xs, cache = np.arange(len(xstack)), xstack, dict(ycache)
     ok = np.ones(len(rows), dtype=bool)
+
+    def letter(i):  # a Y letter as one (1, k, k) matrix
+        return xs[:, i - 1] if i <= n else yarrs[i - 1 - n][None]
+
     for w, tgt in zip(words, targets):
-        h = (len(w) + 1) // 2
-        u = _product(cache, w[:h], xs, yarrs)
-        if len(w) == 1:
-            tr = np.einsum("...ii->...", u)
-        else:
-            tr = np.einsum("...ij,...ji->...", u, _product(cache, w[h:], xs, yarrs))
-        ok &= np.abs(tr / k - tgt) < eps
+        ok &= np.abs(_trace(cache, w, letter) / k - tgt) < eps
         live = np.count_nonzero(ok)
         if not live:
             return rows[:0], xs[:0], None
@@ -597,26 +599,36 @@ def _trace_filter(words, targets, xstack, yarrs, eps):
 
 def _member_test(spec, p, yarrs=None):
     """Membership of X rows with the Y tuple fixed: a function from a
-    (count, n, k, k) stack to its mask, or None when a Y matrix has norm
-    above R, so that no row is a member.
+    (count, n, k, k) stack to its mask, or None when the Y tuple fails,
+    so that no row is a member.
 
     A row is a member when every word of length 1..l traces strictly
     within eps of its target and every X matrix has operator norm <= R.
-    The words, their targets and the Y tuple's norm test are settled
-    here, once.  The word filter runs first, on the rows given (an
-    estimator's sub-block), and the norm test sees only its survivors:
-    matcore.norms_leq takes the Frobenius bound, then the x^4
-    certificate ||x||_op <= ||x^2||_F^(1/2) from the squares the filter
-    formed, and eigen-solves only what neither resolves.
+    The fixed Y tuple is settled here, once: its norm test, and each word
+    in Y letters alone, traced as the filter would, its products kept to
+    seed every sub-block's filter.  The filter then runs the words with an
+    X letter on the rows given (an estimator's sub-block), and the norm
+    test sees only its survivors: matcore.norms_leq takes the Frobenius
+    bound, then the x^4 certificate ||x||_op <= ||x^2||_F^(1/2) from the
+    squares the filter formed, and eigen-solves only what neither resolves.
     """
     words, targets = _spec_words(spec, p.l)
-    if yarrs is not None and not matcore.norms_leq(yarrs, p.radius).all():
-        return None
+    ycache = {}
+    if yarrs is not None:
+        if not matcore.norms_leq(yarrs, p.radius).all():
+            return None
+        for w, tgt in zip(words, targets):
+            if min(w) > spec.n:
+                tr = _trace(ycache, w, lambda i: yarrs[i - 1 - spec.n][None])
+                if not (np.abs(tr / p.k - tgt) < p.eps).all():
+                    return None
+        keep = [j for j, w in enumerate(words) if min(w) <= spec.n]
+        words, targets = [words[j] for j in keep], targets[keep]
 
     def member(xstack):
         count, n, k, _ = xstack.shape
         mask = np.zeros(count, dtype=bool)
-        rows, xs, sq = _trace_filter(words, targets, xstack, yarrs, p.eps)
+        rows, xs, sq = _trace_filter(words, targets, xstack, yarrs, p.eps, ycache)
         if rows.size:
             mask[rows] = (
                 matcore.norms_leq(xs.reshape(-1, k, k), p.radius, sq).reshape(-1, n).all(axis=1)
@@ -836,44 +848,6 @@ class ChiEstimate:
     y_used: str
 
 
-def _extrapolate(points: List[ChiPoint]) -> Tuple[float, float]:
-    """The extrapolation max over k of (value - stderr), with the stderr of
-    the first k attaining it; (-inf, inf) when no k has a finite value."""
-    finite = [(pt.value - pt.stderr, pt.stderr) for pt in points if pt.value > float("-inf")]
-    return max(finite, key=lambda t: t[0]) if finite else (float("-inf"), float("inf"))
-
-
-def _sweep(sweep: Sweep, point) -> ChiEstimate:
-    """The one k sweep: ``point(p)`` gives the ChiPoint at the window p of
-    each k of sweep.k_list, in order.  ``y_used`` joins the y_id of every
-    point that carries one."""
-    pts = [point(sweep.at(k)) for k in sweep.k_list]
-    y_used = "; ".join(f"k={pt.k}:{pt.y_id}" for pt in pts if pt.y_id)
-    return ChiEstimate(pts, *_extrapolate(pts), y_used)
-
-
-def _pool_point(spec, p, cands, seed_of, sweep: Sweep) -> ChiPoint:
-    """The sup over a pool of (id, Y-tuple) candidates at p.k: candidate ci
-    is measured with seed ``seed_of(ci)`` and the first of the largest
-    volumes wins.  An empty pool gives the -inf row of an empty sup."""
-    k = p.k
-    if not cands:
-        return ChiPoint(
-            k, float("-inf"), float("-inf"), float("inf"),
-            f"none (no {k}-dim Y-microstates found; empty sup)",
-        )
-    vols = [
-        estimate_volume(spec, p, "auto", ytup, sweep.nsamples, seed_of(ci), sweep.threads)
-        for ci, (_, ytup) in enumerate(cands)
-    ]
-    best = max(range(len(vols)), key=lambda ci: vols[ci].log_volume)
-    ve, y_id = vols[best], cands[best][0]
-    if ve.log_volume == float("-inf"):
-        return ChiPoint(k, ve.log_volume, float("-inf"), float("inf"), y_id)
-    value = ve.log_volume / (k * k) + 0.5 * spec.n * math.log(k)
-    return ChiPoint(k, ve.log_volume, value, ve.stderr_log / (k * k), y_id)
-
-
 def _haar_unitary(k: int, seed: int) -> np.ndarray:
     """Haar unitary from a Ginibre draw, orthonormalized column by column."""
     w = rng.normals(seed, 0, 2 * k * k)
@@ -891,7 +865,7 @@ def _haar_unitary(k: int, seed: int) -> np.ndarray:
 def y_candidates(
     spec: TracialSpec, p: MicrostateParams, pool: int, seed: int
 ) -> List[Tuple[str, matcore.MatrixTuple]]:
-    """Model-aware Y-tuples passing the Y-marginal membership test.
+    """Model-aware Y-tuples passing the Y-marginal membership test (built once).
 
     Atomic/grid laws contribute Haar-conjugated quantile diagonals,
     semicircular laws GUE draws, matrix models block embeddings of the
@@ -903,7 +877,7 @@ def y_candidates(
             ["Y letters need a generator to propose Y candidates; a target table has none"]
         )
     ymarg = spec.y_marginal()
-    gen = ymarg.generator
+    gen, member = ymarg.generator, _member_test(ymarg, p)
     k = p.k
     out: List[Tuple[str, matcore.MatrixTuple]] = []
     for attempt in range(64 * pool):
@@ -935,31 +909,54 @@ def y_candidates(
                     bases[fi] = matcore.SelfAdjointMatrix.hermitian_part(m)
             tup = matcore.MatrixTuple([bases[fi] for fi in gen.assign])
             desc = f"free#{attempt}"
-        if is_microstate(tup, ymarg, p):
+        if member(tup.stack()[None])[0]:
             out.append((desc, tup))
             if len(out) == pool:
                 break
     return out
 
 
-def estimate_chi(spec: TracialSpec, sweep: Sweep) -> ChiEstimate:
+def estimate_chi(spec: TracialSpec, sweep: Sweep, pool=None) -> ChiEstimate:
     """Per-k normalized values over the k sweep of ``sweep``.
 
     Each k is the sup over a pool of fixed Y-candidates of the X-section's
-    volume.  With no Y letters (m = 0) the pool is the one empty candidate,
-    so the sup is the plain volume.  With Y letters the pool holds up to
-    ``sweep.y_pool`` candidates; proposing them needs a generator, so a
-    target table with Y letters raises SpecError before any sampling.
+    volume, the first of the largest winning: ``pool(p)`` lists window p's
+    candidates as (id, Y-tuple, seed of its estimate), and an empty pool
+    gives the -inf row of an empty sup.  The default pool with no Y letters
+    is the one empty candidate on derive(seed, 0xC41, k); with Y letters,
+    up to ``sweep.y_pool`` y_candidates on derive(seed, 0x9CA, k), each ci
+    measured on derive(seed, 0xE57, k, ci), which needs a generator (else
+    SpecError).  The extrapolation is max over k of (value - stderr), with
+    the stderr of the first k attaining it; (-inf, inf) if none is finite.
     """
-    seed = sweep.seed
+    seed, inf = sweep.seed, math.inf
 
-    def point(p):
+    def default_pool(p):
         if spec.m == 0:
-            return _pool_point(spec, p, [("", None)], lambda ci: rng.derive(seed, 0xC41, p.k), sweep)
+            return [("", None, rng.derive(seed, 0xC41, p.k))]
         cands = y_candidates(spec, p, sweep.y_pool, rng.derive(seed, 0x9CA, p.k))
-        return _pool_point(spec, p, cands, lambda ci: rng.derive(seed, 0xE57, p.k, ci), sweep)
+        return [(d, y, rng.derive(seed, 0xE57, p.k, ci)) for ci, (d, y) in enumerate(cands)]
 
-    return _sweep(sweep, point)
+    pts = []
+    for k in sweep.k_list:
+        p = sweep.at(k)
+        cands = (pool or default_pool)(p)
+        if not cands:
+            empty = f"none (no {k}-dim Y-microstates found; empty sup)"
+            pts.append(ChiPoint(k, -inf, -inf, inf, empty))
+            continue
+        vols = [
+            estimate_volume(spec, p, "auto", y, sweep.nsamples, s, sweep.threads)
+            for _, y, s in cands
+        ]
+        ve, y_id = max(zip(vols, [c[0] for c in cands]), key=lambda vc: vc[0].log_volume)
+        # an estimate that accepted nothing is (-inf, inf), and so is its point
+        value = ve.log_volume / (k * k) + 0.5 * spec.n * math.log(k)
+        pts.append(ChiPoint(k, ve.log_volume, value, ve.stderr_log / (k * k), y_id))
+    finite = [(pt.value - pt.stderr, pt.stderr) for pt in pts if pt.value > -inf]
+    extrapolated, sigma = max(finite, key=lambda t: t[0]) if finite else (-inf, inf)
+    y_used = "; ".join(f"k={pt.k}:{pt.y_id}" for pt in pts if pt.y_id)
+    return ChiEstimate(pts, extrapolated, sigma, y_used)
 
 
 # --- block maps -----------------------------------------------------------------

@@ -143,12 +143,13 @@ class _TermSum:
 
     A subclass says how a key is normalised (``_norm_key``), how two keys
     multiply (``_mul_key``), how keys sort (``_sort_key``) and which key
-    is the unit (``_UNIT``).
+    is the unit (``_UNIT``).  Sums and products of normal forms, whose keys
+    are normal already, skip the normalisation (``normal=True``).
     """
 
     __slots__ = ("n", "algebra", "terms")
 
-    def __init__(self, n, terms, algebra=None):
+    def __init__(self, n, terms, algebra=None, *, normal=False):
         self.n = int(n)
         self.algebra = algebra if algebra is not None else CoefficientAlgebra.scalars()
         clean = {}
@@ -156,7 +157,7 @@ class _TermSum:
             z = complex(scalar)
             if z == 0:
                 continue
-            key = self._norm_key(key)
+            key = key if normal else self._norm_key(key)
             clean[key] = clean.get(key, 0.0) + z
         self.terms = {k: v for k, v in clean.items() if v != 0}
 
@@ -179,18 +180,15 @@ class _TermSum:
         terms = dict(self.terms)
         for k, v in other.terms.items():
             terms[k] = terms.get(k, 0.0) + v
-        return type(self)(self.n, terms, alg)
+        return type(self)(self.n, terms, alg, normal=True)
 
     def __sub__(self, other):
         return self + (self._coerce(other) * -1.0)
 
     def __mul__(self, other):
-        if np.isscalar(other):
-            z = complex(other)
-            return type(self)(self.n, {k: v * z for k, v in self.terms.items()}, self.algebra)
-        other = self._coerce(other)
+        other = self._coerce(other)  # a scalar z is z times the unit key
         alg = _join(self.algebra, other.algebra)
-        return type(self)(self.n, _mul_terms(self, other, self._mul_key), alg)
+        return type(self)(self.n, _mul_terms(self, other, self._mul_key), alg, normal=True)
 
     def __rmul__(self, other):
         if np.isscalar(other):
@@ -292,7 +290,7 @@ class NcBiPoly(_TermSum):
         alg = _join(left.algebra, right.algebra)
         if left.n != right.n:
             raise ValueError("arity mismatch")
-        return cls(left.n, _mul_terms(left, right, lambda a, b: (a, b)), alg)
+        return cls(left.n, _mul_terms(left, right, lambda a, b: (a, b)), alg, normal=True)
 
     def evaluate_pairs(self, t: matcore.MatrixTuple):
         """Evaluated tensor legs [(a, b), ...] with scalars folded into a."""

@@ -10,8 +10,10 @@ where ``mix64`` is the SplitMix64 finalizer (Steele/Lea/Flood constants
 30/27/31).  Uniform doubles take the top 53 bits, normals pair uniforms
 through Box-Muller.  Disjoint counter ranges never overlap, so workers
 can fill sub-ranges independently and reductions stay bit-identical for
-any worker count.  The whole generator fits in this docstring, which is
-the point: any language can replay the streams.
+any worker count.  Words, uniforms and ``derive`` are integer operations
+and one exact scaling, so any language can replay them from this
+docstring; normals also go through the platform's ``log``, ``cos`` and
+``sin``, so another numpy or libm build may change their last bits.
 """
 
 import numpy as np

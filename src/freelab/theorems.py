@@ -289,14 +289,14 @@ def _chk_gen(c):
 
     def sweep(spec, tag, image):
         # both sweeps draw the same pool per k; Z sees each candidate's powers
-        def point(p):
-            pool = ms.y_candidates(spec_y, p, s.y_pool, rng.derive(s.seed, 0x47, p.k))
-            return ms._pool_point(
-                spec, p, [(desc, image(ytup)) for desc, ytup in pool],
-                lambda ci: rng.derive(s.seed, tag, p.k, ci), s,
-            )
+        def pool(p):
+            cands = ms.y_candidates(spec_y, p, s.y_pool, rng.derive(s.seed, 0x47, p.k))
+            return [
+                (desc, image(ytup), rng.derive(s.seed, tag, p.k, ci))
+                for ci, (desc, ytup) in enumerate(cands)
+            ]
 
-        return ms._sweep(s, point)
+        return ms.estimate_chi(spec, s, pool)
 
     def powers_of(ytup):
         yb = ytup.mats[0].array

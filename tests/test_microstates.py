@@ -567,6 +567,23 @@ def test_zero_acceptance_reports_an_upper_bound():
     )
 
 
+@pytest.mark.parametrize("sampler", ["importance", "ball"])
+def test_a_y_tuple_failing_a_y_only_word_draws_nothing(monkeypatch, sampler):
+    # tau(y) = 1/3 misses the two-atom law's mean 0 by more than eps, while
+    # ||y|| = 1 <= R: the word (2,) alone rules out every X row
+    spec = free_pair_spec(4)
+    p = MicrostateParams(k=3, l=4, eps=0.2, radius=4.0)
+    y = tuple_of([np.diag([1.0, 1.0, -1.0]).astype(complex)])
+    draws = []
+    for name in ("gue_stack", "ball_stack"):
+        monkeypatch.setattr(matcore, name, lambda *a, name=name, **kw: draws.append(name))
+    ve = ms.estimate_volume(spec, p, sampler, y, nsamples=1000, seed=3)
+    assert draws == []
+    assert (ve.log_volume, ve.stderr_log, ve.accepted) == (float("-inf"), float("inf"), 0)
+    radius = p.radius if sampler == "importance" else math.sqrt(1.0 + p.eps)
+    assert ve.upper_bound == matcore.ball_log_volume(3, radius) - math.log(1000)
+
+
 def test_volume_validation_errors():
     spec = sc_spec(2)
     p = MicrostateParams(k=2, l=2, eps=0.4, radius=4.0)

@@ -6,7 +6,9 @@ and its result by attribute: ``estimate_volume``'s ``p.k`` and the
 result's ``samples``, ``accepted`` and ``log_volume``, which feed
 samples_per_s and the golden replay; ``_run_chunks``'s ``work``, which
 it wraps to attribute worker time; ``y_candidates``'s ``pool`` and the
-length of its result; and ``theorems.check``'s ``check_id``.  It also
+length of its result; and ``theorems.check``'s ``check_id``.  Every
+sweep, T-GEN's two included, runs through ``estimate_chi`` and each of
+its estimates through ``estimate_volume``.  It also
 times the quadrature and Jacobian kernels of the battery by name
 (``spectra.cov_correction``, ``log_energy``, ``conjugate_variable`` and
 ``pushforward``; ``ncalg.jacobian``, ``logabs_functional`` and the method
@@ -72,6 +74,25 @@ def test_plain_and_pooled_sweeps_estimate_through_the_module_attributes(monkeypa
         assert isinstance(est.log_volume, float)
     assert len(chunks) == len(volumes)
     assert all(callable(a["work"]) for a, _ in chunks)
+
+
+def test_t_gen_sweeps_and_estimates_through_the_module_attributes(monkeypatch):
+    # T-GEN passes its own pool (candidates on tag 0x47, estimates on 0x48
+    # and 0x49) to the one sweep engine rather than running a sweep of its own
+    sweeps = record(monkeypatch, ms, "estimate_chi")
+    volumes = record(monkeypatch, ms, "estimate_volume")
+    pools = record(monkeypatch, ms, "y_candidates")
+    run_cli("check", "T-GEN", "--k", "4", "--samples", "200", "--y-pool", "2",
+            "--threads", "1", "--format", "json")
+    assert len(sweeps) == 2 and all(callable(a["pool"]) for a, _ in sweeps)
+    assert [a["pool"] for a, _ in pools] == [2, 2]
+    found = [len(r) for _, r in pools]
+    assert found[0] == found[1] > 0
+    assert len(volumes) == sum(found)
+    assert [a["p"].k for a, _ in volumes] == [4] * len(volumes)
+    assert [a["y"].n for a, _ in volumes] == [1] * found[0] + [2] * found[1]
+    for (_, est), (_, cands) in zip(sweeps, pools):
+        assert est.per_k[0].y_id in [desc for desc, _ in cands]
 
 
 def test_checks_run_through_the_module_attribute(monkeypatch):
