@@ -248,36 +248,27 @@ def norms_leq(stack: np.ndarray, radius: float, sq_frob=None) -> np.ndarray:
 # Samplers
 
 
-# The one sub-block size of the Monte Carlo path, in matrix entries (1 MiB
-# complex): k^2-entry rows here, n k^2-entry rows in microstates' estimator,
-# so an estimator sub-block is one pass here per letter.  Measured as the
-# smallest of 2^15..2^18 that slowed no benchmark command (see README).
-_SUBBLOCK_ENTRIES = 2**16
-
-
 def _fill_stack(out, count, k, seed, start, block, finish) -> np.ndarray:
-    """Sampler loop shared by :func:`gue_stack` and :func:`ball_stack`.
+    """Sampler pass shared by :func:`gue_stack` and :func:`ball_stack`.
 
     Sample ``index`` reads the counter block [B*(start+index), B*(start+index+1))
-    with B = ``block``.  Per sub-block of rows, the first 2*ceil(k^2/2)
-    words of each block become normals in an extended row, ``finish(e, w)``
-    turns the first k^2 into lambda coordinates in place, and
-    :func:`_hermitian_into` writes the matrices into ``out``.
+    with B = ``block``.  In one pass over all ``count`` rows, the first
+    2*ceil(k^2/2) words of each block become normals in an extended row,
+    ``finish(e, w)`` turns the first k^2 into lambda coordinates in place,
+    and :func:`_hermitian_into` writes the matrices into ``out``.  The
+    scratch holds all ``count`` rows; the estimator bounds it by handing
+    each sampler one sub-block.
     """
     if out is None:
         out = np.empty((count, k, k), dtype=np.complex128)
     elif out.shape != (count, k, k) or out.dtype != np.complex128:
         raise ValueError(f"out must be complex128 of shape {(count, k, k)}")
     npairs = 2 * ((k * k + 1) // 2)
-    rows = max(1, min(count, _SUBBLOCK_ENTRIES // (k * k)))
-    ext = np.empty((rows, _ext_width(k)))
-    for r0 in range(0, count, rows):
-        m = min(rows, count - r0)
-        e = ext[:m]
-        w = rng.words(seed, block * (start + r0), block * m).reshape(m, block)
-        rng.normals_from_words(w[:, :npairs], out=e[:, :npairs])
-        finish(e, w)
-        _hermitian_into(e, k, out[r0 : r0 + m])
+    e = np.empty((count, _ext_width(k)))
+    w = rng.words(seed, block * start, block * count).reshape(count, block)
+    rng.normals_from_words(w[:, :npairs], out=e[:, :npairs])
+    finish(e, w)
+    _hermitian_into(e, k, out)
     return out
 
 
@@ -294,10 +285,9 @@ def gue_stack(
     coordinate is normal * sqrt(variance/k), exactly the normal at variance
     k, and :func:`_hermitian_into` places it in :func:`to_coords`'s layout.
     Each sample reads only its own counter block and each element goes
-    through the same operations in the same order, so neither the
-    sub-blocks of :func:`_fill_stack`, a split of ``[start, start+count)``,
-    nor filling ``out`` (a complex128 (count, k, k) array or strided view)
-    can change a draw.
+    through the same operations in the same order, so neither a split of
+    ``[start, start+count)`` nor filling ``out`` (a complex128 (count, k, k)
+    array or strided view) can change a draw.
     """
     if variance <= 0:
         raise ValueError("variance must be positive")
@@ -336,8 +326,8 @@ def ball_stack(
     Sample ``index`` uses counter block size B = 2*ceil(k^2/2) + 2; the
     word at offset B-2 feeds the radius uniform (B-1 is spare).  Each
     coordinate is g * (rho * u^(1/d) / |g|), then placed as in
-    :func:`_hermitian_into` as for :func:`gue_stack`; sub-blocking, a split
-    of the counter range, or filling ``out`` cannot change a draw.
+    :func:`_hermitian_into` as for :func:`gue_stack`; a split of the counter
+    range or filling ``out`` cannot change a draw.
     """
     d = k * k
     npairs = 2 * ((d + 1) // 2)

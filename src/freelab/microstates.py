@@ -33,9 +33,9 @@ acceptances yield -inf with a recorded one-sided upper bound.  Sampling
 is chunked over fixed index ranges of the counter-based generator and
 reduced in chunk order, so results are bit-identical for any thread
 count (0 means every core).  Each chunk streams through sub-blocks of
-rows, each drawn, tested and weighed before the next; their size is
-matcore's one sub-block size (1 MiB of matrices per thread at any k),
-which only bounds memory and cannot change a result.
+rows, each drawn (one sampler pass per letter), tested and weighed before
+the next; their size, 1 MiB of matrices per thread at any k, is the
+estimator's alone and only bounds memory, so it cannot change a result.
 """
 
 from __future__ import annotations
@@ -55,6 +55,10 @@ import numpy as np
 from . import matcore, rng, spectra
 
 _CHUNK = 4096
+# The estimator's sub-block, in matrix entries over a row's n letters (1 MiB
+# complex); each sampler fills one per letter.  Measured as the smallest of
+# 2^15..2^18 that slowed no benchmark command (see README).
+_SUBBLOCK_ENTRIES = 2**16
 _TARGET_TOL = 1e-12
 
 
@@ -638,15 +642,6 @@ def _member_test(spec, p, yarrs=None):
     return member
 
 
-def is_microstate(t: matcore.MatrixTuple, spec: TracialSpec, p: MicrostateParams) -> bool:
-    """Norms <= R and every word of length 1..l within eps of target."""
-    if t.n != spec.letters:
-        raise ValueError(f"tuple has {t.n} matrices, spec names {spec.letters}")
-    if t.dim != p.k:
-        raise ValueError(f"tuple dimension {t.dim} != k={p.k}")
-    return bool(_member_test(spec, p)(t.stack()[None])[0])
-
-
 # --- volume estimators ----------------------------------------------------------
 
 
@@ -668,39 +663,6 @@ def _run_chunks(work, starts, threads: int):
         return [work(c) for c in starts]
     with ThreadPoolExecutor(max_workers=threads) as ex:
         return list(ex.map(work, starts))
-
-
-def _accepted_chunks(n, k, nsamples, threads, fill, member, weigh):
-    """Per chunk, in chunk order: the log-weights of its accepted rows, in row order.
-
-    Each chunk of _CHUNK samples streams through the fewest sub-blocks of
-    equal rows that hold at most matcore._SUBBLOCK_ENTRIES entries over all
-    n letters (equal rows, not full ones and a short tail, measured fewer
-    page faults): a sub-block is drawn by ``fill(i, start, out)``, one
-    sampler pass per X letter i, into one reused (rows, n, k, k) buffer x,
-    tested by ``member``, and ``weigh`` gives the log-weights of its
-    accepted rows x[member(x)] before the next is drawn.  Every row is
-    drawn from its own counter block, tested and weighed alone, and a
-    chunk's weights are reduced whole, so the sub-blocks only bound
-    memory.  ``member`` None accepts no row, and nothing is drawn.
-    """
-    if member is None:
-        return []
-    most = max(1, matcore._SUBBLOCK_ENTRIES // (n * k * k))
-
-    def work(c0):
-        count = min(_CHUNK, nsamples - c0)
-        rows = -(-count // -(-count // most))  # ceil(count / ceil(count / most))
-        buf = np.empty((rows, n, k, k), dtype=np.complex128)
-        parts = []
-        for r0 in range(0, count, rows):
-            x = buf[: min(rows, count - r0)]
-            for i in range(n):
-                fill(i, c0 + r0, x[:, i])
-            parts.append(weigh(x[member(x)]))
-        return np.concatenate(parts)
-
-    return _run_chunks(work, range(0, nsamples, _CHUNK), threads)
 
 
 def _ball(spec, p, seed):
@@ -762,15 +724,41 @@ def _importance(spec, p, seed):
 def _volume(spec, p, proposal, member, nsamples, threads) -> VolumeEstimate:
     """The one estimator over a proposal (method, fill, weigh, close, region).
 
-    The log-weights w (volume over proposal density) of the accepted rows
-    stream into (acc, mx = max w, s1 = sum e^(w - mx), s2 = sum e^(2(w - mx))),
-    which ``close(acc, mx, s1, s2, N)`` turns into (log volume, stderr).  No
-    acceptance gives -inf with the bound region - log N, where ``region``
-    is a log-volume containing the set.
+    Each chunk of _CHUNK samples streams through the fewest sub-blocks of
+    equal rows that hold at most _SUBBLOCK_ENTRIES entries over all n
+    letters (equal rows, not full ones and a short tail, measured fewer
+    page faults).  ``fill(i, start, out)`` draws a sub-block into one
+    reused (rows, n, k, k) buffer x, one sampler pass per X letter i, and
+    ``weigh`` gives the log-weights of x[member(x)] before the next is
+    drawn; ``member`` None accepts no row, and nothing is drawn.  Each row
+    is drawn from its own counter block, tested and weighed alone, and the
+    chunks are reduced whole, in chunk order, so neither the sub-blocks
+    nor the thread count can change a result.  The log-weights w (volume
+    over proposal density) of the accepted rows stream into (acc, mx =
+    max w, s1 = sum e^(w - mx), s2 = sum e^(2(w - mx))), which ``close(acc,
+    mx, s1, s2, N)`` turns into (log volume, stderr).  No acceptance gives
+    -inf with the bound region - log N, where ``region`` is a log-volume
+    containing the set.
     """
     method, fill, weigh, close, region = proposal
+    n, k = spec.n, p.k
+    most = max(1, _SUBBLOCK_ENTRIES // (n * k * k))
+
+    def work(c0):
+        count = min(_CHUNK, nsamples - c0)
+        rows = -(-count // -(-count // most))  # ceil(count / ceil(count / most))
+        buf = np.empty((rows, n, k, k), dtype=np.complex128)
+        parts = []
+        for r0 in range(0, count, rows):
+            x = buf[: min(rows, count - r0)]
+            for i in range(n):
+                fill(i, c0 + r0, x[:, i])
+            parts.append(weigh(x[member(x)]))
+        return np.concatenate(parts)
+
+    chunks = [] if member is None else _run_chunks(work, range(0, nsamples, _CHUNK), threads)
     acc, mx, s1, s2 = 0, float("-inf"), 0.0, 0.0
-    for logw in _accepted_chunks(spec.n, p.k, nsamples, threads, fill, member, weigh):
+    for logw in chunks:
         if not logw.size:
             continue
         cm = float(logw.max())

@@ -198,14 +198,6 @@ class _TermSum:
     def __neg__(self):
         return self * -1.0
 
-    def equals(self, other, tol: float = 0.0) -> bool:
-        if self.n != other.n:
-            return False
-        keys = set(self.terms) | set(other.terms)
-        return all(
-            abs(self.terms.get(k, 0.0) - other.terms.get(k, 0.0)) <= tol for k in keys
-        )
-
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
@@ -261,7 +253,7 @@ class NcPoly(_TermSum):
         return NcPoly(self.n, terms, self.algebra)
 
     def is_selfadjoint(self) -> bool:
-        return self.equals(self.adjoint())
+        return self == self.adjoint()
 
     def __repr__(self):
         return f"NcPoly({poly_text(self)!r})"

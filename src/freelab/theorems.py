@@ -107,9 +107,9 @@ def _mc_cfg(cfg: dict) -> dict:
     """The settings of cfg over the Monte Carlo defaults, converted.
 
     The one validator of a check configuration: a SettingsError lists
-    every bad key, the sweep's (checked by ms.Sweep) and the per-check
-    ones of _CHECK_KEYS alike.  Returns the sweep as "sweep" and the
-    per-check keys that cfg has.
+    every bad key, the sweep's (checked by ms.Sweep), the per-check ones
+    of _CHECK_KEYS and any key that is neither alike.  Returns the sweep
+    as "sweep" and the per-check keys that cfg has.
     """
     settings = {f.name: cfg[f.name] for f in fields(ms.Sweep) if f.name in cfg}
     try:
@@ -119,6 +119,11 @@ def _mc_cfg(cfg: dict) -> dict:
     problems += [
         f"{key} must be {what}, not {cfg[key]!r}"
         for key, (ok, what, _) in _CHECK_KEYS.items() if key in cfg and not ok(cfg[key])
+    ]
+    known = [f.name for f in fields(ms.Sweep)] + list(_CHECK_KEYS)
+    problems += [
+        f"{key} must be a known setting (one of {', '.join(known)})"
+        for key in cfg if key not in known
     ]
     if problems:
         raise ms.SettingsError(problems)
@@ -287,13 +292,15 @@ def _chk_gen(c):
             targets[ms.canonical_word(word)] = model.word_moment(ms.canonical_word(flat))
     spec_z = ms.TracialSpec.from_targets(1, len(powers), s.l, targets)
 
+    # one pool per k, proposed once: both sweeps measure it, Z each candidate's powers
+    cands = {k: ms.y_candidates(spec_y, s.at(k), s.y_pool, rng.derive(s.seed, 0x47, k))
+             for k in s.k_list}
+
     def sweep(spec, tag, image):
-        # both sweeps draw the same pool per k; Z sees each candidate's powers
         def pool(p):
-            cands = ms.y_candidates(spec_y, p, s.y_pool, rng.derive(s.seed, 0x47, p.k))
             return [
                 (desc, image(ytup), rng.derive(s.seed, tag, p.k, ci))
-                for ci, (desc, ytup) in enumerate(cands)
+                for ci, (desc, ytup) in enumerate(cands[p.k])
             ]
 
         return ms.estimate_chi(spec, s, pool)

@@ -673,10 +673,11 @@ def test_check_threads_order_is_flag_config_all_cores(tmp_path, monkeypatch, cap
           "fd_eps", "finite_k_allowance"]),
         (["T-BLOCK"], {"threads": -1}, ["threads"]),
         (["T-BLOCK", "--threads", "-1"], None, ["threads"]),
+        (["T-BLOCK"], {"nsample": 5, "tolerence": "tight"}, ["nsample", "tolerence"]),
     ],
     ids=["eps-nan", "deterministic-window", "nsamples-string", "config-array",
          "tolerance-string", "t-values-scalar", "every-per-check-key",
-         "threads-config", "threads-flag"],
+         "threads-config", "threads-flag", "unknown-keys"],
 )
 def test_check_bad_settings_exit_2_before_any_check(tmp_path, capsys, monkeypatch,
                                                      argv, config, keys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freelab import matcore, rng
+from freelab import matcore, microstates as ms, rng
 from freelab.matcore import MatrixTuple, SelfAdjointMatrix
 
 
@@ -267,7 +267,7 @@ def _draw(sampler, k, count, seed, start, out=None):
 def _draw_plans(draw):
     sampler = draw(st.sampled_from(["gue", "ball"]))
     k = draw(st.integers(1, 16))
-    rows = max(1, matcore._SUBBLOCK_ENTRIES // (k * k))  # rows per sub-block
+    rows = max(1, ms._SUBBLOCK_ENTRIES // (k * k))  # rows of an estimator sub-block at n = 1
     # small counts, or counts just around one or two whole sub-blocks
     near_edge = st.builds(lambda m, d: max(0, m * rows + d), st.integers(1, 2), st.integers(-3, 3))
     count = draw(st.one_of(st.integers(0, 40), near_edge))

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from freelab import cli, spectra, theorems as th
+from freelab import cli, microstates as ms, spectra, theorems as th
 
 SMALL = dict(k_list=(2, 3, 4), nsamples=20_000, y_pool=4)
 
@@ -73,6 +73,9 @@ def test_check_config_names_every_bad_key():
         th.check("T-BROWN", **bad)
     for key in bad:
         assert f"{key} must be" in str(err.value)
+    # a misspelt key is named, not ignored
+    with pytest.raises(ms.SettingsError, match="nsample must be a known setting"):
+        th.check("T-BLOCK", nsample=5)
 
 
 def test_gen_rejects_bad_generating_sets():

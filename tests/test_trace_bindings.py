@@ -23,6 +23,8 @@ import inspect
 import io
 from pathlib import Path
 
+import numpy as np
+
 from freelab import cli, ncalg, spectra, theorems
 from freelab import microstates as ms
 
@@ -77,21 +79,27 @@ def test_plain_and_pooled_sweeps_estimate_through_the_module_attributes(monkeypa
 
 
 def test_t_gen_sweeps_and_estimates_through_the_module_attributes(monkeypatch):
-    # T-GEN passes its own pool (candidates on tag 0x47, estimates on 0x48
-    # and 0x49) to the one sweep engine rather than running a sweep of its own
+    # T-GEN proposes one pool per k (candidates on tag 0x47) and passes it
+    # to the one sweep engine twice (estimates on 0x48 and 0x49) rather
+    # than running a sweep of its own
     sweeps = record(monkeypatch, ms, "estimate_chi")
     volumes = record(monkeypatch, ms, "estimate_volume")
     pools = record(monkeypatch, ms, "y_candidates")
     run_cli("check", "T-GEN", "--k", "4", "--samples", "200", "--y-pool", "2",
             "--threads", "1", "--format", "json")
     assert len(sweeps) == 2 and all(callable(a["pool"]) for a, _ in sweeps)
-    assert [a["pool"] for a, _ in pools] == [2, 2]
-    found = [len(r) for _, r in pools]
-    assert found[0] == found[1] > 0
-    assert len(volumes) == sum(found)
+    assert [(a["p"].k, a["pool"]) for a, _ in pools] == [(4, 2)]
+    cands = pools[0][1]
+    assert cands
+    assert len(volumes) == 2 * len(cands)
     assert [a["p"].k for a, _ in volumes] == [4] * len(volumes)
-    assert [a["y"].n for a, _ in volumes] == [1] * found[0] + [2] * found[1]
-    for (_, est), (_, cands) in zip(sweeps, pools):
+    # Y itself, then its powers (gen_powers 2, 1) of the same candidates
+    ys = [a["y"] for a, _ in volumes]
+    assert [y.n for y in ys] == [1] * len(cands) + [2] * len(cands)
+    for (_, ytup), y, z in zip(cands, ys, ys[len(cands):]):
+        assert y is ytup
+        assert np.array_equal(z.mats[1].array, ytup.mats[0].array)
+    for _, est in sweeps:
         assert est.per_k[0].y_id in [desc for desc, _ in cands]
 
 
