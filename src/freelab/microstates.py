@@ -21,8 +21,8 @@ draw, and traces only the words with an X letter on the samples.
 Targets come from an explicit table (tracial symmetry enforced: values
 constant on cyclic rotations and reversals, words canonicalized by
 minimal rotation) or from a generator that can emit targets to any
-length: a free family of scalar laws (moments via non-crossing cumulant
-sums) or an explicit matrix model, whose traces may be complex and are
+length: a free family of scalar laws (moments by the first-block cumulant
+recursion) or an explicit matrix model, whose traces may be complex and are
 conjugated for a word whose canonical form is a rotation of its reversal.
 
 One estimator streams the log-weights of accepted draws from either of
@@ -46,7 +46,6 @@ import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from functools import lru_cache
 from itertools import combinations, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -80,51 +79,27 @@ def _min_rotation(w: Tuple[int, ...]) -> Tuple[int, ...]:
 # --- free-family moments ----------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _nc_partitions(p: int):
-    """Non-crossing partitions of {0..p-1}, each a tuple of sorted blocks."""
-    if p == 0:
-        return ((),)
-    out = []
-    rest = tuple(range(1, p))
-    for r in range(p):
-        for extra in combinations(rest, r):
-            block = (0,) + extra
-            bounds = block + (p,)
-            gap_parts = []
+def _first_blocks(p, others, kappa, run):
+    """Sum over the blocks B = {0} + a subset of ``others`` of a length-p word, of
+    kappa[|B|] times run(a, b), the moment of positions a..b-1, per run B leaves."""
+    total = 0.0
+    for r in range(len(others) + 1):
+        for extra in combinations(others, r):
+            v = kappa[r + 1]
+            bounds = (0,) + extra + (p,)
             for a, b in zip(bounds, bounds[1:]):
-                inner = _nc_partitions(b - a - 1)
-                gap_parts.append(
-                    tuple(
-                        tuple(tuple(i + a + 1 for i in bl) for bl in part)
-                        for part in inner
-                    )
-                )
-            for combo in product(*gap_parts):
-                blocks = (block,) + tuple(bl for part in combo for bl in part)
-                out.append(blocks)
-    return tuple(out)
-
-
-def _cumulants(moments: List[float]) -> List[float]:
-    """Free cumulants kappa[1..P] from moments m[1..P] (index 0 unused)."""
-    P = len(moments) - 1
-    kappa = [0.0] * (P + 1)
-    for p in range(1, P + 1):
-        rest = 0.0
-        for part in _nc_partitions(p):
-            if len(part) == 1:
-                continue
-            v = 1.0
-            for bl in part:
-                v *= kappa[len(bl)]
-            rest += v
-        kappa[p] = moments[p] - rest
-    return kappa
+                if v == 0.0:
+                    break
+                v *= run(a + 1, b)
+            total += v
+    return total
 
 
 class FreeModel:
-    """Free family of scalar laws; letters may share a factor (aliasing)."""
+    """Free family of scalar laws; letters may share a factor (aliasing).
+
+    tau(w) sums over the blocks B that hold w's first letter and lie in its
+    factor: kappa_|B| times the moments of the runs B leaves, memoized."""
 
     def __init__(self, factors: Sequence[spectra.SpectralMeasure], assign: Sequence[int]):
         self.factors = list(factors)
@@ -134,40 +109,32 @@ class FreeModel:
             raise ValueError("free model needs at least one factor")
         if any(a < 0 or a >= len(self.factors) for a in self.assign):
             raise ValueError("factor assignment out of range")
-        self._kappa: Dict[int, List[float]] = {}
+        self._laws: Dict[int, Tuple[List[float], List[float]]] = {}  # factor: (m, kappa)
         self._cache: Dict[Tuple[int, ...], float] = {}
 
-    def _cum(self, fi: int, p: int) -> List[float]:
-        cur = self._kappa.get(fi)
-        if cur is None or len(cur) <= p:
-            mom = [0.0] + [self.factors[fi].moment(q) for q in range(1, p + 1)]
-            cur = _cumulants(mom)
-            self._kappa[fi] = cur
-        return cur
+    def _kappa(self, fi: int, p: int) -> List[float]:
+        """Factor fi's free cumulants, extended to order p in increasing order:
+        kappa_q is m_q less every first block but the whole word, runs priced by m."""
+        m, kappa = self._laws.setdefault(fi, ([1.0], [0.0]))
+        for q in range(len(m), p + 1):
+            m.append(self.factors[fi].moment(q))
+            kappa.append(0.0)  # drops the whole word's term from the sum
+            kappa[q] = m[q] - _first_blocks(q, range(1, q), kappa, lambda a, b: m[b - a])
+        return kappa
 
     def word_moment(self, word: Tuple[int, ...]) -> float:
-        p = len(word)
-        if p == 0:
+        if not word:
             return 1.0
-        if word in self._cache:
-            return self._cache[word]
-        letters = [self.assign[i - 1] for i in word]
-        for fi in set(letters):
-            self._cum(fi, p)
-        total = 0.0
-        for part in _nc_partitions(p):
-            v = 1.0
-            for bl in part:
-                fi = letters[bl[0]]
-                if any(letters[i] != fi for i in bl[1:]):
-                    v = 0.0
-                    break
-                v *= self._kappa[fi][len(bl)]
-                if v == 0.0:
-                    break
-            total += v
-        self._cache[word] = total
-        return total
+        if word not in self._cache:
+            p, letters = len(word), [self.assign[i - 1] for i in word]
+            # every factor of w to order p: an overflow fails on the first word that long
+            for fi in set(letters):
+                self._kappa(fi, p)
+            others = [i for i in range(1, p) if letters[i] == letters[0]]
+            self._cache[word] = _first_blocks(
+                p, others, self._kappa(letters[0], p), lambda a, b: self.word_moment(word[a:b])
+            )
+        return self._cache[word]
 
     def restrict(self, letters: Sequence[int]) -> "FreeModel":
         return FreeModel(self.factors, [self.assign[i - 1] for i in letters])
@@ -262,8 +229,8 @@ class TracialSpec:
             raise SpecError(problems)
         self.n, self.m, self.l_max = int(n), int(m), int(l_max)
         letters = self.n + self.m
-        if letters < 1:
-            problems.append("need at least one variable")
+        if self.n < 1:
+            problems.append("need at least one X letter (n >= 1)")
         if targets is not None and generator is not None:
             problems.append("give either targets or a generator, not both")
         if generator is not None and generator.letters != letters:
@@ -493,7 +460,7 @@ class MicrostateParams:
     def __post_init__(self):
         problems = _int_problems("k", self.k, 1) + _window_problems(self.l, self.eps, self.radius)
         if problems:
-            raise ValueError("; ".join(problems))
+            raise SettingsError(problems)
 
 
 @dataclass(frozen=True)
@@ -571,13 +538,12 @@ def _trace_filter(words, targets, xstack, yarrs, eps, ycache):
     Products start from ``ycache``, the Y-only ones already formed.
     Rejected rows are dropped after each word, but copied out only once
     the survivors are at most half the rows held: a chunk that mostly
-    survives is never copied.  Returns the surviving row indices, their X
-    matrices and, when the filter formed every x_i^2, the ||x_i^2||_F of
-    their matrices in order.
+    survives is never copied.  Returns the surviving X rows in order and,
+    when the filter formed every x_i^2, the ||x_i^2||_F of their matrices.
     """
     n, k = xstack.shape[1], xstack.shape[-1]
-    rows, xs, cache = np.arange(len(xstack)), xstack, dict(ycache)
-    ok = np.ones(len(rows), dtype=bool)
+    xs, cache = xstack, dict(ycache)
+    ok = np.ones(len(xs), dtype=bool)
 
     def letter(i):  # a Y letter as one (1, k, k) matrix
         return xs[:, i - 1] if i <= n else yarrs[i - 1 - n][None]
@@ -586,9 +552,9 @@ def _trace_filter(words, targets, xstack, yarrs, eps, ycache):
         ok &= np.abs(_trace(cache, w, letter) / k - tgt) < eps
         live = np.count_nonzero(ok)
         if not live:
-            return rows[:0], xs[:0], None
+            return xs[:0], None
         if 2 * live <= len(ok):
-            rows, xs = rows[ok], xs[ok]
+            xs = xs[ok]
             # products with an X letter carry the rows; Y-only ones do not
             cache = {key: a[ok] if min(key) <= n else a for key, a in cache.items()}
             ok = np.ones(live, dtype=bool)
@@ -597,14 +563,14 @@ def _trace_filter(words, targets, xstack, yarrs, eps, ycache):
     if all(a is not None for a in squares):
         sq = np.stack([matcore.frobenius_norms(a) for a in squares], axis=1)[ok].reshape(-1)
     if not ok.all():
-        rows, xs = rows[ok], xs[ok]
-    return rows, xs, sq
+        xs = xs[ok]
+    return xs, sq
 
 
 def _member_test(spec, p, yarrs=None):
     """Membership of X rows with the Y tuple fixed: a function from a
-    (count, n, k, k) stack to its mask, or None when the Y tuple fails,
-    so that no row is a member.
+    (count, n, k, k) stack to its member rows, in order, or None when the
+    Y tuple fails, so that no row is a member.
 
     A row is a member when every word of length 1..l traces strictly
     within eps of its target and every X matrix has operator norm <= R.
@@ -630,14 +596,9 @@ def _member_test(spec, p, yarrs=None):
         words, targets = [words[j] for j in keep], targets[keep]
 
     def member(xstack):
-        count, n, k, _ = xstack.shape
-        mask = np.zeros(count, dtype=bool)
-        rows, xs, sq = _trace_filter(words, targets, xstack, yarrs, p.eps, ycache)
-        if rows.size:
-            mask[rows] = (
-                matcore.norms_leq(xs.reshape(-1, k, k), p.radius, sq).reshape(-1, n).all(axis=1)
-            )
-        return mask
+        xs, sq = _trace_filter(words, targets, xstack, yarrs, p.eps, ycache)
+        inside = matcore.norms_leq(xs.reshape(-1, *xs.shape[2:]), p.radius, sq)
+        return xs[inside.reshape(-1, xs.shape[1]).all(axis=1)]
 
     return member
 
@@ -729,8 +690,8 @@ def _volume(spec, p, proposal, member, nsamples, threads) -> VolumeEstimate:
     letters (equal rows, not full ones and a short tail, measured fewer
     page faults).  ``fill(i, start, out)`` draws a sub-block into one
     reused (rows, n, k, k) buffer x, one sampler pass per X letter i, and
-    ``weigh`` gives the log-weights of x[member(x)] before the next is
-    drawn; ``member`` None accepts no row, and nothing is drawn.  Each row
+    ``weigh`` gives the log-weights of its member rows, member(x), before
+    the next; ``member`` None accepts no row, and nothing is drawn.  Each row
     is drawn from its own counter block, tested and weighed alone, and the
     chunks are reduced whole, in chunk order, so neither the sub-blocks
     nor the thread count can change a result.  The log-weights w (volume
@@ -753,7 +714,7 @@ def _volume(spec, p, proposal, member, nsamples, threads) -> VolumeEstimate:
             x = buf[: min(rows, count - r0)]
             for i in range(n):
                 fill(i, c0 + r0, x[:, i])
-            parts.append(weigh(x[member(x)]))
+            parts.append(weigh(member(x)))
         return np.concatenate(parts)
 
     chunks = [] if member is None else _run_chunks(work, range(0, nsamples, _CHUNK), threads)
@@ -897,7 +858,7 @@ def y_candidates(
                     bases[fi] = matcore.SelfAdjointMatrix.hermitian_part(m)
             tup = matcore.MatrixTuple([bases[fi] for fi in gen.assign])
             desc = f"free#{attempt}"
-        if member(tup.stack()[None])[0]:
+        if len(member(tup.stack()[None])):
             out.append((desc, tup))
             if len(out) == pool:
                 break

@@ -53,6 +53,12 @@ def _one_sided(lhs, s_lhs, rhs, s_rhs) -> Tuple[bool, float]:
     return lhs - 3.0 * s_lhs <= rhs + 3.0 * s_rhs, tol
 
 
+def _two_sided(lhs, s_lhs, rhs, s_rhs, allowance=0.0) -> Tuple[bool, float]:
+    """lhs == rhs, both finite, up to three standard errors each plus allowance."""
+    tol = 3.0 * (s_lhs + s_rhs) + allowance
+    return lhs > float("-inf") and rhs > float("-inf") and abs(lhs - rhs) <= tol, tol
+
+
 def _est_dict(est: ms.ChiEstimate) -> dict:
     return {
         "extrapolated": est.extrapolated,
@@ -216,11 +222,11 @@ def _chk_maxbound(c):
     tracks the fattened bound (n/2) log(2 pi e (1 + eps)) instead.
     """
     est = _chi(c, 1, 1, 0, _sc())
-    bound = 0.5 * math.log(2.0 * math.pi * math.e)
+    bound = spectra.semicircle_entropy(1.0)
     ok, tol = _one_sided(est.extrapolated, est.sigma, bound, 0.0)
     return "<=", est.extrapolated, bound, tol, ok, {
         "variance": 1.0,
-        "window_fattened_bound": 0.5 * math.log(2.0 * math.pi * math.e * (1 + c["sweep"].eps)),
+        "window_fattened_bound": spectra.semicircle_entropy(1 + c["sweep"].eps),
         "estimate": _est_dict(est),
     }
 
@@ -256,8 +262,7 @@ def _chk_freecrit(c):
     agree.  The converse (agreement implies freeness) is not certified."""
     rel, plain = _relative_and_plain(c, 7, 8)
     lhs, rhs = rel.extrapolated, plain.extrapolated
-    tol = 3.0 * (rel.sigma + plain.sigma) + c["finite_k_allowance"]
-    ok = lhs > float("-inf") and rhs > float("-inf") and abs(lhs - rhs) <= tol
+    ok, tol = _two_sided(lhs, rel.sigma, rhs, plain.sigma, c["finite_k_allowance"])
     return "==", lhs, rhs, tol, ok, {
         "finite_k_allowance": c["finite_k_allowance"],
         "direction": "free pair implies agreement; the converse is not certified",
@@ -279,17 +284,14 @@ def _chk_gen(c):
     model = ms.FreeModel([sc, tb], [0, 1])
     spec_y = ms.TracialSpec.free_model(1, 1, s.l, [sc, tb], [0, 1])
 
-    # targets for (X, Y^p1, ..., Y^pr) by expanding each letter into ys
+    # targets for (X, Y^p1, ..., Y^pr) by expanding letters into ys, which keeps a word's class
     expand = {1: (1,)}
     for j, p in enumerate(powers):
         expand[2 + j] = (2,) * p
     targets = {}
-    letters = 1 + len(powers)
-    for length in range(1, s.l + 1):
-        for w in np.ndindex(*([letters] * length)):
-            word = tuple(int(i) + 1 for i in w)
-            flat = tuple(i for letter in word for i in expand[letter])
-            targets[ms.canonical_word(word)] = model.word_moment(ms.canonical_word(flat))
+    for word in ms.TracialSpec(1, len(powers), s.l).required_words(s.l):
+        flat = tuple(i for letter in word for i in expand[letter])
+        targets[word] = model.word_moment(ms.canonical_word(flat))
     spec_z = ms.TracialSpec.from_targets(1, len(powers), s.l, targets)
 
     # one pool per k, proposed once: both sweeps measure it, Z each candidate's powers
@@ -314,10 +316,8 @@ def _chk_gen(c):
 
     est_y = sweep(spec_y, 0x48, lambda ytup: ytup)
     est_z = sweep(spec_z, 0x49, powers_of)
-    lhs, s_lhs = est_y.extrapolated, est_y.sigma
-    rhs, s_rhs = est_z.extrapolated, est_z.sigma
-    tol = 3.0 * (s_lhs + s_rhs)
-    ok = lhs > float("-inf") and rhs > float("-inf") and abs(lhs - rhs) <= tol
+    lhs, rhs = est_y.extrapolated, est_z.extrapolated
+    ok, tol = _two_sided(lhs, est_y.sigma, rhs, est_z.sigma)
     return "==", lhs, rhs, tol, ok, {
         "powers": list(powers),
         "per_k_given_y": [[pt.k, pt.value, pt.stderr] for pt in est_y.per_k],
@@ -445,7 +445,7 @@ def _chk_brown(c):
     for t in c["t_values"]:
         mu = _brown_measure(t)
         chi = spectra.chi_single(mu)
-        bound = 0.5 * math.log(2.0 * math.pi * math.e * t)
+        bound = spectra.semicircle_entropy(t)
         rows.append({"t": t, "chi": chi, "bound": bound, "variance": mu.moment(2)})
         margins.append(chi - bound)
     lhs = min(margins)

@@ -389,6 +389,12 @@ MALFORMED_SPECS = [
         id="assign-out-of-range",
     ),
     pytest.param(
+        # every word would be Y-only: the volume of no X letters has no per-k value
+        {"n": 0, "generator": {"kind": "free", "factors": [SC_FACTOR], "assign": [0]}},
+        ["need at least one X letter (n >= 1)"],
+        id="no-x-letters",
+    ),
+    pytest.param(
         {"generator": {"kind": "matrix", "matrices": [[[[1, 0], [0, 0]]]]}},
         ["generator: field 'matrices' must hold square matrices of [re, im] entries "
          "(expected a square matrix, got shape (1, 2))"],
