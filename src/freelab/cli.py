@@ -335,7 +335,7 @@ def main(argv=None) -> int:
         problems = "".join(f"\n  - {p}" for p in e.problems)
         print(f"error: {e.heading}:{problems}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as e:  # SpecTooShallow is a ValueError
+    except (ValueError, OSError) as e:  # a failed computation, such as an overflowing moment
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -61,10 +61,6 @@ _SUBBLOCK_ENTRIES = 2**16
 _TARGET_TOL = 1e-12
 
 
-class SpecTooShallow(ValueError):
-    """A membership test needed a word the specification cannot price."""
-
-
 def canonical_word(word) -> Tuple[int, ...]:
     """Minimal cyclic rotation over the word and its reversal."""
     w = tuple(int(i) for i in word)
@@ -180,6 +176,10 @@ class SpecError(ProblemsError):
     """An invalid tracial specification."""
 
     heading = "invalid specification"
+
+
+class SpecTooShallow(SpecError):
+    """A membership test needed a word the specification cannot price."""
 
 
 class SettingsError(ProblemsError):
@@ -310,11 +310,9 @@ class TracialSpec:
                 return v.conjugate()
             return v
         if len(w) > self.l_max:
-            raise SpecTooShallow(
-                f"word of length {len(w)} exceeds l_max={self.l_max}"
-            )
+            raise SpecTooShallow([f"word of length {len(w)} exceeds l_max={self.l_max}"])
         if w not in self.targets:
-            raise SpecTooShallow(f"no target for word {w}")
+            raise SpecTooShallow([f"no target for word {w}"])
         return self.targets[w]
 
     def has_target(self, word) -> bool:
@@ -503,7 +501,7 @@ class Sweep:
 
 def _spec_words(spec: TracialSpec, l: int):
     if l > spec.l_max and spec.generator is None:
-        raise SpecTooShallow(f"l={l} exceeds the table depth l_max={spec.l_max}")
+        raise SpecTooShallow([f"l={l} exceeds the table depth l_max={spec.l_max}"])
     words = spec.required_words(l)
     return words, np.array([spec.target(w) for w in words])
 
@@ -828,15 +826,16 @@ def y_candidates(
     ymarg = spec.y_marginal()
     gen, member = ymarg.generator, _member_test(ymarg, p)
     k = p.k
+    if isinstance(gen, MatrixModel):
+        if k % gen.tuple.dim != 0:
+            return []  # no embedding of the model into dimension k
+        rep = np.eye(k // gen.tuple.dim)
+        embedded = [np.kron(m.array, rep) for m in gen.tuple.mats]
     out: List[Tuple[str, matcore.MatrixTuple]] = []
     for attempt in range(64 * pool):
         sub = rng.derive(seed, 0x9001, attempt)
         if isinstance(gen, MatrixModel):
-            d = gen.tuple.dim
-            if k % d != 0:
-                break  # no embedding of the model into dimension k
-            rep = np.eye(k // d)
-            mats = [np.kron(m.array, rep) for m in gen.tuple.mats]
+            mats = embedded
             if attempt > 0:
                 q = _haar_unitary(k, sub)
                 mats = [q @ m @ q.conj().T for m in mats]

@@ -5,8 +5,9 @@ values, the comparison direction, and the tolerance it was held to.
 Deterministic checks (quadrature and closed forms, no Monte Carlo
 estimation) form the default gate; the statistical tier reruns the
 Monte Carlo estimators and only asserts one-sided bounds with three
-standard errors of slack.  Every check is bit-reproducible given its
-configuration and seed.
+standard errors of slack.  A check's only settings are its Sweep; its
+tolerances and instance parameters are constants.  Every check is
+bit-reproducible given its Sweep.
 """
 
 import math
@@ -74,68 +75,23 @@ _MC_DEFAULTS = ms.Sweep(
 )
 
 
-# x - c x^3 is increasing on the T-CONJ and T-COVGEN field domain
-# [-2.2, 2.2] exactly when c < _CUBIC_MAX, so their fields stay monotone
-_CUBIC_MAX = 1.0 / (3.0 * 2.2**2)
-
-
-def _is_num(v) -> bool:
-    return ms._is_real(v) and math.isfinite(v)
-
-
-def _list_of(ok):
-    return lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(ok(x) for x in v)
-
-
-def _tuple_of(conv):
-    return lambda v: tuple(conv(x) for x in v)
-
-
-# per-check settings, validated when present: key -> (rule, what it asks
-# for, conversion of a valid value)
-_CHECK_KEYS = {
-    "tolerance": (lambda v: _is_num(v) and v >= 0, "a finite number >= 0", float),
-    "margin": (_is_num, "a finite number", float),
-    "finite_k_allowance": (lambda v: _is_num(v) and v >= 0, "a finite number >= 0", float),
-    "fd_eps": (lambda v: _is_num(v) and 0 < v < _CUBIC_MAX,
-               f"a number in (0, {_CUBIC_MAX:.4g})", float),
-    "covgen_k": (lambda v: ms._is_int(v) and v >= 1, "an integer >= 1", int),
-    "covgen_coef": (lambda v: _is_num(v) and v > -_CUBIC_MAX,
-                    f"a finite number > {-_CUBIC_MAX:.4g}", float),
-    "t_values": (_list_of(lambda t: _is_num(t) and t > 0),
-                 "a nonempty list of positive finite numbers", _tuple_of(float)),
-    "gen_powers": (_list_of(lambda q: ms._is_int(q) and q >= 1),
-                   "a nonempty list of integers >= 1", _tuple_of(int)),
-}
-
-
-def _mc_cfg(cfg: dict) -> dict:
-    """The settings of cfg over the Monte Carlo defaults, converted.
+def _mc_cfg(cfg: dict) -> ms.Sweep:
+    """The Sweep of cfg over the Monte Carlo defaults, the one setting of a check.
 
     The one validator of a check configuration: a SettingsError lists
-    every bad key, the sweep's (checked by ms.Sweep), the per-check ones
-    of _CHECK_KEYS and any key that is neither alike.  Returns the sweep
-    as "sweep" and the per-check keys that cfg has.
+    every bad key, the sweep's (checked by ms.Sweep) first, then every key
+    that is not a Sweep field.
     """
-    settings = {f.name: cfg[f.name] for f in fields(ms.Sweep) if f.name in cfg}
+    known = [f.name for f in fields(ms.Sweep)]
+    unknown = [f"{key} must be a known setting (one of {', '.join(known)})"
+               for key in cfg if key not in known]
     try:
-        sweep, problems = replace(_MC_DEFAULTS, **settings), []
+        sweep = replace(_MC_DEFAULTS, **{k: v for k, v in cfg.items() if k in known})
     except ms.SettingsError as e:
-        sweep, problems = None, e.problems
-    problems += [
-        f"{key} must be {what}, not {cfg[key]!r}"
-        for key, (ok, what, _) in _CHECK_KEYS.items() if key in cfg and not ok(cfg[key])
-    ]
-    known = [f.name for f in fields(ms.Sweep)] + list(_CHECK_KEYS)
-    problems += [
-        f"{key} must be a known setting (one of {', '.join(known)})"
-        for key in cfg if key not in known
-    ]
-    if problems:
-        raise ms.SettingsError(problems)
-    out = {key: conv(cfg[key]) for key, (_, _, conv) in _CHECK_KEYS.items() if key in cfg}
-    out["sweep"] = sweep
-    return out
+        raise ms.SettingsError(e.problems + unknown) from None
+    if unknown:
+        raise ms.SettingsError(unknown)
+    return sweep
 
 
 def _sc():
@@ -146,36 +102,35 @@ def _ta():
     return spectra.SpectralMeasure.atomic([(-1.0, 0.5), (1.0, 0.5)])
 
 
-def _chi(c, tag, n, m, *factors):
+def _chi(sweep, tag, n, m, *factors):
     """The sweep of the free model whose letter i is factor i, conditioned
     over a Y pool when it has Y letters (m > 0)."""
-    sweep = c["sweep"]
     spec = ms.TracialSpec.free_model(n, m, sweep.l, list(factors), list(range(n + m)))
     return ms.estimate_chi(spec, replace(sweep, seed=rng.derive(sweep.seed, tag)))
 
 
-def _free_pair(c, t_joint, t_x, t_y):
+def _free_pair(s, t_joint, t_x, t_y):
     """chi(X, Y), chi(X) and chi(Y) of the free semicircle and two-atom pair."""
     sc, ta = _sc(), _ta()
-    return _chi(c, t_joint, 2, 0, sc, ta), _chi(c, t_x, 1, 0, sc), _chi(c, t_y, 1, 0, ta)
+    return _chi(s, t_joint, 2, 0, sc, ta), _chi(s, t_x, 1, 0, sc), _chi(s, t_y, 1, 0, ta)
 
 
-def _relative_and_plain(c, t_rel, t_plain):
+def _relative_and_plain(s, t_rel, t_plain):
     """chi(X | Y) of the free pair and chi(X) of the semicircle alone."""
     sc = _sc()
-    return _chi(c, t_rel, 1, 1, sc, _ta()), _chi(c, t_plain, 1, 0, sc)
+    return _chi(s, t_rel, 1, 1, sc, _ta()), _chi(s, t_plain, 1, 0, sc)
 
 
 # --- statistical tier --------------------------------------------------------
 
 
-def _chk_chain(c):
+def _chk_chain(s):
     """chi(X,Y) - chi(Y) <= chi(X,Y) - chi(Y:X) <= chi(X|Y)."""
     sc, ta = _sc(), _ta()
-    joint = _chi(c, 1, 2, 0, sc, ta)
-    y_only = _chi(c, 2, 1, 0, ta)
-    rel_x = _chi(c, 3, 1, 1, sc, ta)
-    rel_y = _chi(c, 4, 1, 1, ta, sc)
+    joint = _chi(s, 1, 2, 0, sc, ta)
+    y_only = _chi(s, 2, 1, 0, ta)
+    rel_x = _chi(s, 3, 1, 1, sc, ta)
+    rel_y = _chi(s, 4, 1, 1, ta, sc)
     lhs = joint.extrapolated - y_only.extrapolated
     s_lhs = math.hypot(joint.sigma, y_only.sigma)
     mid = joint.extrapolated - rel_y.extrapolated
@@ -194,11 +149,11 @@ def _chk_chain(c):
     }
 
 
-def _chk_mono_y(c):
+def _chk_mono_y(s):
     """Conditioning on more variables cannot raise the relative value."""
     sc, ta = _sc(), _ta()
-    rel_two = _chi(c, 1, 1, 2, sc, ta, sc)
-    rel_one = _chi(c, 2, 1, 1, sc, ta)
+    rel_two = _chi(s, 1, 1, 2, sc, ta, sc)
+    rel_one = _chi(s, 2, 1, 1, sc, ta)
     lhs, rhs = rel_two.extrapolated, rel_one.extrapolated
     ok, tol = _one_sided(lhs, rel_two.sigma, rhs, rel_one.sigma)
     return "<=", lhs, rhs, tol, ok, {
@@ -206,34 +161,34 @@ def _chk_mono_y(c):
     }
 
 
-def _chk_vs_joint(c):
+def _chk_vs_joint(s):
     """The relative value never exceeds the plain one-variable value."""
-    rel, plain = _relative_and_plain(c, 1, 2)
+    rel, plain = _relative_and_plain(s, 1, 2)
     lhs, rhs = rel.extrapolated, plain.extrapolated
     ok, tol = _one_sided(lhs, rel.sigma, rhs, plain.sigma)
     return "<=", lhs, rhs, tol, ok, {"relative": _est_dict(rel), "plain": _est_dict(plain)}
 
 
-def _chk_maxbound(c):
+def _chk_maxbound(s):
     """chi <= (n/2) log(2 pi e c^2) for variance-c^2 variables.
 
     Needs the deep sweep (l = 4): with only two moments pinned the
     window lets the variance drift up to 1 + eps and the estimate
     tracks the fattened bound (n/2) log(2 pi e (1 + eps)) instead.
     """
-    est = _chi(c, 1, 1, 0, _sc())
+    est = _chi(s, 1, 1, 0, _sc())
     bound = spectra.semicircle_entropy(1.0)
     ok, tol = _one_sided(est.extrapolated, est.sigma, bound, 0.0)
     return "<=", est.extrapolated, bound, tol, ok, {
         "variance": 1.0,
-        "window_fattened_bound": spectra.semicircle_entropy(1 + c["sweep"].eps),
+        "window_fattened_bound": spectra.semicircle_entropy(1 + s.eps),
         "estimate": _est_dict(est),
     }
 
 
-def _chk_subadd(c):
+def _chk_subadd(s):
     """chi(X,Y) <= chi(X) + chi(Y)."""
-    joint, ex, ey = _free_pair(c, 1, 2, 3)
+    joint, ex, ey = _free_pair(s, 1, 2, 3)
     lhs = joint.extrapolated
     rhs = ex.extrapolated + ey.extrapolated
     ok, tol = _one_sided(lhs, joint.sigma, rhs, math.hypot(ex.sigma, ey.sigma))
@@ -242,13 +197,13 @@ def _chk_subadd(c):
     }
 
 
-def _chk_free_b(c):
+def _chk_free_b(s):
     """Freeness direction of additivity: chi(X) + chi(Y) <= chi(X,Y).
 
     Together with the generic subadditivity bound this brackets the
     additivity identity for a free pair.
     """
-    joint, ex, ey = _free_pair(c, 4, 5, 6)
+    joint, ex, ey = _free_pair(s, 4, 5, 6)
     lhs = ex.extrapolated + ey.extrapolated
     rhs = joint.extrapolated
     ok, tol = _one_sided(lhs, math.hypot(ex.sigma, ey.sigma), rhs, joint.sigma)
@@ -257,28 +212,29 @@ def _chk_free_b(c):
     }
 
 
-def _chk_freecrit(c):
+def _chk_freecrit(s):
     """Forward consistency: for a free pair the relative and plain values
     agree.  The converse (agreement implies freeness) is not certified."""
-    rel, plain = _relative_and_plain(c, 7, 8)
+    allowance = 0.05
+    rel, plain = _relative_and_plain(s, 7, 8)
     lhs, rhs = rel.extrapolated, plain.extrapolated
-    ok, tol = _two_sided(lhs, rel.sigma, rhs, plain.sigma, c["finite_k_allowance"])
+    ok, tol = _two_sided(lhs, rel.sigma, rhs, plain.sigma, allowance)
     return "==", lhs, rhs, tol, ok, {
-        "finite_k_allowance": c["finite_k_allowance"],
+        "finite_k_allowance": allowance,
         "direction": "free pair implies agreement; the converse is not certified",
         "relative": _est_dict(rel),
         "plain": _est_dict(plain),
     }
 
 
-def _chk_gen(c):
+def _chk_gen(s):
     """Conditioning on Y and on a generating family of powers of Y agree.
 
     Y is the three-atom law on {-1, 0, 1} with weights (1/4, 1/2, 1/4):
     its moments are exactly realized by quantile diagonals whenever
     4 | k, so both runs see faithful Y-microstates at the default sweep.
     """
-    powers, s = c["gen_powers"], c["sweep"]
+    powers = (2, 1)
     sc = _sc()
     tb = spectra.SpectralMeasure.atomic([(-1.0, 0.25), (0.0, 0.5), (1.0, 0.25)])
     model = ms.FreeModel([sc, tb], [0, 1])
@@ -328,8 +284,9 @@ def _chk_gen(c):
 # --- deterministic tier --------------------------------------------------------
 
 
-def _chk_cov1(c):
+def _chk_cov1(s):
     """chi(f(X)) = chi(X) + correction(mu, f) for monotone fields."""
+    tol = 2e-3
     sc = _sc()
     un = spectra.SpectralMeasure.uniform(0.0, 1.0)
     cases = []
@@ -348,13 +305,13 @@ def _chk_cov1(c):
             cases.append({"measure": mu.kind, "field": name, "residual": resid})
     identity_corr = spectra.cov_correction(sc, spectra.identity_field((-2.2, 2.2)))
     lhs = max(abs(case["residual"]) for case in cases)
-    ok = lhs <= c["tolerance"] and identity_corr == 0.0
-    return "==", lhs, 0.0, c["tolerance"], ok, {
+    ok = lhs <= tol and identity_corr == 0.0
+    return "==", lhs, 0.0, tol, ok, {
         "cases": cases, "identity_correction": identity_corr,
     }
 
 
-def _chk_covgen(c):
+def _chk_covgen(s):
     """Multivariate Jacobian functional vs the scalar and quadrature routes.
 
     Route A evaluates the polynomial Jacobian at a quantile-diagonal
@@ -363,7 +320,7 @@ def _chk_covgen(c):
     instance checks that an orthogonal rotation of a pair has vanishing
     log-Jacobian exactly.
     """
-    k, coef = c["covgen_k"], c["covgen_coef"]
+    k, coef, tol = 32, 0.15, 2e-2
     mu = _sc()
     lam = mu.quantile((np.arange(k) + 0.5) / k)
     x = matcore.SelfAdjointMatrix.hermitian_part(np.diag(lam).astype(complex))
@@ -391,17 +348,17 @@ def _chk_covgen(c):
     F1 = ncalg.NcPoly.scalar(2, cth) * u + ncalg.NcPoly.scalar(2, sth) * v
     F2 = ncalg.NcPoly.scalar(2, -sth) * u + ncalg.NcPoly.scalar(2, cth) * v
     pair = matcore.MatrixTuple(
-        [matcore.sample_gue(6, 1.0, rng.derive(c["sweep"].seed, 1)),
-         matcore.sample_gue(6, 1.0, rng.derive(c["sweep"].seed, 2))]
+        [matcore.sample_gue(6, 1.0, rng.derive(s.seed, 1)),
+         matcore.sample_gue(6, 1.0, rng.derive(s.seed, 2))]
     )
     rotation = ncalg.logabs_functional(ncalg.jacobian([F1, F2], pair))
 
     ok = (
         abs(route_a - route_b) <= 1e-8
-        and abs(route_a - route_c) <= c["tolerance"]
+        and abs(route_a - route_c) <= tol
         and abs(rotation) <= 1e-8
     )
-    return "==", route_a, route_c, c["tolerance"], ok, {
+    return "==", route_a, route_c, tol, ok, {
         "route_matrix": route_a,
         "route_divided_difference": route_b,
         "route_quadrature": route_c,
@@ -438,11 +395,12 @@ def _brown_measure(t: float) -> spectra.SpectralMeasure:
     return spectra.SpectralMeasure.gridded((xs[0], xs[-1]), rho / mass)
 
 
-def _chk_brown(c):
+def _chk_brown(s):
     """Semicircular evolution keeps chi above the matching-variance floor."""
+    tol = 1e-3
     rows = []
     margins = []
-    for t in c["t_values"]:
+    for t in (0.25, 1.0):
         mu = _brown_measure(t)
         chi = spectra.chi_single(mu)
         bound = spectra.semicircle_entropy(t)
@@ -454,16 +412,16 @@ def _chk_brown(c):
         "variance bound (n/2) log(2 pi e c^2); the alternative whole-n factor "
         "is inconsistent with that bound and is not used"
     )
-    return ">=", lhs, 0.0, c["tolerance"], lhs >= -c["tolerance"], {
+    return ">=", lhs, 0.0, tol, lhs >= -tol, {
         "cases": rows, "normalization_note": note,
     }
 
 
-def _chk_conj(c):
+def _chk_conj(s):
     """d/de chi(X + eP(X)) at 0 equals the pairing of J with P."""
     mu = _sc()
     dom = (-2.2, 2.2)
-    eps = c["fd_eps"]
+    tol, eps = 1e-2, 1e-3
     rows = []
     worst = 0.0
     polys = (("t", [0.0, 1.0]), ("t^2", [0.0, 0.0, 1.0]), ("t^3", [0.0, 0.0, 0.0, 1.0]))
@@ -486,13 +444,13 @@ def _chk_conj(c):
         invertible = True
     except ValueError:
         invertible = False
-    ok = worst <= c["tolerance"] and invertible
-    return "==", worst, 0.0, c["tolerance"], ok, {
+    ok = worst <= tol and invertible
+    return "==", worst, 0.0, tol, ok, {
         "cases": rows, "fd_eps": eps, "series_invertible": invertible,
     }
 
 
-def _chk_max(c):
+def _chk_max(s):
     """The semicircle maximizes chi among the variance-1 family; the
     stationarity identity J = id singles it out.
 
@@ -509,7 +467,7 @@ def _chk_max(c):
         "two-atom": _ta(),
     }
     chis = {name: spectra.chi_single(m) for name, m in family.items()}
-    margin_floor = c["margin"]
+    margin_floor = 0.05
     margins = {
         name: chis["semicircle"] - chis[name]
         for name in ("arcsine", "two-atom")
@@ -538,7 +496,7 @@ def _chk_max(c):
     }
 
 
-def _chk_block(c):
+def _chk_block(s):
     """Block scaling identity via closed forms, plus block-map diagnostics.
 
     N^2 chi(Z) - N^2 (n/2) log N equals the total chi of the n N^2 block
@@ -554,7 +512,7 @@ def _chk_block(c):
             rows.append({"N": big_n, "n": n, "lhs": lhs, "rhs": rhs})
             worst = max(worst, abs(lhs - rhs))
 
-    z = matcore.MatrixTuple([matcore.sample_gue(6, 1.0, rng.derive(c["sweep"].seed, 9))])
+    z = matcore.MatrixTuple([matcore.sample_gue(6, 1.0, rng.derive(s.seed, 9))])
     parts = ms.block_split(z, 2)
     back = ms.block_assemble(parts, 2)
     roundtrip = float(np.max(np.abs(back.mats[0].array - z.mats[0].array)))
@@ -566,8 +524,9 @@ def _chk_block(c):
         total += w * float(np.trace(y @ y).real)
     parseval = abs(total - float(np.trace(z.mats[0].array @ z.mats[0].array).real))
 
-    ok = worst <= c["tolerance"] and roundtrip < 1e-10 and parseval < 1e-10
-    return "==", worst, 0.0, c["tolerance"], ok, {
+    tol = 1e-12
+    ok = worst <= tol and roundtrip < 1e-10 and parseval < 1e-10
+    return "==", worst, 0.0, tol, ok, {
         "cases": rows, "roundtrip_residual": roundtrip, "parseval_residual": parseval,
     }
 
@@ -575,8 +534,8 @@ def _chk_block(c):
 # --- registry ------------------------------------------------------------------
 
 
-# id -> (check, statistical tier, default settings).  A check takes the
-# settings that check() validated and returns (relation, lhs, rhs,
+# id -> (check, statistical tier, default sweep settings).  A check takes
+# the Sweep that check() validated and returns (relation, lhs, rhs,
 # tolerance, passed, diagnostics).  `freelab check all` runs and reports
 # the checks in this order.
 _REGISTRY = {
@@ -584,16 +543,16 @@ _REGISTRY = {
     "T-MONO-Y": (_chk_mono_y, True, {}),
     "T-VS-JOINT": (_chk_vs_joint, True, {}),
     "T-MAXBOUND": (_chk_maxbound, True, {"l": 4, "eps": 0.4}),
-    "T-GEN": (_chk_gen, True, {"k_list": (4, 8), "gen_powers": (2, 1)}),
+    "T-GEN": (_chk_gen, True, {"k_list": (4, 8)}),
     "T-SUBADD": (_chk_subadd, True, {}),
     "T-FREE-B": (_chk_free_b, True, {}),
-    "T-COV1": (_chk_cov1, False, {"tolerance": 2e-3}),
-    "T-COVGEN": (_chk_covgen, False, {"tolerance": 2e-2, "covgen_k": 32, "covgen_coef": 0.15}),
-    "T-BROWN": (_chk_brown, False, {"tolerance": 1e-3, "t_values": (0.25, 1.0)}),
-    "T-CONJ": (_chk_conj, False, {"tolerance": 1e-2, "fd_eps": 1e-3}),
-    "T-MAX": (_chk_max, False, {"margin": 0.05}),
-    "T-FREECRIT": (_chk_freecrit, True, {"finite_k_allowance": 0.05}),
-    "T-BLOCK": (_chk_block, False, {"tolerance": 1e-12}),
+    "T-COV1": (_chk_cov1, False, {}),
+    "T-COVGEN": (_chk_covgen, False, {}),
+    "T-BROWN": (_chk_brown, False, {}),
+    "T-CONJ": (_chk_conj, False, {}),
+    "T-MAX": (_chk_max, False, {}),
+    "T-FREECRIT": (_chk_freecrit, True, {}),
+    "T-BLOCK": (_chk_block, False, {}),
 }
 
 CHECK_IDS = tuple(_REGISTRY)
@@ -603,14 +562,14 @@ DETERMINISTIC_IDS = frozenset(cid for cid, entry in _REGISTRY.items() if not ent
 
 def check(check_id: str, **cfg) -> CheckReport:
     """Run one check; cfg keys override its registry defaults, and the
-    merged settings are validated (_mc_cfg) before the check starts."""
+    merged Sweep is validated (_mc_cfg) before the check starts."""
     if check_id not in _REGISTRY:
         raise ValueError(
             f"unknown check id {check_id!r}; known ids: {', '.join(CHECK_IDS)}"
         )
     run, statistical, defaults = _REGISTRY[check_id]
-    c = _mc_cfg({**defaults, **cfg})
-    relation, lhs, rhs, tol, passed, diagnostics = run(c)
+    sweep = _mc_cfg({**defaults, **cfg})
+    relation, lhs, rhs, tol, passed, diagnostics = run(sweep)
     return CheckReport(
-        check_id, relation, lhs, rhs, tol, passed, statistical, c["sweep"].seed, diagnostics
+        check_id, relation, lhs, rhs, tol, passed, statistical, sweep.seed, diagnostics
     )

@@ -412,6 +412,17 @@ MALFORMED_SPECS = [
         ["Y letters need a generator to propose Y candidates; a target table has none"],
         id="target-table-with-y-letters",
     ),
+    pytest.param(
+        # a valid table that is too shallow for the default --l 4
+        {"m": 0, "targets": [{"word": [1], "value": 0.0}, {"word": [1, 1], "value": 1.0}]},
+        ["l=4 exceeds the table depth l_max=2"],
+        id="table-shallower-than-l",
+    ),
+    pytest.param(
+        {"m": 0, "l_max": 4, "targets": [{"word": [1, 1], "value": 1.0}]},
+        ["no target for word (1,)"],
+        id="table-without-a-needed-word",
+    ),
 ]
 
 
@@ -663,30 +674,33 @@ def test_check_threads_order_is_flag_config_all_cores(tmp_path, monkeypatch, cap
     assert captured["threads"] == want
 
 
+# the former per-check keys are constants of their checks, so each is unknown
+FORMER_KEYS = {"tolerance": 1e-3, "t_values": [0.25, 1.0], "margin": 0.05, "fd_eps": 1e-3,
+               "covgen_k": 32, "covgen_coef": 0.15, "finite_k_allowance": 0.05,
+               "gen_powers": [2, 1]}
+
+
 @pytest.mark.parametrize(
-    "argv, config, keys",
+    "argv, config, problems",
     [
-        (["T-VS-JOINT", "--eps", "nan"], None, ["eps"]),
-        (["T-BLOCK", "--eps", "nan", "--radius", "-3"], None, ["eps", "radius"]),
-        (["T-CHAIN"], {"nsamples": "many"}, ["nsamples"]),
-        (["T-BLOCK"], [1, 2], ["config"]),
-        (["T-BROWN"], {"tolerance": "tight"}, ["tolerance"]),
-        (["T-BROWN"], {"t_values": 5}, ["t_values"]),
-        (["T-BROWN"],
-         {"tolerance": -1, "t_values": [], "gen_powers": [0], "covgen_k": "32",
-          "covgen_coef": None, "margin": "inf", "fd_eps": 0, "finite_k_allowance": [0.1]},
-         ["tolerance", "t_values", "gen_powers", "covgen_k", "covgen_coef", "margin",
-          "fd_eps", "finite_k_allowance"]),
-        (["T-BLOCK"], {"threads": -1}, ["threads"]),
-        (["T-BLOCK", "--threads", "-1"], None, ["threads"]),
-        (["T-BLOCK"], {"nsample": 5, "tolerence": "tight"}, ["nsample", "tolerence"]),
+        (["T-VS-JOINT", "--eps", "nan"], None, ["eps must be"]),
+        (["T-BLOCK", "--eps", "nan", "--radius", "-3"], None, ["eps must be", "radius must be"]),
+        (["T-CHAIN"], {"nsamples": "many"}, ["nsamples must be"]),
+        (["T-BLOCK"], [1, 2], ["config must be"]),
+        (["T-BROWN"], {"tolerance": "tight"}, ["tolerance must be a known setting"]),
+        (["T-BROWN"], {"t_values": 5}, ["t_values must be a known setting"]),
+        (["T-BROWN"], FORMER_KEYS, [f"{key} must be a known setting" for key in FORMER_KEYS]),
+        (["T-BLOCK"], {"threads": -1}, ["threads must be"]),
+        (["T-BLOCK", "--threads", "-1"], None, ["threads must be"]),
+        (["T-BLOCK"], {"nsample": 5, "tolerence": "tight"},
+         ["nsample must be a known setting", "tolerence must be a known setting"]),
     ],
     ids=["eps-nan", "deterministic-window", "nsamples-string", "config-array",
          "tolerance-string", "t-values-scalar", "every-per-check-key",
          "threads-config", "threads-flag", "unknown-keys"],
 )
 def test_check_bad_settings_exit_2_before_any_check(tmp_path, capsys, monkeypatch,
-                                                     argv, config, keys):
+                                                     argv, config, problems):
     def no_check(cid, **cfg):
         raise AssertionError("ran a check with bad settings")
 
@@ -697,8 +711,8 @@ def test_check_bad_settings_exit_2_before_any_check(tmp_path, capsys, monkeypatc
     assert code == 2
     assert out == ""
     assert "Traceback" not in err
-    for key in keys:
-        assert f"{key} must be" in err
+    for problem in problems:
+        assert problem in err
 
 
 def test_check_statistical_failure_keeps_exit_zero(monkeypatch, capsys):

@@ -156,3 +156,18 @@ def test_ball_matches_the_fixed_y_oracle(k):
 def test_importance_matches_the_fixed_y_oracle(k):
     est = _estimate_fixed_y(k, "importance")
     assert abs(est.log_volume - fixed_y_oracle_log_volume(k)) <= 4.0 * est.stderr_log
+
+
+@pytest.mark.parametrize("sampler", ["ball", "importance"])
+@pytest.mark.parametrize("k", [2, 4, 8])
+def test_stated_stderr_covers_the_oracle(k, sampler):
+    # a calibrated stderr puts |z| <= 3 on 99.7% of seeds; 18 of 20 leaves
+    # room for the normal approximation at 4096 samples
+    spec = ms.TracialSpec.free_model(1, 0, 2, [spectra.SpectralMeasure.semicircle(T2)], [0])
+    p = ms.MicrostateParams(k=k, l=2, eps=EPS, radius=RADIUS)
+    exact = oracle_log_volume(k)
+    z = []
+    for seed in range(20):
+        est = ms.estimate_volume(spec, p, sampler, nsamples=SAMPLES, seed=seed)
+        z.append(abs(est.log_volume - exact) / est.stderr_log)
+    assert sum(v <= 3.0 for v in z) >= 18, z

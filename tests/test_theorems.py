@@ -65,24 +65,18 @@ def test_check_config_names_every_bad_key():
     msg = str(err.value)
     for key in ("k_list", "nsamples", "seed", "l", "eps"):
         assert f"{key} must be" in msg
-    # per-check settings too, before the check starts (they failed inside it)
-    bad = {"tolerance": "tight", "t_values": 5, "margin": float("nan"), "fd_eps": 0.1,
-           "covgen_k": 2.5, "covgen_coef": -0.1, "finite_k_allowance": -0.01,
-           "gen_powers": [2, 0]}
-    with pytest.raises(ValueError) as err:
-        th.check("T-BROWN", **bad)
-    for key in bad:
-        assert f"{key} must be" in str(err.value)
+    # a check's tolerances and instance parameters are constants: the former
+    # per-check keys, even at their old defaults, are unknown settings
+    former = {"tolerance": 1e-3, "t_values": (0.25, 1.0), "margin": 0.05, "fd_eps": 1e-3,
+              "covgen_k": 32, "covgen_coef": 0.15, "finite_k_allowance": 0.05,
+              "gen_powers": (2, 1)}
+    with pytest.raises(ms.SettingsError) as err:
+        th.check("T-BROWN", **former)
+    for key in former:
+        assert f"{key} must be a known setting" in str(err.value)
     # a misspelt key is named, not ignored
     with pytest.raises(ms.SettingsError, match="nsample must be a known setting"):
         th.check("T-BLOCK", nsample=5)
-
-
-def test_gen_rejects_bad_generating_sets():
-    with pytest.raises(ValueError, match="nonempty"):
-        th.check("T-GEN", gen_powers=())
-    with pytest.raises(ValueError, match=">= 1"):
-        th.check("T-GEN", gen_powers=(0,))
 
 
 # --- deterministic tier ---------------------------------------------------------
