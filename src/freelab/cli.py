@@ -69,6 +69,8 @@ def _load_json(path: str, what: str) -> dict:
             return json.load(fh)
     except FileNotFoundError:
         raise UsageError(f"{what} file not found: {path}")
+    except (OSError, UnicodeDecodeError) as e:
+        raise UsageError(f"{what} file cannot be read: {path} ({e})")
     except json.JSONDecodeError as e:
         raise UsageError(
             f"{what} parse failure at line {e.lineno}, column {e.colno}: {e.msg}"

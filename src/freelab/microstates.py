@@ -16,7 +16,8 @@ the one sweep over k, with every setting in one checked ``Sweep``: at
 each k the sup over a pool of fixed Y-candidates, where the plain
 estimate (m = 0) is the pool of one empty candidate.  An estimate
 settles the fixed Y tuple (its norms and its Y-only words) before any
-draw, and traces only the words with an X letter on the samples.
+draw, by the one step that also keeps a Y candidate, and traces only the
+words with an X letter on the samples.
 
 Targets come from an explicit table (tracial symmetry enforced: values
 constant on cyclic rotations and reversals, words canonicalized by
@@ -132,9 +133,6 @@ class FreeModel:
             )
         return self._cache[word]
 
-    def restrict(self, letters: Sequence[int]) -> "FreeModel":
-        return FreeModel(self.factors, [self.assign[i - 1] for i in letters])
-
 
 class MatrixModel:
     """Targets read off a fixed tuple of Hermitian matrices.
@@ -159,9 +157,6 @@ class MatrixModel:
             real = _min_rotation(word[::-1]) == _min_rotation(word)
             self._cache[word] = float(t.real) if real else t
         return self._cache[word]
-
-    def restrict(self, letters: Sequence[int]) -> "MatrixModel":
-        return MatrixModel([self.tuple.mats[i - 1].array for i in letters])
 
 
 class ProblemsError(ValueError):
@@ -213,10 +208,10 @@ def _window_problems(l, eps, radius) -> List[str]:
 class TracialSpec:
     """Target word traces for n X-letters followed by m Y-letters.
 
-    ``targets`` is a mapping from words to values or a sequence of
-    (word, value) pairs; without targets or a generator the table is
-    empty.  Every rule on the fields and targets is checked here, and a
-    SpecError lists every problem found.
+    ``targets``, a mapping from words to values or a sequence of (word,
+    value) pairs, prices every word of length 1..l_max; without targets or
+    a generator the table is empty.  Every rule on the fields and targets
+    is checked here, and a SpecError lists every problem found.
     """
 
     def __init__(self, n, m, l_max, *, targets=None, generator=None):
@@ -278,6 +273,18 @@ class TracialSpec:
                 )
             self.targets[c] = v
             seen.setdefault(c, (label, word))
+        # a valid table prices every word up to l_max; the walk stops at the
+        # first length that lacks one, so a mistyped large l_max costs little
+        if targets is not None and not problems:
+            for length in range(1, self.l_max + 1):
+                words = {canonical_word(w) for w in product(range(1, letters + 1), repeat=length)}
+                missing = sorted(words - self.targets.keys())
+                if missing:
+                    problems.append(
+                        f"targets: no value for word {list(missing[0])}; {len(missing)} of the "
+                        f"{len(words)} words of length {length} lack one (l_max={self.l_max})"
+                    )
+                    break
         if problems:
             raise SpecError(problems)
         self._words_cache: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
@@ -331,25 +338,6 @@ class TracialSpec:
             self._words_cache[l] = tuple(sorted(seen, key=lambda w: (len(w), w)))
         return self._words_cache[l]
 
-    # marginals ---------------------------------------------------------------
-
-    def marginal(self, letters: Sequence[int]) -> "TracialSpec":
-        """Sub-specification of a generator's model on the given 1-based
-        letters, all as X; a target table has no generator to restrict."""
-        letters = tuple(int(i) for i in letters)
-        if any(i < 1 or i > self.letters for i in letters):
-            raise ValueError("marginal letter out of range")
-        if self.generator is None:
-            raise SpecError(["a target table has no generator to restrict to a marginal"])
-        return TracialSpec(
-            len(letters), 0, self.l_max, generator=self.generator.restrict(letters)
-        )
-
-    def y_marginal(self) -> "TracialSpec":
-        if self.m == 0:
-            raise ValueError("specification has no Y letters")
-        return self.marginal(range(self.n + 1, self.n + self.m + 1))
-
     # serialization ------------------------------------------------------------
 
     @classmethod
@@ -374,6 +362,8 @@ class TracialSpec:
         elif targets is not None:
             problems.append("field 'targets' must be a list of {word, value} entries")
             targets = None
+        elif "generator" not in d:
+            problems.append("give either targets (an empty table is []) or a generator")
         try:
             spec = cls(
                 d.get("n"), d.get("m", 0), d.get("l_max"), targets=targets, generator=generator
@@ -499,13 +489,6 @@ class Sweep:
         return MicrostateParams(k, self.l, self.eps, self.radius)
 
 
-def _spec_words(spec: TracialSpec, l: int):
-    if l > spec.l_max and spec.generator is None:
-        raise SpecTooShallow([f"l={l} exceeds the table depth l_max={spec.l_max}"])
-    words = spec.required_words(l)
-    return words, np.array([spec.target(w) for w in words])
-
-
 def _product(cache, word, letter):
     """Product of the letters ``letter(i)`` of ``word``, extending its
     longest cached prefix; each prefix of length >= 2 formed on the way is
@@ -565,40 +548,46 @@ def _trace_filter(words, targets, xstack, yarrs, eps, ycache):
     return xs, sq
 
 
-def _member_test(spec, p, yarrs=None):
-    """Membership of X rows with the Y tuple fixed: a function from a
-    (count, n, k, k) stack to its member rows, in order, or None when the
-    Y tuple fails, so that no row is a member.
+def _member_test(spec, p):
+    """Membership in window p, priced once (the words of length 1..l, their
+    targets, and the split into Y-only words and words with an X letter).
 
-    A row is a member when every word of length 1..l traces strictly
-    within eps of its target and every X matrix has operator norm <= R.
-    The fixed Y tuple is settled here, once: its norm test, and each word
-    in Y letters alone, traced as the filter would, its products kept to
-    seed every sub-block's filter.  The filter then runs the words with an
-    X letter on the rows given (an estimator's sub-block), and the norm
-    test sees only its survivors: matcore.norms_leq takes the Frobenius
-    bound, then the x^4 certificate ||x||_op <= ||x^2||_F^(1/2) from the
-    squares the filter formed, and eigen-solves only what neither resolves.
+    ``settle(yarrs)`` is the one test of a Y-microstate, for an estimate's
+    fixed Y tuple (an (m, k, k) stack) and y_candidates alike: every Y
+    matrix has operator norm <= R and every Y-only word traces strictly
+    within eps of its target, traced as the filter would, its products kept
+    to seed the filter.  It returns None when the Y tuple fails, else
+    member(xstack), the rows of a (count, n, k, k) stack, in order, whose
+    words with an X letter trace within eps too and whose X matrices have
+    operator norm <= R: matcore.norms_leq sees only the filter's survivors,
+    with the x^4 certificate ||x||_op <= ||x^2||_F^(1/2) from its squares.
     """
-    words, targets = _spec_words(spec, p.l)
-    ycache = {}
-    if yarrs is not None:
-        if not matcore.norms_leq(yarrs, p.radius).all():
-            return None
-        for w, tgt in zip(words, targets):
-            if min(w) > spec.n:
+    if p.l > spec.l_max and spec.generator is None:
+        raise SpecTooShallow([f"l={p.l} exceeds the table depth l_max={spec.l_max}"])
+    words = spec.required_words(p.l)
+    targets = np.array([spec.target(w) for w in words])
+    yonly = [(w, t) for w, t in zip(words, targets) if min(w) > spec.n]
+    keep = [j for j, w in enumerate(words) if min(w) <= spec.n]
+    words, targets = [words[j] for j in keep], targets[keep]
+
+    def settle(yarrs=None):
+        ycache = {}
+        if yarrs is not None:
+            if not matcore.norms_leq(yarrs, p.radius).all():
+                return None
+            for w, tgt in yonly:
                 tr = _trace(ycache, w, lambda i: yarrs[i - 1 - spec.n][None])
                 if not (np.abs(tr / p.k - tgt) < p.eps).all():
                     return None
-        keep = [j for j, w in enumerate(words) if min(w) <= spec.n]
-        words, targets = [words[j] for j in keep], targets[keep]
 
-    def member(xstack):
-        xs, sq = _trace_filter(words, targets, xstack, yarrs, p.eps, ycache)
-        inside = matcore.norms_leq(xs.reshape(-1, *xs.shape[2:]), p.radius, sq)
-        return xs[inside.reshape(-1, xs.shape[1]).all(axis=1)]
+        def member(xstack):
+            xs, sq = _trace_filter(words, targets, xstack, yarrs, p.eps, ycache)
+            inside = matcore.norms_leq(xs.reshape(-1, *xs.shape[2:]), p.radius, sq)
+            return xs[inside.reshape(-1, xs.shape[1]).all(axis=1)]
 
-    return member
+        return member
+
+    return settle
 
 
 # --- volume estimators ----------------------------------------------------------
@@ -771,7 +760,7 @@ def estimate_volume(
     proposal = {"ball": _ball, "importance": _importance}.get(method)
     if proposal is None:
         raise ValueError(f"unknown sampler {sampler!r}")
-    member = _member_test(spec, p, yarr)
+    member = _member_test(spec, p)(yarr)
     return _volume(spec, p, proposal(spec, p, seed), member, nsamples, threads)
 
 
@@ -812,25 +801,26 @@ def _haar_unitary(k: int, seed: int) -> np.ndarray:
 def y_candidates(
     spec: TracialSpec, p: MicrostateParams, pool: int, seed: int
 ) -> List[Tuple[str, matcore.MatrixTuple]]:
-    """Model-aware Y-tuples passing the Y-marginal membership test (built once).
+    """Model-aware Y-tuples, each kept exactly when the estimate's settle step
+    accepts it (priced once per window).
 
-    Atomic/grid laws contribute Haar-conjugated quantile diagonals,
-    semicircular laws GUE draws, matrix models block embeddings of the
-    model (conjugated after the first candidate).  Aliased letters reuse
-    one base matrix, so exact-correlation constraints stay satisfied.
+    Per Y letter, atomic/grid laws contribute Haar-conjugated quantile
+    diagonals, semicircular laws GUE draws, matrix models block embeddings
+    (conjugated after the first candidate).  Aliased letters reuse one base
+    matrix, so exact-correlation constraints stay satisfied.
     """
     if spec.generator is None:
         raise SpecError(
             ["Y letters need a generator to propose Y candidates; a target table has none"]
         )
-    ymarg = spec.y_marginal()
-    gen, member = ymarg.generator, _member_test(ymarg, p)
-    k = p.k
+    if spec.m == 0:
+        raise ValueError("specification has no Y letters")
+    gen, settle, k = spec.generator, _member_test(spec, p), p.k
     if isinstance(gen, MatrixModel):
         if k % gen.tuple.dim != 0:
             return []  # no embedding of the model into dimension k
         rep = np.eye(k // gen.tuple.dim)
-        embedded = [np.kron(m.array, rep) for m in gen.tuple.mats]
+        embedded = [np.kron(m.array, rep) for m in gen.tuple.mats[spec.n :]]
     out: List[Tuple[str, matcore.MatrixTuple]] = []
     for attempt in range(64 * pool):
         sub = rng.derive(seed, 0x9001, attempt)
@@ -845,7 +835,7 @@ def y_candidates(
             desc = f"model#{attempt}"
         else:
             bases: Dict[int, matcore.SelfAdjointMatrix] = {}
-            for fi in set(gen.assign):
+            for fi in set(gen.assign[spec.n :]):
                 f = gen.factors[fi]
                 fseed = rng.derive(sub, fi)
                 if f.kind == "semicircle":
@@ -855,9 +845,9 @@ def y_candidates(
                     q = _haar_unitary(k, fseed)
                     m = (q * locs[None, :]) @ q.conj().T
                     bases[fi] = matcore.SelfAdjointMatrix.hermitian_part(m)
-            tup = matcore.MatrixTuple([bases[fi] for fi in gen.assign])
+            tup = matcore.MatrixTuple([bases[fi] for fi in gen.assign[spec.n :]])
             desc = f"free#{attempt}"
-        if len(member(tup.stack()[None])):
+        if settle(tup.stack()) is not None:
             out.append((desc, tup))
             if len(out) == pool:
                 break

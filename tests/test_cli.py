@@ -361,7 +361,8 @@ MALFORMED_SPECS = [
     pytest.param(
         {"n": "1", "l_max": 2.9},
         ["field 'n' must be a nonnegative integer",
-         "field 'l_max' must be a nonnegative integer"],
+         "field 'l_max' must be a nonnegative integer",
+         "give either targets (an empty table is []) or a generator"],
         id="non-integer-fields",
     ),
     pytest.param(
@@ -408,7 +409,8 @@ MALFORMED_SPECS = [
     ),
     pytest.param(
         # valid for estimate_volume with a fixed y, but a sweep must propose Y candidates
-        {"targets": [{"word": [1], "value": 0.0}, {"word": [2, 2], "value": 1.0}]},
+        {"targets": [{"word": w, "value": v} for w, v in
+                     (([1], 0.0), ([2], 0.0), ([1, 1], 1.0), ([1, 2], 0.0), ([2, 2], 1.0))]},
         ["Y letters need a generator to propose Y candidates; a target table has none"],
         id="target-table-with-y-letters",
     ),
@@ -419,9 +421,21 @@ MALFORMED_SPECS = [
         id="table-shallower-than-l",
     ),
     pytest.param(
+        # README: every word up to l_max must be priced, checked when the table loads
         {"m": 0, "l_max": 4, "targets": [{"word": [1, 1], "value": 1.0}]},
-        ["no target for word (1,)"],
+        ["targets: no value for word [1]; 1 of the 1 words of length 1 lack one (l_max=4)"],
         id="table-without-a-needed-word",
+    ),
+    pytest.param(
+        # the gap is a problem of the table, whatever depth a run asks for
+        {"m": 0, "targets": [{"word": [1], "value": 0.0}]},
+        ["targets: no value for word [1, 1]; 1 of the 1 words of length 2 lack one (l_max=2)"],
+        id="table-without-a-word-below-l_max",
+    ),
+    pytest.param(
+        {"m": 0, "l_max": 0},
+        ["give either targets (an empty table is []) or a generator"],
+        id="neither-targets-nor-generator",
     ),
 ]
 
@@ -478,6 +492,25 @@ def test_chi_mc_missing_file(capsys):
     code, _, err = run(capsys, "chi-mc", "--spec", "/nonexistent/spec.json")
     assert code == 2
     assert "not found" in err
+
+
+@pytest.mark.parametrize("argv,what", [
+    (["chi-mc", "--spec", "DIR", "--k", "2", "--samples", "100"], "specification"),
+    (["chi-mc", "--spec", "LATIN1", "--k", "2", "--samples", "100"], "specification"),
+    (["chi-single", "LATIN1"], "measure"),
+    (["check", "T-BLOCK", "--config", "DIR"], "config"),
+], ids=["chi-mc-directory", "chi-mc-not-utf8", "chi-single-not-utf8", "check-directory"])
+def test_an_unreadable_input_file_exits_2(tmp_path, capsys, argv, what):
+    # a bad input file is a usage error, not a failed computation
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"kind": "uniform", "interval": [0, 1], "note": "é"}'.encode("latin-1"))
+    paths = {"DIR": str(tmp_path), "LATIN1": str(latin1)}
+    path = paths[next(a for a in argv if a in paths)]
+    code, out, err = run(capsys, *[paths.get(a, a) for a in argv])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {what} file cannot be read: {path} (")
 
 
 def test_chi_mc_rejects_bad_k_list(tmp_path, capsys):

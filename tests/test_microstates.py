@@ -42,7 +42,7 @@ def gue_tuple(k, seed):
 
 def is_microstate(t, spec, p):
     """Membership of one tuple, all its letters taken as X, by the estimator's test."""
-    return len(ms._member_test(spec, p)(t.stack()[None])) == 1
+    return len(ms._member_test(spec, p)()(t.stack()[None])) == 1
 
 
 # --- canonical words and moment engines ---------------------------------------
@@ -233,7 +233,9 @@ def test_a_three_letter_model_has_complex_targets():
 
 
 def test_from_targets_canonicalizes_words():
-    spec = TracialSpec.from_targets(2, 0, 2, {(1, 2): 0.5, (1,): 0.0})
+    spec = TracialSpec.from_targets(
+        2, 0, 2, {(1, 2): 0.5, (1,): 0.0, (2,): 0.0, (1, 1): 1.0, (2, 2): 1.0}
+    )
     assert spec.target((2, 1)) == pytest.approx(0.5)
     assert spec.has_target((2, 1))
     assert spec.target(()) == 1.0
@@ -281,39 +283,42 @@ def test_target_lookup_depth_errors():
     spec = TracialSpec.from_targets(1, 0, 2, {(1,): 0.0, (1, 1): 1.0})
     with pytest.raises(ms.SpecTooShallow):
         spec.target((1, 1, 1))
-    sparse = TracialSpec.from_targets(1, 0, 2, {(1,): 0.0})
-    assert not sparse.has_target((1, 1))
-    with pytest.raises(ms.SpecTooShallow):
-        sparse.target((1, 1))
+    # a table must price every word up to l_max: the spec names the first gap
+    with pytest.raises(ms.SpecError, match=r"no value for word \[1, 1\]; 1 of the 1 words"):
+        TracialSpec.from_targets(1, 0, 2, {(1,): 0.0})
+    # the library's empty table (neither targets nor a generator) fails lazily
+    empty = TracialSpec(1, 0, 2)
+    assert not empty.has_target((1, 1))
+    with pytest.raises(ms.SpecTooShallow, match=r"no target for word \(1, 1\)"):
+        empty.target((1, 1))
+
+
+def test_a_table_must_price_every_word_up_to_l_max():
+    with pytest.raises(ms.SpecError) as info:
+        TracialSpec.from_targets(2, 0, 3, {(1,): 0.0, (2,): 0.0, (1, 1): 1.0})
+    assert info.value.problems == [
+        "targets: no value for word [1, 2]; 2 of the 3 words of length 2 lack one (l_max=3)"
+    ]
+    # the walk stops at the first incomplete length, so a huge l_max loads at once
+    with pytest.raises(ms.SpecError, match=r"word \[1, 1, 1\]; 1 of the 1 words of length 3"):
+        TracialSpec.from_targets(1, 0, 10**6, {(1,): 0.0, (1, 1): 1.0})
+    # an explicit empty table is complete at depth 0
+    assert TracialSpec.from_dict({"n": 1, "m": 0, "l_max": 0, "targets": []}).targets == {}
 
 
 def test_required_words_lists_canonical_classes():
-    spec = TracialSpec.from_targets(2, 0, 2, {(1,): 0.0})
+    spec = TracialSpec(2, 0, 2)
     assert spec.required_words(2) == ((1,), (2,), (1, 1), (1, 2), (2, 2))
 
 
 def test_marginals_restrict_the_letter_set():
+    # the joint spec's words in one letter price that letter's own law
     joint = free_pair_spec()
-    xm = joint.marginal([1])
-    assert (xm.n, xm.m) == (1, 0)
     for p, want in [(1, 0.0), (2, 1.0), (3, 0.0), (4, 2.0)]:
-        assert xm.target((1,) * p) == pytest.approx(want, abs=1e-12)
-    ym = joint.y_marginal()
+        assert joint.target((1,) * p) == pytest.approx(want, abs=1e-12)
     for p, want in [(1, 0.0), (2, 1.0), (3, 0.0), (4, 1.0)]:
-        assert ym.target((1,) * p) == pytest.approx(want, abs=1e-12)
-    flat = joint.marginal([1, 2])
-    assert (flat.n, flat.m) == (2, 0)
-    assert flat.target((1, 1, 2, 2)) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        sc_spec().y_marginal()
-
-
-def test_a_target_table_has_no_marginal():
-    table = TracialSpec.from_targets(2, 0, 2, {(1,): 0.0, (1, 2): 0.5})
-    with pytest.raises(ms.SpecError, match="no generator"):
-        table.marginal([1])
-    with pytest.raises(ms.SpecError, match="no generator"):
-        TracialSpec.from_targets(1, 1, 2, {(2,): 0.0}).y_marginal()
+        assert joint.target((2,) * p) == pytest.approx(want, abs=1e-12)
+    assert joint.target((1, 1, 2, 2)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_spec_serialization_roundtrip(tmp_path):
@@ -415,7 +420,8 @@ def test_membership_windows_are_nested_in_eps_and_l():
 
 def _naive_member_mask(xstack, spec, p, yarrs=None):
     """Reference membership: eigvalsh norms, left-to-right word products."""
-    words, targets = ms._spec_words(spec, p.l) if p.l else ((), ())
+    words = spec.required_words(p.l)
+    targets = [spec.target(w) for w in words]
     out = []
     for row in xstack:
         mats = list(row) + ([] if yarrs is None else list(yarrs))
@@ -451,7 +457,7 @@ def test_member_mask_matches_the_naive_reference(n, with_y, k, l, eps, radius, v
         [matcore.gue_stack(k, count, variance, rng.derive(seed, i)) for i in range(n)], axis=1
     )
     yarrs = matcore.gue_stack(k, 1, 0.5, rng.derive(seed, 99)) if with_y else None
-    test = ms._member_test(spec, p, yarrs)  # None: a Y norm above R admits no row
+    test = ms._member_test(spec, p)(yarrs)  # None: a Y norm above R admits no row
     got = test(xstack) if test else xstack[:0]
     assert np.array_equal(got, xstack[_naive_member_mask(xstack, spec, p, yarrs)])
 
@@ -803,22 +809,39 @@ def test_chi_on_every_core_is_bit_identical_to_one_thread(monkeypatch):
 # --- relative chi -------------------------------------------------------------------
 
 
+def _is_y_microstate(tup, spec, p):
+    """Reference: eigvalsh norms, and left-to-right traces of every Y-only word."""
+    ywords = [w for w in spec.required_words(p.l) if min(w) > spec.n]
+    return bool((matcore.operator_norms(tup.stack()) <= p.radius).all()) and all(
+        abs(matcore.eval_word_trace(tup, [i - spec.n for i in w]) - spec.target(w)) < p.eps
+        for w in ywords
+    )
+
+
 def test_y_candidates_pass_the_marginal_test():
     spec = free_pair_spec(3)
     p = MicrostateParams(k=8, l=3, eps=0.3, radius=4.0)
     cands = ms.y_candidates(spec, p, 4, seed=6)
     assert len(cands) == 4
-    ymarg = spec.y_marginal()
     for desc, tup in cands:
         assert desc.startswith("free#")
-        assert is_microstate(tup, ymarg, p)
+        assert _is_y_microstate(tup, spec, p)
+    # a rejecting window: a semicircle Y rarely meets its depth-4 words at eps 0.15
+    sc_y = TracialSpec.free_model(1, 1, 4, [semicircle(), semicircle()], [0, 1])
+    ps = MicrostateParams(k=6, l=4, eps=0.15, radius=4.0)
+    scands = ms.y_candidates(sc_y, ps, 2, seed=6)
+    assert scands and int(scands[-1][0].split("#")[1]) >= len(scands)  # some attempt failed
+    assert all(_is_y_microstate(tup, sc_y, ps) for _, tup in scands)
     flip = np.array([[0.0, 1.0], [1.0, 0.0]])
     model = TracialSpec(1, 1, 2, generator=ms.MatrixModel([flip, np.diag([1.0, -1.0])]))
     pm = MicrostateParams(k=4, l=2, eps=0.2, radius=4.0)
     mcands = ms.y_candidates(model, pm, 2, seed=6)
     assert mcands and all(d.startswith("model#") for d, _ in mcands)
+    assert all(_is_y_microstate(tup, model, pm) for _, tup in mcands)
     podd = MicrostateParams(k=3, l=2, eps=0.2, radius=4.0)
     assert ms.y_candidates(model, podd, 2, seed=6) == []
+    with pytest.raises(ValueError, match="no Y letters"):
+        ms.y_candidates(sc_spec(), p, 1, seed=6)
 
 
 def test_relative_chi_of_a_free_pair_matches_the_x_marginal():
@@ -834,7 +857,9 @@ def test_relative_chi_detects_exact_correlation():
     corr = TracialSpec.free_model(1, 1, 4, [semicircle()], [0, 0])
     sweep = Sweep([3, 4], 2, 0.2, 4.0, nsamples=30_000)
     rel = ms.estimate_chi(corr, replace(sweep, seed=22, y_pool=4))
-    plain = ms.estimate_chi(corr.marginal([1]), replace(sweep, seed=23))
+    plain = ms.estimate_chi(
+        TracialSpec.free_model(1, 0, 4, [semicircle()], [0]), replace(sweep, seed=23)
+    )
     for rp, pp in zip(rel.per_k, plain.per_k):
         assert pp.value - rp.value > 0.25
 
@@ -940,5 +965,7 @@ def test_from_dict_rejects_repeated_word_with_different_values():
     with pytest.raises(ValueError, match=r"\[1, 1\] \(1.0 vs 3.0\).*\[1, 2\] \(0.5 vs 0.25\)"):
         TracialSpec.from_dict(doc)
     # a repeat within the target tolerance is the same target, not a conflict
-    doc["targets"] = [{"word": [1, 1], "value": 1.0}, {"word": [1, 1], "value": 1.0 + 1e-13}]
+    doc["targets"] = [{"word": [1, 1], "value": 1.0}, {"word": [1, 1], "value": 1.0 + 1e-13}] + [
+        {"word": w, "value": v} for w, v in (([1], 0.0), ([2], 0.0), ([1, 2], 0.5), ([2, 2], 1.0))
+    ]
     assert TracialSpec.from_dict(doc).target((1, 1)) == pytest.approx(1.0, abs=1e-12)
