@@ -2,7 +2,7 @@
 
 Modules
 -------
-rng          counter-based deterministic random streams
+rng          counter-based deterministic random streams, reusable scratch workspaces
 matcore      Hermitian tuples, word traces, operator-norm test (LAPACK last), samplers
 ncalg        operator-coefficient polynomials and difference quotients
 spectra      one-variable spectral measures and entropy functionals

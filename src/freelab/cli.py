@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import asdict
@@ -61,6 +62,19 @@ def _render(args, doc, table, lines) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _check_out(path: str) -> None:
+    """UsageError unless ``--out`` can be opened for writing, so a bad target
+    costs no computation; leaves no new file behind."""
+    existed = os.path.exists(path)
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as e:
+        raise UsageError(f"--out file cannot be written: {path} ({e})")
+    if not existed:
+        os.remove(path)
 
 
 def _load_json(path: str, what: str) -> dict:
@@ -329,6 +343,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        if args.out:
+            _check_out(args.out)
         return _DISPATCH[args.command](args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

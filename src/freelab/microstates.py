@@ -35,8 +35,9 @@ is chunked over fixed index ranges of the counter-based generator and
 reduced in chunk order, so results are bit-identical for any thread
 count (0 means every core).  Each chunk streams through sub-blocks of
 rows, each drawn (one sampler pass per letter), tested and weighed before
-the next; their size, 1 MiB of matrices per thread at any k, is the
-estimator's alone and only bounds memory, so it cannot change a result.
+the next in one workspace per worker, kept across calls; their size, 1 MiB
+of matrices per thread at any k, is the estimator's alone and only bounds
+memory, so it cannot change a result.
 """
 
 from __future__ import annotations
@@ -45,7 +46,9 @@ import json
 import math
 import numbers
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from itertools import combinations, product
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -56,8 +59,9 @@ from . import matcore, rng, spectra
 
 _CHUNK = 4096
 # The estimator's sub-block, in matrix entries over a row's n letters (1 MiB
-# complex); each sampler fills one per letter.  Measured as the smallest of
-# 2^15..2^18 that slowed no benchmark command (see README).
+# complex); each sampler fills one per letter, and a worker's workspace keeps
+# one with its scratch in 2 to 3 MiB at depth 4.  Measured as the smallest
+# of 2^15..2^18 that slowed no benchmark command (see README).
 _SUBBLOCK_ENTRIES = 2**16
 _TARGET_TOL = 1e-12
 
@@ -489,7 +493,7 @@ class Sweep:
         return MicrostateParams(k, self.l, self.eps, self.radius)
 
 
-def _product(cache, word, letter):
+def _product(cache, word, letter, ws):
     """Product of the letters ``letter(i)`` of ``word``, extending its
     longest cached prefix; each prefix of length >= 2 formed on the way is
     cached, so words that share a prefix share its matmuls."""
@@ -498,54 +502,88 @@ def _product(cache, word, letter):
         j -= 1
     acc = cache[word[:j]] if j > 1 else letter(word[0])
     for i in range(j, len(word)):
-        acc = acc @ letter(word[i])
+        b = letter(word[i])
+        acc = np.matmul(acc, b, out=ws.take((max(len(acc), len(b)),) + acc.shape[1:], acc.dtype))
         cache[word[: i + 1]] = acc
     return acc
 
 
-def _trace(cache, w, letter):
+def _trace(cache, w, letter, ws=rng.FRESH):
     """Trace of the word w = uv with |u| = ceil(|w|/2), as sum(u * v^T),
     so only products up to half the depth are formed."""
     h = (len(w) + 1) // 2
-    u = _product(cache, w[:h], letter)
+    u = _product(cache, w[:h], letter, ws)
     if len(w) == 1:
         return np.einsum("...ii->...", u)
-    return np.einsum("...ij,...ji->...", u, _product(cache, w[h:], letter))
+    return np.einsum("...ij,...ji->...", u, _product(cache, w[h:], letter, ws))
 
 
-def _trace_filter(words, targets, xstack, yarrs, eps, ycache):
+def _compact(ok, a, ws):
+    """Move the rows of a where ok holds, in order, to a's front and return
+    that front.
+
+    With at most half the rows kept, no copy is needed: rows only move
+    toward the front, in runs whose destination ends before their first
+    source row, each one np.take between disjoint slices of a.  A run is as
+    long as the rows rejected before it, so for independently accepted rows
+    the runs grow geometrically.  With more kept, the kept rows go through a
+    copy taken from ws.
+    """
+    idx = np.flatnonzero(ok)
+    live = len(idx)
+    if live == len(a):
+        return a
+    if 2 * live > len(a):
+        with ws:
+            a[:live] = np.compress(ok, a, axis=0, out=ws.take((live,) + a.shape[1:], a.dtype))
+        return a[:live]
+    j = int(np.argmin(ok))  # the rows before the first rejected one stay put
+    while j < live:
+        end = min(live, int(idx[j]))
+        src = a[idx[j] : idx[end - 1] + 1]
+        np.take(src, idx[j:end] - idx[j], axis=0, out=a[j:end], mode="clip")
+        j = end
+    return a[:live]
+
+
+def _trace_filter(words, targets, xstack, yarrs, eps, ycache, ws):
     """Rows of xstack whose every word traces strictly within eps of its target.
 
-    Products start from ``ycache``, the Y-only ones already formed.
-    Rejected rows are dropped after each word, but copied out only once
-    the survivors are at most half the rows held: a chunk that mostly
-    survives is never copied.  Returns the surviving X rows in order and,
-    when the filter formed every x_i^2, the ||x_i^2||_F of their matrices.
+    Products start from ``ycache``, the Y-only ones already formed; the
+    others are taken from the workspace ``ws`` and handed back on return.
+    Rejected rows are dropped after each word, but moved (to the front of
+    xstack and of each product, in place) only once the survivors are at
+    most half the rows held: a chunk that mostly survives moves once, at
+    the end.
+    Returns the surviving X rows in order, the front of xstack, and, when
+    the filter formed every x_i^2, the ||x_i^2||_F of their matrices.
     """
     n, k = xstack.shape[1], xstack.shape[-1]
-    xs, cache = xstack, dict(ycache)
+    xs = xstack
     ok = np.ones(len(xs), dtype=bool)
 
     def letter(i):  # a Y letter as one (1, k, k) matrix
         return xs[:, i - 1] if i <= n else yarrs[i - 1 - n][None]
 
-    for w, tgt in zip(words, targets):
-        ok &= np.abs(_trace(cache, w, letter) / k - tgt) < eps
-        live = np.count_nonzero(ok)
-        if not live:
-            return xs[:0], None
-        if 2 * live <= len(ok):
-            xs = xs[ok]
-            # products with an X letter carry the rows; Y-only ones do not
-            cache = {key: a[ok] if min(key) <= n else a for key, a in cache.items()}
-            ok = np.ones(live, dtype=bool)
-    squares = [cache.get((i, i)) for i in range(1, n + 1)]
-    sq = None
-    if all(a is not None for a in squares):
-        sq = np.stack([matcore.frobenius_norms(a) for a in squares], axis=1)[ok].reshape(-1)
-    if not ok.all():
-        xs = xs[ok]
-    return xs, sq
+    with ws:
+        cache = dict(ycache)
+        for w, tgt in zip(words, targets):
+            ok &= np.abs(_trace(cache, w, letter, ws) / k - tgt) < eps
+            live = np.count_nonzero(ok)
+            if not live:
+                return xs[:0], None
+            if 2 * live <= len(ok):
+                xs = _compact(ok, xs, ws)
+                # products with an X letter carry the rows; Y-only ones do not
+                cache = {
+                    key: _compact(ok, a, ws) if min(key) <= n else a for key, a in cache.items()
+                }
+                ok = np.ones(live, dtype=bool)
+        squares = [cache.get((i, i)) for i in range(1, n + 1)]
+        sq = None
+        if all(a is not None for a in squares):
+            sq = np.stack([matcore.frobenius_norms(a) for a in squares], axis=1)[ok].reshape(-1)
+    return _compact(ok, xs, ws), sq
 
 
 def _member_test(spec, p):
@@ -557,10 +595,12 @@ def _member_test(spec, p):
     matrix has operator norm <= R and every Y-only word traces strictly
     within eps of its target, traced as the filter would, its products kept
     to seed the filter.  It returns None when the Y tuple fails, else
-    member(xstack), the rows of a (count, n, k, k) stack, in order, whose
+    member(xstack, ws), the rows of a (count, n, k, k) stack, in order, whose
     words with an X letter trace within eps too and whose X matrices have
     operator norm <= R: matcore.norms_leq sees only the filter's survivors,
     with the x^4 certificate ||x||_op <= ||x^2||_F^(1/2) from its squares.
+    The member rows are moved to xstack's front, which is returned, so
+    xstack is scratch; the filter's scratch comes from the workspace ws.
     """
     if p.l > spec.l_max and spec.generator is None:
         raise SpecTooShallow([f"l={p.l} exceeds the table depth l_max={spec.l_max}"])
@@ -580,10 +620,10 @@ def _member_test(spec, p):
                 if not (np.abs(tr / p.k - tgt) < p.eps).all():
                     return None
 
-        def member(xstack):
-            xs, sq = _trace_filter(words, targets, xstack, yarrs, p.eps, ycache)
+        def member(xstack, ws=rng.FRESH):
+            xs, sq = _trace_filter(words, targets, xstack, yarrs, p.eps, ycache, ws)
             inside = matcore.norms_leq(xs.reshape(-1, *xs.shape[2:]), p.radius, sq)
-            return xs[inside.reshape(-1, xs.shape[1]).all(axis=1)]
+            return _compact(inside.reshape(-1, xs.shape[1]).all(axis=1), xs, ws)
 
         return member
 
@@ -628,10 +668,10 @@ def _ball(spec, p, seed):
     log_region = sum(matcore.ball_log_volume(k, r) for r in radii)
     seeds = [rng.derive(seed, 0xBA11, i) for i in range(n)]
 
-    def fill(i, start, out):
-        matcore.ball_stack(k, len(out), radii[i], seeds[i], start=start, out=out)
+    def fill(i, start, out, ws):
+        matcore.ball_stack(k, len(out), radii[i], seeds[i], start=start, out=out, ws=ws)
 
-    def weigh(xs):
+    def weigh(xs, ws):
         return np.zeros(len(xs))
 
     def close(acc, mx, s1, s2, nsamples):
@@ -652,13 +692,15 @@ def _importance(spec, p, seed):
     log_norm = sum(0.5 * k * k * math.log(2.0 * math.pi * v / k) for v in variances)
     seeds = [rng.derive(seed, 0x6A55, i) for i in range(n)]
 
-    def fill(i, start, out):
-        matcore.gue_stack(k, len(out), variances[i], seeds[i], start=start, out=out)
+    def fill(i, start, out, ws):
+        matcore.gue_stack(k, len(out), variances[i], seeds[i], start=start, out=out, ws=ws)
 
-    def weigh(xs):
+    def weigh(xs, ws):
         logw = np.full(len(xs), log_norm)
         for i in range(n):
-            frob2 = np.sum(np.abs(xs[:, i]) ** 2, axis=(1, 2))
+            with ws:  # |x|^2 by the same element operations as np.abs(x) ** 2
+                sq = np.abs(xs[:, i], out=ws.take(xs.shape[:1] + xs.shape[2:]))
+                frob2 = np.sum(np.square(sq, out=sq), axis=(1, 2))
             logw += k * frob2 / (2.0 * variances[i])
         return logw
 
@@ -669,16 +711,40 @@ def _importance(spec, p, seed):
     return "gaussian-importance", fill, weigh, close, n * matcore.ball_log_volume(k, p.radius)
 
 
+_WORKSPACES: List[rng.Workspace] = []  # idle ones, kept across calls and threads
+_WORKSPACES_LOCK = threading.Lock()
+
+
+@contextmanager
+def _workspace():
+    """A workspace for one worker: an idle one, or a new one, kept afterwards.
+
+    A free list rather than thread-local storage: the pool's threads end
+    with each call, and the workspaces must outlive them.
+    """
+    with _WORKSPACES_LOCK:
+        ws = _WORKSPACES.pop() if _WORKSPACES else rng.Workspace()
+    try:
+        with ws:
+            yield ws
+    finally:
+        with _WORKSPACES_LOCK:
+            _WORKSPACES.append(ws)
+
+
 def _volume(spec, p, proposal, member, nsamples, threads) -> VolumeEstimate:
     """The one estimator over a proposal (method, fill, weigh, close, region).
 
     Each chunk of _CHUNK samples streams through the fewest sub-blocks of
     equal rows that hold at most _SUBBLOCK_ENTRIES entries over all n
-    letters (equal rows, not full ones and a short tail, measured fewer
-    page faults).  ``fill(i, start, out)`` draws a sub-block into one
-    reused (rows, n, k, k) buffer x, one sampler pass per X letter i, and
-    ``weigh`` gives the log-weights of its member rows, member(x), before
-    the next; ``member`` None accepts no row, and nothing is drawn.  Each row
+    letters.  Each worker holds one workspace (rng.Workspace) for the
+    chunk: ``fill(i, start, out, ws)`` draws a sub-block into the
+    workspace's (rows, n, k, k) buffer x, one sampler pass per X letter i,
+    and ``weigh(xs, ws)`` gives the log-weights of its member rows,
+    member(x, ws), before the next; every temporary of the sampler, the
+    filter and the weights is taken from the workspace and handed back
+    after its phase, so a warm workspace allocates nothing per sub-block.
+    ``member`` None accepts no row, and nothing is drawn.  Each row
     is drawn from its own counter block, tested and weighed alone, and the
     chunks are reduced whole, in chunk order, so neither the sub-blocks
     nor the thread count can change a result.  The log-weights w (volume
@@ -695,13 +761,15 @@ def _volume(spec, p, proposal, member, nsamples, threads) -> VolumeEstimate:
     def work(c0):
         count = min(_CHUNK, nsamples - c0)
         rows = -(-count // -(-count // most))  # ceil(count / ceil(count / most))
-        buf = np.empty((rows, n, k, k), dtype=np.complex128)
         parts = []
-        for r0 in range(0, count, rows):
-            x = buf[: min(rows, count - r0)]
-            for i in range(n):
-                fill(i, c0 + r0, x[:, i])
-            parts.append(weigh(member(x)))
+        with _workspace() as ws:
+            buf = ws.take((rows, n, k, k), np.complex128)
+            for r0 in range(0, count, rows):
+                x = buf[: min(rows, count - r0)]
+                for i in range(n):
+                    fill(i, c0 + r0, x[:, i], ws)
+                with ws:
+                    parts.append(weigh(member(x, ws), ws))
         return np.concatenate(parts)
 
     chunks = [] if member is None else _run_chunks(work, range(0, nsamples, _CHUNK), threads)

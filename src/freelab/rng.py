@@ -14,7 +14,12 @@ any worker count.  Words, uniforms and ``derive`` are integer operations
 and one exact scaling, so any language can replay them from this
 docstring; normals also go through the platform's ``log``, ``cos`` and
 ``sin``, so another numpy or libm build may change their last bits.
+A :class:`Workspace` lends the Monte Carlo path scratch arrays that it
+reuses across sub-blocks and calls.
 """
+
+import math
+import mmap
 
 import numpy as np
 
@@ -22,44 +27,122 @@ GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 _U64 = np.uint64
+_MASK = 0xFFFFFFFFFFFFFFFF
 _TWO53_INV = 2.0 ** -53
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
+class Workspace:
+    """Scratch arrays carved from one retained buffer, for one thread at a time.
+
+    ``take(shape, dtype)`` returns an uninitialised C-contiguous array above
+    every array taken before it, and a ``with ws:`` block hands back, on
+    exit, everything taken inside it, so the next phase reuses the same
+    memory.  An array taken inside a block must not be used after it exits.
+    A take past the buffer's end replaces the buffer with one that ends
+    there (arrays already taken keep the old one alive), so the buffer
+    settles at the deepest demand it has met, and a workspace kept across
+    calls allocates nothing once warm.  The buffer is an anonymous memory
+    map, not a malloc block: glibc raises its mmap and trim thresholds to
+    the size of the largest mapped block freed, so each outgrown multi-MiB
+    block would have let its heap keep more free memory resident (worker
+    threads, each with a heap of its own, showed it most).
+
+    ``Workspace(buf)`` lends the bytes of an existing C-contiguous array
+    instead, and a take past its end is a new array.  Functions that accept
+    ``ws=None`` use :data:`FRESH`, whose every take is a new array.
+    """
+
+    def __init__(self, buf=None):
+        self._lent = buf is not None
+        self._buf = buf.reshape(-1).view(np.uint8) if self._lent else np.empty(0, dtype=np.uint8)
+        self._top = 0
+        self._marks = []
+
+    def take(self, shape, dtype=np.float64) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        start = -(-self._top // 16) * 16  # numpy's own alignment
+        self._top = start + int(math.prod(shape)) * dtype.itemsize
+        if self._top > self._buf.size:
+            if self._lent:
+                return np.empty(shape, dtype)
+            self._buf = np.frombuffer(mmap.mmap(-1, self._top), dtype=np.uint8)
+        return np.ndarray(shape, dtype, buffer=self._buf, offset=start)
+
+    def __enter__(self):
+        self._marks.append(self._top)
+        return self
+
+    def __exit__(self, *exc):
+        self._top = self._marks.pop()
+
+
+class _Fresh:
+    take = staticmethod(np.empty)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        pass
+
+
+FRESH = _Fresh()
+
+
+def _mix64(z: np.ndarray, ws=None) -> np.ndarray:
     # SplitMix64 finalizer, in place on a uint64 array; overflow wraps mod 2**64.
-    t = np.empty_like(z)
-    for shift, mult in ((30, _MIX_A), (27, _MIX_B), (31, None)):
-        np.right_shift(z, _U64(shift), out=t)
-        z ^= t
-        if mult is not None:
-            z *= _U64(mult)
+    ws = ws or FRESH
+    with ws:
+        t = ws.take(z.shape, np.uint64)
+        for shift, mult in ((30, _MIX_A), (27, _MIX_B), (31, None)):
+            np.right_shift(z, _U64(shift), out=t)
+            z ^= t
+            if mult is not None:
+                z *= _U64(mult)
     return z
 
 
-def words(seed: int, start: int, count: int) -> np.ndarray:
-    """Raw stream words ``start .. start+count-1`` as uint64."""
+def words(seed: int, start: int, count: int, out=None, ws=None) -> np.ndarray:
+    """Raw stream words ``start .. start+count-1`` as uint64, in C order.
+
+    They go into ``out`` (a C-contiguous uint64 array of ``count`` words)
+    if given, else into an array taken from the :class:`Workspace` ``ws``,
+    else into a new array.  The hash inputs z[i] = seed + GOLDEN_GAMMA *
+    (start + 1 + i) mod 2**64 are built from a short ramp by doubling,
+    z[j:2j] = z[:j] + j * GOLDEN_GAMMA, so no counter array is formed.
+    """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z *= _U64(GOLDEN_GAMMA)
-    z += _U64(seed & 0xFFFFFFFFFFFFFFFF)
-    return _mix64(z)
+    if out is None:
+        out = (ws or FRESH).take((count,), np.uint64)
+    elif out.size != count or out.dtype != np.uint64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous uint64 array of {count} words")
+    z = out.reshape(-1)
+    j = min(count, 1024)
+    np.multiply(np.arange(j, dtype=np.uint64), _U64(GOLDEN_GAMMA), out=z[:j])
+    z[:j] += _U64((seed + GOLDEN_GAMMA * (start + 1)) & _MASK)
+    while j < count:
+        m = min(j, count - j)
+        np.add(z[:m], _U64(GOLDEN_GAMMA * j & _MASK), out=z[j : j + m])
+        j += m
+    _mix64(z, ws)
+    return out
 
 
-def uniforms_from_words(w: np.ndarray) -> np.ndarray:
-    """Map raw words to uniforms on [0, 1) (top 53 bits), elementwise.
-
-    Each value m / 2**53 is exact, so it is built in place: the shifted
-    words are written into the float64 result's own memory.
-    """
-    f = np.empty(w.shape)
+def _uniforms(w: np.ndarray, f: np.ndarray) -> np.ndarray:
+    # each value m / 2**53 is exact, so it is built in f's own memory
     bits = f.view(np.uint64)
     np.right_shift(w, _U64(11), out=bits)
     np.multiply(bits, _TWO53_INV, out=f)
     return f
 
 
-def normals_from_words(w: np.ndarray, out=None) -> np.ndarray:
+def uniforms_from_words(w: np.ndarray) -> np.ndarray:
+    """Map raw words to uniforms on [0, 1) (top 53 bits), elementwise."""
+    return _uniforms(w, np.empty(w.shape))
+
+
+def normals_from_words(w: np.ndarray, out=None, ws=None) -> np.ndarray:
     """Box-Muller on adjacent word pairs along the last axis.
 
     Words (2i, 2i+1) produce normals (2i, 2i+1):
@@ -68,26 +151,31 @@ def normals_from_words(w: np.ndarray, out=None) -> np.ndarray:
     Each output pair depends only on its own word pair, and every
     element goes through the same float operations in the same order
     (r = sqrt(-2 * log(u1)), then r * cos(2 pi * u2) and r * sin(...)),
-    so any even-aligned partition of the counter range, and any ``out``
-    (a float64 array of ``w``'s shape, possibly strided), reproduces
-    bitwise.  Returns ``out``.
+    on contiguous arrays of r, the angle and its cosine or sine, so any
+    even-aligned partition of the counter range, and any ``out`` (a float64
+    array of ``w``'s shape, possibly strided), reproduces bitwise.  Those
+    three arrays, and ``out`` when none is given, are taken from the
+    :class:`Workspace` ``ws``.  Returns ``out``.
     """
     if w.shape[-1] % 2:
         raise ValueError("word count must be even for Box-Muller pairing")
+    ws = ws or FRESH
     if out is None:
-        out = np.empty(w.shape)
-    r = uniforms_from_words(w[..., 0::2])
-    r += _TWO53_INV  # (m + 1) / 2**53, exactly
-    np.log(r, out=r)
-    r *= -2.0
-    np.sqrt(r, out=r)
-    ang = uniforms_from_words(w[..., 1::2])
-    ang *= 2.0 * np.pi
-    trig = np.empty_like(ang)
-    np.cos(ang, out=trig)
-    np.multiply(r, trig, out=out[..., 0::2])
-    np.sin(ang, out=trig)
-    np.multiply(r, trig, out=out[..., 1::2])
+        out = ws.take(w.shape)
+    half = w.shape[:-1] + (w.shape[-1] // 2,)
+    with ws:
+        r = _uniforms(w[..., 0::2], ws.take(half))
+        r += _TWO53_INV  # (m + 1) / 2**53, exactly
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        ang = _uniforms(w[..., 1::2], ws.take(half))
+        ang *= 2.0 * np.pi
+        trig = ws.take(half)
+        np.cos(ang, out=trig)
+        np.multiply(r, trig, out=out[..., 0::2])
+        np.sin(ang, out=trig)
+        np.multiply(r, trig, out=out[..., 1::2])
     return out
 
 
@@ -108,10 +196,10 @@ def derive(seed: int, *tags: int) -> int:
     left to right for several tags.  Distinct tag paths give streams
     that are independent for all practical purposes.
     """
-    s = np.array([seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    s = np.array([seed & _MASK], dtype=np.uint64)
     t = np.empty_like(s)
     for tag in tags:
-        t[0] = tag & 0xFFFFFFFFFFFFFFFF
+        t[0] = tag & _MASK
         t += _U64(GOLDEN_GAMMA)
         s ^= _mix64(t)
         _mix64(s)

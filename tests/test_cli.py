@@ -513,6 +513,38 @@ def test_an_unreadable_input_file_exits_2(tmp_path, capsys, argv, what):
     assert err.startswith(f"error: {what} file cannot be read: {path} (")
 
 
+@pytest.mark.parametrize("argv", [
+    ["dq", "t1", "1"],
+    ["chi-mc", "--spec", "SPEC", "--k", "2", "--samples", "100"],
+], ids=["dq", "chi-mc"])
+def test_an_out_path_that_cannot_be_written_exits_2_before_any_computation(
+        tmp_path, capsys, monkeypatch, argv):
+    # it exited 1, after the whole computation had run
+    def no_computation(*args, **kwargs):
+        raise AssertionError("computed for an --out that cannot be written")
+
+    monkeypatch.setattr(cli.ms, "estimate_volume", no_computation)
+    monkeypatch.setattr(cli.ncalg, "dquotient", no_computation)
+    spec = write_json(tmp_path / "spec.json", SC_SPEC)
+    argv = [spec if a == "SPEC" else a for a in argv]
+    for out in (tmp_path, tmp_path / "missing" / "out.txt"):
+        code, stdout, err = run(capsys, *argv, "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith(f"error: --out file cannot be written: {out} (")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+
+def test_an_out_file_is_written_only_on_success(tmp_path, capsys):
+    dest = tmp_path / "report.txt"
+    code, _, _ = run(capsys, "dq", "t1", "0", "--out", str(dest))
+    assert code == 2
+    assert not dest.exists()  # checking the target left nothing behind
+    code, _, _ = run(capsys, "dq", "t1", "1", "--out", str(dest))
+    assert code == 0
+    assert dest.read_text() == "1 (x) 1\n"
+
+
 def test_chi_mc_rejects_bad_k_list(tmp_path, capsys):
     spec = write_json(tmp_path / "spec.json", SC_SPEC)
     code, _, err = run(capsys, "chi-mc", "--spec", spec, "--k", "3,2")

@@ -3,6 +3,7 @@ chi sweeps (plain and relative), and block decompositions."""
 
 import json
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 from functools import lru_cache
@@ -458,8 +459,21 @@ def test_member_mask_matches_the_naive_reference(n, with_y, k, l, eps, radius, v
     )
     yarrs = matcore.gue_stack(k, 1, 0.5, rng.derive(seed, 99)) if with_y else None
     test = ms._member_test(spec, p)(yarrs)  # None: a Y norm above R admits no row
-    got = test(xstack) if test else xstack[:0]
-    assert np.array_equal(got, xstack[_naive_member_mask(xstack, spec, p, yarrs)])
+    expected = xstack[_naive_member_mask(xstack, spec, p, yarrs)]
+    got = test(xstack) if test else xstack[:0]  # moves the member rows to xstack's front
+    assert np.array_equal(got, expected)
+
+
+@given(st.lists(st.booleans(), max_size=70), st.booleans())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_compaction_moves_the_kept_rows_to_the_front_in_order(ok, with_workspace):
+    # at most half kept: runs of rows moved in place; more: through a copy
+    ok = np.array(ok, dtype=bool)
+    a = np.arange(len(ok) * 6, dtype=float).reshape(-1, 2, 3)
+    expected = a[ok]
+    got = ms._compact(ok, a, rng.Workspace() if with_workspace else rng.FRESH)
+    assert np.shares_memory(got, a) or not len(got)
+    assert np.array_equal(got, expected)
 
 
 @given(
@@ -650,6 +664,84 @@ def test_estimate_volume_memory_does_not_grow_with_the_chunk():
         finally:
             tracemalloc.stop()
         assert peak < 6 * 2**20, (spec.n, k, peak)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_warm_estimate_allocates_no_sub_block(threads):
+    # a sub-block at k=8 needs 1 MiB of X matrices and as much again of word
+    # products and sampler scratch; a warm workspace lends all of it, so what
+    # the call itself allocates (weights, traces, masks) stays under half an X
+    p = MicrostateParams(k=8, l=4, eps=0.4, radius=4.0)
+    ms.estimate_volume(sc_spec(), p, "importance", nsamples=4096, seed=0, threads=threads)
+    tracemalloc.start()
+    try:
+        ms.estimate_volume(sc_spec(), p, "importance", nsamples=4096, seed=1, threads=threads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 512 * 2**10, peak
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_workspace_reuse_never_leaks_into_a_result(monkeypatch, threads):
+    monkeypatch.setattr(ms, "_WORKSPACES", [])  # cold: no workspace kept yet
+    pair = SPLIT_CASES["free-pair-k9"][0]
+    cases = [
+        (sc_spec(), MicrostateParams(k=6, l=4, eps=0.4, radius=4.0), "importance", 4096 + 157),
+        (pair, MicrostateParams(k=3, l=2, eps=0.4, radius=2.1), "ball", 4096 + 300),
+    ]
+    cold = [ms.estimate_volume(s, p, smp, nsamples=ns, seed=5, threads=threads)
+            for s, p, smp, ns in cases]
+    # grow the workspaces (two letters at k = 9, a k = 16 sub-block), then
+    # shrink the demand (k = 2, few samples), and measure again
+    others = [
+        (pair, MicrostateParams(k=9, l=4, eps=0.4, radius=4.0), "importance", 8192),
+        (sc_spec(), MicrostateParams(k=16, l=4, eps=0.4, radius=4.0), "ball", 300),
+        (sc_spec(), MicrostateParams(k=2, l=2, eps=0.4, radius=4.0), "importance", 100),
+    ]
+    for s, p, smp, ns in others:
+        ms.estimate_volume(s, p, smp, nsamples=ns, seed=9, threads=threads)
+    assert 1 <= len(ms._WORKSPACES) <= threads
+    warm = [ms.estimate_volume(s, p, smp, nsamples=ns, seed=5, threads=threads)
+            for s, p, smp, ns in cases]
+    assert warm == cold
+    assert all(0 < v.accepted < v.samples for v in cold)
+
+
+def test_workspace_free_list_survives_many_workers(monkeypatch):
+    # more workers than cores, switching threads often: a lost update of the
+    # free list would drop a workspace or lend one to two workers at once
+    monkeypatch.setattr(ms, "_WORKSPACES", [])
+    p = MicrostateParams(k=3, l=4, eps=0.4, radius=4.0)
+    whole = ms.estimate_volume(sc_spec(), p, "importance", nsamples=8 * 4096, seed=2, threads=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            got = ms.estimate_volume(sc_spec(), p, "importance", nsamples=8 * 4096, seed=2,
+                                     threads=8)
+            assert got == whole
+    finally:
+        sys.setswitchinterval(interval)
+    assert 1 <= len(ms._WORKSPACES) <= 8
+    assert len({id(ws) for ws in ms._WORKSPACES}) == len(ms._WORKSPACES)
+
+
+def test_public_samplers_return_fresh_arrays():
+    # called without a workspace, a second call must not overwrite the first
+    calls = [
+        lambda s: rng.words(s, 0, 64),
+        lambda s: rng.normals_from_words(rng.words(s, 0, 64)),
+        lambda s: matcore.gue_stack(3, 5, 1.0, s),
+        lambda s: matcore.ball_stack(3, 5, 2.0, s),
+    ]
+    for call in calls:
+        first = call(1)
+        kept = first.copy()
+        second = call(2)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+        assert not np.array_equal(second, kept)
 
 
 def test_zero_acceptance_reports_an_upper_bound():

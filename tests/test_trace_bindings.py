@@ -2,7 +2,8 @@
 
 perfbench/tracer.py replaces module attributes with timing wrappers and
 reads each call's arguments by name (``inspect.signature(...).bind``)
-and its result by attribute: ``estimate_volume``'s ``p.k`` and the
+and its result by attribute: ``rng.words``'s result size, through which
+every sampler draws; ``estimate_volume``'s ``p.k`` and the
 result's ``samples``, ``accepted`` and ``log_volume``, which feed
 samples_per_s and the golden replay; ``_run_chunks``'s ``work``, which
 it wraps to attribute worker time; ``y_candidates``'s ``pool`` and the
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from freelab import cli, ncalg, spectra, theorems
+from freelab import cli, ncalg, rng, spectra, theorems
 from freelab import microstates as ms
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -76,6 +77,25 @@ def test_plain_and_pooled_sweeps_estimate_through_the_module_attributes(monkeypa
         assert isinstance(est.log_volume, float)
     assert len(chunks) == len(volumes)
     assert all(callable(a["work"]) for a, _ in chunks)
+
+
+def test_samplers_draw_through_the_rng_words_attribute(monkeypatch):
+    # the tracer's rng.words and rng.busy_s read the spans of rng.words: a
+    # sampler that drew its words some other way would leave them at 0.  One
+    # sample of one letter reads a counter block of 2 ceil(k^2/2) words, two
+    # more for the ball sampler (auto at k <= 2)
+    monkeypatch.chdir(ROOT)
+    words = record(monkeypatch, rng, "words")
+    volumes = record(monkeypatch, ms, "estimate_volume")
+    chi_mc("semicircle", "2,3", 1)
+    chi_mc("free_pair", "2,3", 1)
+    expected = 0
+    for args, est in volumes:
+        k, n = args["p"].k, args["spec"].n
+        block = 2 * ((k * k + 1) // 2) + (2 if est.method == "ball-rejection" else 0)
+        expected += est.samples * n * block
+    assert [a["p"].k for a, _ in volumes] == [2, 3, 2, 3]
+    assert sum(w.size for _, w in words) == expected
 
 
 def test_t_gen_sweeps_and_estimates_through_the_module_attributes(monkeypatch):
