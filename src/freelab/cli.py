@@ -8,6 +8,7 @@ Every command is byte-reproducible for fixed flags and seed.
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
@@ -65,16 +66,27 @@ def _render(args, doc, table, lines) -> None:
 
 
 def _check_out(path: str) -> None:
-    """UsageError unless ``--out`` can be opened for writing, so a bad target
-    costs no computation; leaves no new file behind."""
-    existed = os.path.exists(path)
+    """UsageError unless ``--out`` can be written, so a bad target costs no
+    computation.  A regular file is opened for appending; anything else that
+    exists (a FIFO, whose reader must not see an early EOF) is only checked
+    for write permission; a missing file, or the missing target of a
+    symlink, is created and removed again."""
     try:
-        with open(path, "a"):
-            pass
+        if os.path.isfile(path):
+            with open(path, "a"):
+                pass
+        elif os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        elif os.path.exists(path):
+            if not os.access(path, os.W_OK):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+        else:
+            target = os.path.realpath(path)
+            with open(target, "x"):
+                pass
+            os.remove(target)
     except OSError as e:
         raise UsageError(f"--out file cannot be written: {path} ({e})")
-    if not existed:
-        os.remove(path)
 
 
 def _load_json(path: str, what: str) -> dict:

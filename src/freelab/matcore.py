@@ -190,8 +190,9 @@ def _hermitian_into(ext: np.ndarray, k: int, out: np.ndarray) -> None:
     (the rest is scratch, E = :func:`_ext_width`).  The off-diagonal
     coordinates are scaled by 1/sqrt(2) in place, their imaginary parts
     negated into the scratch columns, the last column zeroed, and one
-    ``np.take`` along :func:`_gather_index` fills the float64 view of the
-    C-contiguous ``out``.
+    ``np.take`` along :func:`_gather_index` fills the float64 view of
+    ``out`` (which may be a strided view, such as ``stack[:, i]``; np.take
+    then fills a new contiguous copy of it and copies that back).
     """
     kk = k * k
     ext[..., k:kk] *= _INV_SQRT2
@@ -256,20 +257,20 @@ def _fill_stack(out, count, k, seed, start, block, finish, ws) -> np.ndarray:
     2*ceil(k^2/2) words of each block become normals in an extended row,
     ``finish(e, rest, ws)`` turns the first k^2 into lambda coordinates in
     place (``rest``: the block's other words), and :func:`_hermitian_into`
-    writes the matrices into ``out``.  The scratch holds all ``count`` rows
-    (the estimator bounds it by handing each sampler one sub-block) and is
-    taken from the workspace ``ws`` (:class:`rng.Workspace`, or None for new
-    arrays), which has it back on return; so is ``out`` when none is given.
+    writes the matrices into ``out``, or a new array if None.  The scratch
+    holds all ``count`` rows (the estimator bounds it by handing each
+    sampler one sub-block) and is taken from the :class:`rng.Workspace`
+    ``ws``, which has it back on return.
     """
-    ws = ws or rng.FRESH
     if out is None:
-        out = ws.take((count, k, k), np.complex128)
+        out = np.empty((count, k, k), dtype=np.complex128)
     elif out.shape != (count, k, k) or out.dtype != np.complex128:
         raise ValueError(f"out must be complex128 of shape {(count, k, k)}")
     npairs = 2 * ((k * k + 1) // 2)
     with ws:
         # a strided out (such as stack[:, i]) is filled through a contiguous
-        # stand-in; until the gather, the stand-in's memory is free and lends
+        # stand-in from ws, since np.take would fill a new copy of it; until
+        # the gather, the memory of out or of its stand-in is free and lends
         # itself to the other temporaries.  The words go into e's own memory
         # when they fit (k >= 2): the normals read them all before writing e,
         # and the words past each block's pairs (the ball's radius word) are
@@ -277,11 +278,14 @@ def _fill_stack(out, count, k, seed, start, block, finish, ws) -> np.ndarray:
         dst = out if out.flags.c_contiguous else ws.take(out.shape, np.complex128)
         e = ws.take((count, _ext_width(k)))
         tmp = rng.Workspace(dst)
-        w = e.reshape(-1).view(np.uint64)[: block * count] if block <= e.shape[1] else None
-        w = rng.words(seed, block * start, block * count, w, tmp).reshape(count, block)
+        if block <= e.shape[1]:
+            w = e.reshape(-1).view(np.uint64)[: block * count]
+        else:
+            w = tmp.take((block * count,), np.uint64)
+        w = rng.words(seed, block * start, block * count, _out=w, _ws=tmp).reshape(count, block)
         rest = tmp.take((count, block - npairs), np.uint64)
         rest[...] = w[:, npairs:]
-        rng.normals_from_words(w[:, :npairs], out=e[:, :npairs], ws=tmp)
+        rng.normals_from_words(w[:, :npairs], out=e[:, :npairs], _ws=tmp)
         finish(e, rest, tmp)
         _hermitian_into(e, k, dst)
         if dst is not out:
@@ -290,7 +294,7 @@ def _fill_stack(out, count, k, seed, start, block, finish, ws) -> np.ndarray:
 
 
 def gue_stack(
-    k: int, count: int, variance: float, seed: int, start: int = 0, out=None, ws=None
+    k: int, count: int, variance: float, seed: int, start: int = 0, out=None, *, _ws=rng.FRESH
 ) -> np.ndarray:
     """(count, k, k) Hermitian GUE stack with E[tau(x^2)] = variance.
 
@@ -304,8 +308,8 @@ def gue_stack(
     Each sample reads only its own counter block and each element goes
     through the same operations in the same order, so neither a split of
     ``[start, start+count)`` nor filling ``out`` (a complex128 (count, k, k)
-    array or strided view) can change a draw.  Scratch, and ``out`` when
-    none is given, comes from the :class:`rng.Workspace` ``ws``, if given.
+    array or strided view) can change a draw.  The private
+    :class:`rng.Workspace` ``_ws`` lends the scratch.
     """
     if variance <= 0:
         raise ValueError("variance must be positive")
@@ -315,7 +319,7 @@ def gue_stack(
     def finish(e, rest, ws):
         e[:, :kk] *= scale
 
-    return _fill_stack(out, count, k, seed, start, 2 * ((kk + 1) // 2), finish, ws)
+    return _fill_stack(out, count, k, seed, start, 2 * ((kk + 1) // 2), finish, _ws)
 
 
 def sample_gue(k: int, variance: float, seed: int) -> SelfAdjointMatrix:
@@ -336,7 +340,7 @@ def ball_log_volume(k: int, radius: float) -> float:
 
 
 def ball_stack(
-    k: int, count: int, radius: float, seed: int, start: int = 0, out=None, ws=None
+    k: int, count: int, radius: float, seed: int, start: int = 0, out=None, *, _ws=rng.FRESH
 ) -> np.ndarray:
     """(count, k, k) stack uniform in the HS ball of radius R*sqrt(k).
 
@@ -345,7 +349,7 @@ def ball_stack(
     word at offset B-2 feeds the radius uniform (B-1 is spare).  Each
     coordinate is g * (rho * u^(1/d) / |g|), then placed as in
     :func:`_hermitian_into` as for :func:`gue_stack`; a split of the counter
-    range, filling ``out`` or a workspace ``ws`` cannot change a draw.
+    range, filling ``out`` or a workspace ``_ws`` cannot change a draw.
     """
     d = k * k
     npairs = 2 * ((d + 1) // 2)
@@ -359,4 +363,4 @@ def ball_stack(
         r[r == 0.0] = 1.0  # measure-zero guard
         g *= (rho * u ** (1.0 / d) / r)[:, None]
 
-    return _fill_stack(out, count, k, seed, start, npairs + 2, finish, ws)
+    return _fill_stack(out, count, k, seed, start, npairs + 2, finish, _ws)

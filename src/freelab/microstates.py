@@ -669,7 +669,7 @@ def _ball(spec, p, seed):
     seeds = [rng.derive(seed, 0xBA11, i) for i in range(n)]
 
     def fill(i, start, out, ws):
-        matcore.ball_stack(k, len(out), radii[i], seeds[i], start=start, out=out, ws=ws)
+        matcore.ball_stack(k, len(out), radii[i], seeds[i], start=start, out=out, _ws=ws)
 
     def weigh(xs, ws):
         return np.zeros(len(xs))
@@ -693,7 +693,7 @@ def _importance(spec, p, seed):
     seeds = [rng.derive(seed, 0x6A55, i) for i in range(n)]
 
     def fill(i, start, out, ws):
-        matcore.gue_stack(k, len(out), variances[i], seeds[i], start=start, out=out, ws=ws)
+        matcore.gue_stack(k, len(out), variances[i], seeds[i], start=start, out=out, _ws=ws)
 
     def weigh(xs, ws):
         logw = np.full(len(xs), log_norm)

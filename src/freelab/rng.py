@@ -48,8 +48,9 @@ class Workspace:
     threads, each with a heap of its own, showed it most).
 
     ``Workspace(buf)`` lends the bytes of an existing C-contiguous array
-    instead, and a take past its end is a new array.  Functions that accept
-    ``ws=None`` use :data:`FRESH`, whose every take is a new array.
+    instead, and a take past its end is a new array.  Every function that
+    takes a workspace defaults to :data:`FRESH`, whose every take is a new
+    array.
     """
 
     def __init__(self, buf=None):
@@ -89,9 +90,8 @@ class _Fresh:
 FRESH = _Fresh()
 
 
-def _mix64(z: np.ndarray, ws=None) -> np.ndarray:
+def _mix64(z: np.ndarray, ws=FRESH) -> np.ndarray:
     # SplitMix64 finalizer, in place on a uint64 array; overflow wraps mod 2**64.
-    ws = ws or FRESH
     with ws:
         t = ws.take(z.shape, np.uint64)
         for shift, mult in ((30, _MIX_A), (27, _MIX_B), (31, None)):
@@ -102,21 +102,21 @@ def _mix64(z: np.ndarray, ws=None) -> np.ndarray:
     return z
 
 
-def words(seed: int, start: int, count: int, out=None, ws=None) -> np.ndarray:
-    """Raw stream words ``start .. start+count-1`` as uint64, in C order.
+def words(seed: int, start: int, count: int, *, _out=None, _ws=FRESH) -> np.ndarray:
+    """Raw stream words ``start .. start+count-1`` as uint64.
 
-    They go into ``out`` (a C-contiguous uint64 array of ``count`` words)
-    if given, else into an array taken from the :class:`Workspace` ``ws``,
-    else into a new array.  The hash inputs z[i] = seed + GOLDEN_GAMMA *
-    (start + 1 + i) mod 2**64 are built from a short ramp by doubling,
-    z[j:2j] = z[:j] + j * GOLDEN_GAMMA, so no counter array is formed.
+    The hash inputs z[i] = seed + GOLDEN_GAMMA * (start + 1 + i) mod 2**64
+    are built from a short ramp by doubling, z[j:2j] = z[:j] + j *
+    GOLDEN_GAMMA, so no counter array is formed.  The samplers pass the
+    private ``_out``, a C-contiguous uint64 array of ``count`` words that
+    receives them instead of a new array, and ``_ws``, a
+    :class:`Workspace` that lends the finalizer's temporary.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if out is None:
-        out = (ws or FRESH).take((count,), np.uint64)
-    elif out.size != count or out.dtype != np.uint64 or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous uint64 array of {count} words")
+    out = np.empty(count, dtype=np.uint64) if _out is None else _out
+    if out.size != count or out.dtype != np.uint64 or not out.flags.c_contiguous:
+        raise ValueError(f"_out must be a C-contiguous uint64 array of {count} words")
     z = out.reshape(-1)
     j = min(count, 1024)
     np.multiply(np.arange(j, dtype=np.uint64), _U64(GOLDEN_GAMMA), out=z[:j])
@@ -125,7 +125,7 @@ def words(seed: int, start: int, count: int, out=None, ws=None) -> np.ndarray:
         m = min(j, count - j)
         np.add(z[:m], _U64(GOLDEN_GAMMA * j & _MASK), out=z[j : j + m])
         j += m
-    _mix64(z, ws)
+    _mix64(z, _ws)
     return out
 
 
@@ -142,7 +142,7 @@ def uniforms_from_words(w: np.ndarray) -> np.ndarray:
     return _uniforms(w, np.empty(w.shape))
 
 
-def normals_from_words(w: np.ndarray, out=None, ws=None) -> np.ndarray:
+def normals_from_words(w: np.ndarray, out=None, *, _ws=FRESH) -> np.ndarray:
     """Box-Muller on adjacent word pairs along the last axis.
 
     Words (2i, 2i+1) produce normals (2i, 2i+1):
@@ -153,25 +153,24 @@ def normals_from_words(w: np.ndarray, out=None, ws=None) -> np.ndarray:
     (r = sqrt(-2 * log(u1)), then r * cos(2 pi * u2) and r * sin(...)),
     on contiguous arrays of r, the angle and its cosine or sine, so any
     even-aligned partition of the counter range, and any ``out`` (a float64
-    array of ``w``'s shape, possibly strided), reproduces bitwise.  Those
-    three arrays, and ``out`` when none is given, are taken from the
-    :class:`Workspace` ``ws``.  Returns ``out``.
+    array of ``w``'s shape, possibly strided), reproduces bitwise.  The
+    private :class:`Workspace` ``_ws`` lends those three arrays.  Returns
+    ``out``.
     """
     if w.shape[-1] % 2:
         raise ValueError("word count must be even for Box-Muller pairing")
-    ws = ws or FRESH
     if out is None:
-        out = ws.take(w.shape)
+        out = np.empty(w.shape)
     half = w.shape[:-1] + (w.shape[-1] // 2,)
-    with ws:
-        r = _uniforms(w[..., 0::2], ws.take(half))
+    with _ws:
+        r = _uniforms(w[..., 0::2], _ws.take(half))
         r += _TWO53_INV  # (m + 1) / 2**53, exactly
         np.log(r, out=r)
         r *= -2.0
         np.sqrt(r, out=r)
-        ang = _uniforms(w[..., 1::2], ws.take(half))
+        ang = _uniforms(w[..., 1::2], _ws.take(half))
         ang *= 2.0 * np.pi
-        trig = ws.take(half)
+        trig = _ws.take(half)
         np.cos(ang, out=trig)
         np.multiply(r, trig, out=out[..., 0::2])
         np.sin(ang, out=trig)

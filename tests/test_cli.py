@@ -1,8 +1,10 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+import threading
 import warnings
 
 import pytest
@@ -543,6 +545,40 @@ def test_an_out_file_is_written_only_on_success(tmp_path, capsys):
     code, _, _ = run(capsys, "dq", "t1", "1", "--out", str(dest))
     assert code == 0
     assert dest.read_text() == "1 (x) 1\n"
+
+
+def test_an_out_dangling_symlink_keeps_its_link(tmp_path, capsys):
+    # the check leaves the link in place, and its target appears only with
+    # the output
+    target, link = tmp_path / "target.txt", tmp_path / "link"
+    link.symlink_to(target)
+    code, _, _ = run(capsys, "dq", "t1", "0", "--out", str(link))
+    assert code == 2
+    assert link.is_symlink() and not target.exists()
+    code, _, _ = run(capsys, "dq", "t1", "1", "--out", str(link))
+    assert code == 0
+    assert link.is_symlink() and target.read_text() == "1 (x) 1\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_an_out_fifo_is_not_opened_by_the_check(tmp_path, capsys):
+    # so the reader sees the output before its first EOF; it reads on after
+    # an empty read so as not to leave the writer blocked
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reads = []
+
+    def read_until_output():
+        while not (reads and reads[-1]):
+            with open(fifo) as fh:
+                reads.append(fh.read())
+
+    reader = threading.Thread(target=read_until_output, daemon=True)
+    reader.start()
+    code, _, _ = run(capsys, "dq", "t1", "1", "--out", str(fifo))
+    reader.join(timeout=30)
+    assert code == 0
+    assert reads == ["1 (x) 1\n"]
 
 
 def test_chi_mc_rejects_bad_k_list(tmp_path, capsys):

@@ -608,7 +608,7 @@ def _sampler_passes(monkeypatch, spec, p, sampler, y, nsamples):
     """rng.words calls of one single-threaded estimate: one per sampler pass."""
     calls = []
     words = rng.words
-    monkeypatch.setattr(rng, "words", lambda *a: calls.append(a) or words(*a))
+    monkeypatch.setattr(rng, "words", lambda *a, **kw: calls.append(a) or words(*a, **kw))
     ms.estimate_volume(spec, p, sampler, y, nsamples, seed=3, threads=1)
     monkeypatch.setattr(rng, "words", words)
     return len(calls)
@@ -651,10 +651,16 @@ def test_volume_is_bit_identical_across_sub_block_sizes(monkeypatch, case, sampl
     assert run(1, 1, 300) == run(ms._CHUNK, 1, 300)
 
 
-def test_estimate_volume_memory_does_not_grow_with_the_chunk():
+def _workspace_bytes():
+    # tracemalloc does not see a workspace's buffer, an anonymous memory map
+    return {id(ws): ws._buf.nbytes for ws in ms._WORKSPACES}
+
+
+def test_estimate_volume_memory_does_not_grow_with_the_chunk(monkeypatch):
     # a whole 4096-sample chunk at k=16, or of a pair at k=8, is 16 MiB of X
     # matrices alone; the sub-blocks hold about 1 MiB of them
     for spec, k in ((sc_spec(), 16), (SPLIT_CASES["free-pair-k9"][0], 8)):
+        monkeypatch.setattr(ms, "_WORKSPACES", [])
         p = MicrostateParams(k=k, l=4, eps=0.4, radius=4.0)
         ms.estimate_volume(spec, p, "importance", nsamples=100, seed=0)  # fill the caches
         tracemalloc.start()
@@ -664,22 +670,39 @@ def test_estimate_volume_memory_does_not_grow_with_the_chunk():
         finally:
             tracemalloc.stop()
         assert peak < 6 * 2**20, (spec.n, k, peak)
+        # the sub-blocks themselves live in the one worker's workspace
+        held = list(_workspace_bytes().values())
+        assert len(held) == 1 and held[0] <= 3 * 2**20, (spec.n, k, held)
+        assert peak + held[0] < 6 * 2**20, (spec.n, k, peak, held)
 
 
+@pytest.mark.parametrize("pair", [False, True], ids=["semicircle", "free-pair"])
 @pytest.mark.parametrize("threads", [1, 2])
-def test_a_warm_estimate_allocates_no_sub_block(threads):
+def test_a_warm_estimate_allocates_no_sub_block(monkeypatch, threads, pair):
     # a sub-block at k=8 needs 1 MiB of X matrices and as much again of word
     # products and sampler scratch; a warm workspace lends all of it, so what
-    # the call itself allocates (weights, traces, masks) stays under half an X
+    # the call itself allocates (weights, traces, masks) stays under half an
+    # X.  A pair's letters are strided slots of X, which np.take would fill
+    # through a new copy; the sampler gathers them through the workspace too
+    monkeypatch.setattr(ms, "_WORKSPACES", [])
+    spec = SPLIT_CASES["free-pair-k9"][0] if pair else sc_spec()
     p = MicrostateParams(k=8, l=4, eps=0.4, radius=4.0)
-    ms.estimate_volume(sc_spec(), p, "importance", nsamples=4096, seed=0, threads=threads)
+    ms.estimate_volume(spec, p, "importance", nsamples=2 * 4096, seed=0, threads=threads)
+    warm = _workspace_bytes()
     tracemalloc.start()
     try:
-        ms.estimate_volume(sc_spec(), p, "importance", nsamples=4096, seed=1, threads=threads)
+        ms.estimate_volume(spec, p, "importance", nsamples=4096, seed=1, threads=threads)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 512 * 2**10, peak
+    # what the workspaces hold instead: at most one per thread, each at most
+    # 3 MiB, and a larger call (more chunks, a short tail) grows no warm one
+    ms.estimate_volume(spec, p, "importance", nsamples=5 * 4096 + 157, seed=2, threads=threads)
+    held = _workspace_bytes()
+    assert 1 <= len(held) <= threads
+    assert max(held.values()) <= 3 * 2**20, held
+    assert {key: held[key] for key in warm} == warm
 
 
 @pytest.mark.parametrize("threads", [1, 2])
