@@ -191,8 +191,9 @@ def _hermitian_into(ext: np.ndarray, k: int, out: np.ndarray) -> None:
     coordinates are scaled by 1/sqrt(2) in place, their imaginary parts
     negated into the scratch columns, the last column zeroed, and one
     ``np.take`` along :func:`_gather_index` fills the float64 view of
-    ``out`` (which may be a strided view, such as ``stack[:, i]``; np.take
-    then fills a new contiguous copy of it and copies that back).
+    ``out`` in place.  ``ext`` may be strided and so may ``out``, such as
+    ``stack[:, i]``, which np.take fills through a new contiguous copy; the
+    estimator hands each sampler a contiguous letter of its sub-block.
     """
     kk = k * k
     ext[..., k:kk] *= _INV_SQRT2
@@ -266,30 +267,22 @@ def _fill_stack(out, count, k, seed, start, block, finish, ws) -> np.ndarray:
         out = np.empty((count, k, k), dtype=np.complex128)
     elif out.shape != (count, k, k) or out.dtype != np.complex128:
         raise ValueError(f"out must be complex128 of shape {(count, k, k)}")
-    npairs = 2 * ((k * k + 1) // 2)
+    npairs, width = 2 * ((k * k + 1) // 2), _ext_width(k)
     with ws:
-        # a strided out (such as stack[:, i]) is filled through a contiguous
-        # stand-in from ws, since np.take would fill a new copy of it; until
-        # the gather, the memory of out or of its stand-in is free and lends
-        # itself to the other temporaries.  The words go into e's own memory
-        # when they fit (k >= 2): the normals read them all before writing e,
-        # and the words past each block's pairs (the ball's radius word) are
-        # copied out first.
-        dst = out if out.flags.c_contiguous else ws.take(out.shape, np.complex128)
-        e = ws.take((count, _ext_width(k)))
-        tmp = rng.Workspace(dst)
-        if block <= e.shape[1]:
-            w = e.reshape(-1).view(np.uint64)[: block * count]
-        else:
-            w = tmp.take((block * count,), np.uint64)
+        # the words go into the extended rows, widened to a block at k = 1: the
+        # normals read them all before writing e, and the words past each
+        # block's pairs (the ball's radius word) are copied out first.  Until
+        # the gather, a contiguous out lends its memory to the other temporaries
+        rows = ws.take((count, max(width, block)))
+        e = rows[:, :width]
+        tmp = rng.Workspace(out) if out.flags.c_contiguous else ws
+        w = rows.reshape(-1).view(np.uint64)[: block * count]
         w = rng.words(seed, block * start, block * count, _out=w, _ws=tmp).reshape(count, block)
         rest = tmp.take((count, block - npairs), np.uint64)
         rest[...] = w[:, npairs:]
         rng.normals_from_words(w[:, :npairs], out=e[:, :npairs], _ws=tmp)
         finish(e, rest, tmp)
-        _hermitian_into(e, k, dst)
-        if dst is not out:
-            out[...] = dst
+        _hermitian_into(e, k, out)
     return out
 
 

@@ -309,10 +309,16 @@ class TracialSpec:
     def letters(self) -> int:
         return self.n + self.m
 
+    def _canonical(self, word) -> Tuple[int, ...]:
+        w = canonical_word(word)
+        if w and not 1 <= min(w) <= max(w) <= self.letters:
+            raise IndexError(f"word {list(word)} has a letter outside 1..{self.letters}")
+        return w
+
     def target(self, word) -> complex:
         """tau(word): a float, or a complex matrix-model trace; conjugated
         when the canonical form is a rotation of the word's reversal."""
-        w = canonical_word(word)
+        w = self._canonical(word)
         if not w:
             return 1.0
         if self.generator is not None:
@@ -327,7 +333,7 @@ class TracialSpec:
         return self.targets[w]
 
     def has_target(self, word) -> bool:
-        w = canonical_word(word)
+        w = self._canonical(word)
         if self.generator is not None:
             return True
         return not w or w in self.targets
@@ -493,29 +499,29 @@ class Sweep:
         return MicrostateParams(k, self.l, self.eps, self.radius)
 
 
-def _product(cache, word, letter, ws):
-    """Product of the letters ``letter(i)`` of ``word``, extending its
-    longest cached prefix; each prefix of length >= 2 formed on the way is
-    cached, so words that share a prefix share its matmuls."""
+def _product(cache, word, ws):
+    """Product of the letters of ``word``, extending its longest prefix in
+    ``cache``, which holds every letter as a length-1 product; each prefix
+    formed on the way is cached, so words that share a prefix share its matmuls."""
     j = len(word)
-    while j > 1 and word[:j] not in cache:
+    while word[:j] not in cache:
         j -= 1
-    acc = cache[word[:j]] if j > 1 else letter(word[0])
+    acc = cache[word[:j]]
     for i in range(j, len(word)):
-        b = letter(word[i])
+        b = cache[word[i : i + 1]]
         acc = np.matmul(acc, b, out=ws.take((max(len(acc), len(b)),) + acc.shape[1:], acc.dtype))
         cache[word[: i + 1]] = acc
     return acc
 
 
-def _trace(cache, w, letter, ws=rng.FRESH):
+def _trace(cache, w, ws=rng.FRESH):
     """Trace of the word w = uv with |u| = ceil(|w|/2), as sum(u * v^T),
     so only products up to half the depth are formed."""
     h = (len(w) + 1) // 2
-    u = _product(cache, w[:h], letter, ws)
+    u = _product(cache, w[:h], ws)
     if len(w) == 1:
         return np.einsum("...ii->...", u)
-    return np.einsum("...ij,...ji->...", u, _product(cache, w[h:], letter, ws))
+    return np.einsum("...ij,...ji->...", u, _product(cache, w[h:], ws))
 
 
 def _compact(ok, a, ws):
@@ -546,44 +552,38 @@ def _compact(ok, a, ws):
     return a[:live]
 
 
-def _trace_filter(words, targets, xstack, yarrs, eps, ycache, ws):
-    """Rows of xstack whose every word traces strictly within eps of its target.
+def _trace_filter(words, targets, xstack, eps, ycache, ws):
+    """Rows of the (n, count, k, k) xstack whose every word traces within eps.
 
-    Products start from ``ycache``, the Y-only ones already formed; the
-    others are taken from the workspace ``ws`` and handed back on return.
-    Rejected rows are dropped after each word, but moved (to the front of
-    xstack and of each product, in place) only once the survivors are at
-    most half the rows held: a chunk that mostly survives moves once, at
-    the end.
-    Returns the surviving X rows in order, the front of xstack, and, when
-    the filter formed every x_i^2, the ||x_i^2||_F of their matrices.
+    Products start from ``ycache`` (Y letters and Y-only products) and the
+    X letters xstack[i - 1] as products of length 1; the others are taken
+    from the workspace ``ws`` and handed back on return.  Rejected rows are
+    dropped after each word, but moved (to the front of each X letter and
+    product, in place) only once the survivors are at most half the rows
+    held: a chunk that mostly survives moves once, at the end, letters only.
+    Returns the surviving rows in order, the front of xstack, and per X
+    letter the ||x_i^2||_F of those rows if the filter formed x_i^2, else None.
     """
-    n, k = xstack.shape[1], xstack.shape[-1]
-    xs = xstack
-    ok = np.ones(len(xs), dtype=bool)
-
-    def letter(i):  # a Y letter as one (1, k, k) matrix
-        return xs[:, i - 1] if i <= n else yarrs[i - 1 - n][None]
-
+    n, k = len(xstack), xstack.shape[-1]
+    ok = np.ones(xstack.shape[1], dtype=bool)
     with ws:
-        cache = dict(ycache)
+        cache = {**ycache, **{(i,): x for i, x in enumerate(xstack, start=1)}}
         for w, tgt in zip(words, targets):
-            ok &= np.abs(_trace(cache, w, letter, ws) / k - tgt) < eps
+            ok &= np.abs(_trace(cache, w, ws) / k - tgt) < eps
             live = np.count_nonzero(ok)
             if not live:
-                return xs[:0], None
+                return xstack[:, :0], [None] * n
             if 2 * live <= len(ok):
-                xs = _compact(ok, xs, ws)
-                # products with an X letter carry the rows; Y-only ones do not
+                # X letters and products with one carry the rows; Y ones do not
                 cache = {
                     key: _compact(ok, a, ws) if min(key) <= n else a for key, a in cache.items()
                 }
                 ok = np.ones(live, dtype=bool)
-        squares = [cache.get((i, i)) for i in range(1, n + 1)]
-        sq = None
-        if all(a is not None for a in squares):
-            sq = np.stack([matcore.frobenius_norms(a) for a in squares], axis=1)[ok].reshape(-1)
-    return _compact(ok, xs, ws), sq
+        sq = [cache.get((i, i)) for i in range(1, n + 1)]
+        sq = [None if a is None else matcore.frobenius_norms(a)[ok] for a in sq]
+    for x in xstack:  # once the products are handed back: a copy reuses their memory
+        _compact(ok, x[: len(ok)], ws)
+    return xstack[:, : np.count_nonzero(ok)], sq
 
 
 def _member_test(spec, p):
@@ -595,12 +595,12 @@ def _member_test(spec, p):
     matrix has operator norm <= R and every Y-only word traces strictly
     within eps of its target, traced as the filter would, its products kept
     to seed the filter.  It returns None when the Y tuple fails, else
-    member(xstack, ws), the rows of a (count, n, k, k) stack, in order, whose
-    words with an X letter trace within eps too and whose X matrices have
-    operator norm <= R: matcore.norms_leq sees only the filter's survivors,
-    with the x^4 certificate ||x||_op <= ||x^2||_F^(1/2) from its squares.
-    The member rows are moved to xstack's front, which is returned, so
-    xstack is scratch; the filter's scratch comes from the workspace ws.
+    member(xstack, ws), the rows of an (n, count, k, k) stack of X letters,
+    in order, whose words with an X letter trace within eps too and whose X
+    matrices have operator norm <= R: matcore.norms_leq sees only the
+    filter's survivors, letter by letter, with the x^4 certificate ||x||_op
+    <= ||x^2||_F^(1/2) from their squares.  Each letter's member rows move
+    to its front, and xstack's front is returned, so xstack is scratch.
     """
     if p.l > spec.l_max and spec.generator is None:
         raise SpecTooShallow([f"l={p.l} exceeds the table depth l_max={spec.l_max}"])
@@ -611,19 +611,23 @@ def _member_test(spec, p):
     words, targets = [words[j] for j in keep], targets[keep]
 
     def settle(yarrs=None):
-        ycache = {}
+        ycache = {}  # each Y letter as one (1, k, k) matrix
         if yarrs is not None:
             if not matcore.norms_leq(yarrs, p.radius).all():
                 return None
+            ycache = {(i,): y[None] for i, y in enumerate(yarrs, start=spec.n + 1)}
             for w, tgt in yonly:
-                tr = _trace(ycache, w, lambda i: yarrs[i - 1 - spec.n][None])
-                if not (np.abs(tr / p.k - tgt) < p.eps).all():
+                if not (np.abs(_trace(ycache, w) / p.k - tgt) < p.eps).all():
                     return None
 
         def member(xstack, ws=rng.FRESH):
-            xs, sq = _trace_filter(words, targets, xstack, yarrs, p.eps, ycache, ws)
-            inside = matcore.norms_leq(xs.reshape(-1, *xs.shape[2:]), p.radius, sq)
-            return _compact(inside.reshape(-1, xs.shape[1]).all(axis=1), xs, ws)
+            xs, squares = _trace_filter(words, targets, xstack, p.eps, ycache, ws)
+            inside = np.ones(xs.shape[1], dtype=bool)
+            for x, sq in zip(xs, squares):
+                inside &= matcore.norms_leq(x, p.radius, sq)
+            for x in xs:
+                _compact(inside, x, ws)
+            return xs[:, : np.count_nonzero(inside)]
 
         return member
 
@@ -672,7 +676,7 @@ def _ball(spec, p, seed):
         matcore.ball_stack(k, len(out), radii[i], seeds[i], start=start, out=out, _ws=ws)
 
     def weigh(xs, ws):
-        return np.zeros(len(xs))
+        return np.zeros(xs.shape[1])
 
     def close(acc, mx, s1, s2, nsamples):
         phat = acc / nsamples
@@ -696,12 +700,12 @@ def _importance(spec, p, seed):
         matcore.gue_stack(k, len(out), variances[i], seeds[i], start=start, out=out, _ws=ws)
 
     def weigh(xs, ws):
-        logw = np.full(len(xs), log_norm)
-        for i in range(n):
+        logw = np.full(xs.shape[1], log_norm)
+        for x, v in zip(xs, variances):
             with ws:  # |x|^2 by the same element operations as np.abs(x) ** 2
-                sq = np.abs(xs[:, i], out=ws.take(xs.shape[:1] + xs.shape[2:]))
+                sq = np.abs(x, out=ws.take(x.shape))
                 frob2 = np.sum(np.square(sq, out=sq), axis=(1, 2))
-            logw += k * frob2 / (2.0 * variances[i])
+            logw += k * frob2 / (2.0 * v)
         return logw
 
     def close(acc, mx, s1, s2, nsamples):
@@ -739,20 +743,20 @@ def _volume(spec, p, proposal, member, nsamples, threads) -> VolumeEstimate:
     equal rows that hold at most _SUBBLOCK_ENTRIES entries over all n
     letters.  Each worker holds one workspace (rng.Workspace) for the
     chunk: ``fill(i, start, out, ws)`` draws a sub-block into the
-    workspace's (rows, n, k, k) buffer x, one sampler pass per X letter i,
-    and ``weigh(xs, ws)`` gives the log-weights of its member rows,
-    member(x, ws), before the next; every temporary of the sampler, the
-    filter and the weights is taken from the workspace and handed back
-    after its phase, so a warm workspace allocates nothing per sub-block.
-    ``member`` None accepts no row, and nothing is drawn.  Each row
-    is drawn from its own counter block, tested and weighed alone, and the
-    chunks are reduced whole, in chunk order, so neither the sub-blocks
-    nor the thread count can change a result.  The log-weights w (volume
-    over proposal density) of the accepted rows stream into (acc, mx =
-    max w, s1 = sum e^(w - mx), s2 = sum e^(2(w - mx))), which ``close(acc,
-    mx, s1, s2, N)`` turns into (log volume, stderr).  No acceptance gives
-    -inf with the bound region - log N, where ``region`` is a log-volume
-    containing the set.
+    workspace's (n, rows, k, k) buffer x, one sampler pass into each X
+    letter's contiguous rows x[i], and ``weigh(xs, ws)`` gives the
+    log-weights of its member rows, member(x, ws), before the next; every
+    temporary of the sampler, the filter and the weights is taken from the
+    workspace and handed back after its phase, so a warm workspace
+    allocates nothing per sub-block.  ``member`` None accepts no row, and
+    nothing is drawn.  Each row is drawn from its own counter block, tested
+    and weighed alone, and the chunks are reduced whole, in chunk order, so
+    neither the sub-blocks nor the thread count can change a result.  The
+    log-weights w (volume over proposal density) of the accepted rows
+    stream into (acc, mx = max w, s1 = sum e^(w - mx), s2 = sum e^(2(w -
+    mx))), which ``close(acc, mx, s1, s2, N)`` turns into (log volume,
+    stderr).  No acceptance gives -inf with the bound region - log N, where
+    ``region`` is a log-volume containing the set.
     """
     method, fill, weigh, close, region = proposal
     n, k = spec.n, p.k
@@ -763,11 +767,11 @@ def _volume(spec, p, proposal, member, nsamples, threads) -> VolumeEstimate:
         rows = -(-count // -(-count // most))  # ceil(count / ceil(count / most))
         parts = []
         with _workspace() as ws:
-            buf = ws.take((rows, n, k, k), np.complex128)
+            buf = ws.take((n, rows, k, k), np.complex128)
             for r0 in range(0, count, rows):
-                x = buf[: min(rows, count - r0)]
+                x = buf[:, : min(rows, count - r0)]
                 for i in range(n):
-                    fill(i, c0 + r0, x[:, i], ws)
+                    fill(i, c0 + r0, x[i], ws)
                 with ws:
                     parts.append(weigh(member(x, ws), ws))
         return np.concatenate(parts)

@@ -43,7 +43,7 @@ def gue_tuple(k, seed):
 
 def is_microstate(t, spec, p):
     """Membership of one tuple, all its letters taken as X, by the estimator's test."""
-    return len(ms._member_test(spec, p)()(t.stack()[None])) == 1
+    return ms._member_test(spec, p)()(t.stack()[:, None]).shape[1] == 1
 
 
 # --- canonical words and moment engines ---------------------------------------
@@ -280,6 +280,24 @@ def test_spec_error_lists_every_problem_in_one_error():
     assert str(info.value).startswith("invalid specification: targets[1]: the empty")
 
 
+@pytest.mark.parametrize("kind", ["free", "matrix", "table"])
+def test_a_word_with_a_letter_outside_the_spec_is_an_error(kind):
+    # n = m = 1: letters 1 and 2.  Letter 0 must not wrap round to a free
+    # model's last letter, nor read as a word a table leaves unpriced
+    specs = {
+        "free": lambda: free_pair_spec(2),
+        "matrix": lambda: TracialSpec(1, 1, 2, generator=ms.MatrixModel(random_model(2, 2, 0))),
+        "table": lambda: TracialSpec.from_targets(1, 1, 1, {(1,): 0.0, (2,): 0.0}),
+    }
+    spec = specs[kind]()
+    assert spec.has_target((2,)) and spec.target(()) == 1.0
+    for word in [(0,), (0, 0), (3,), (3, 3), (1, 3), (2, -1)]:
+        with pytest.raises(IndexError, match=r"has a letter outside 1\.\.2"):
+            spec.target(word)
+        with pytest.raises(IndexError, match=r"has a letter outside 1\.\.2"):
+            spec.has_target(word)
+
+
 def test_target_lookup_depth_errors():
     spec = TracialSpec.from_targets(1, 0, 2, {(1,): 0.0, (1, 1): 1.0})
     with pytest.raises(ms.SpecTooShallow):
@@ -420,11 +438,12 @@ def test_membership_windows_are_nested_in_eps_and_l():
 
 
 def _naive_member_mask(xstack, spec, p, yarrs=None):
-    """Reference membership: eigvalsh norms, left-to-right word products."""
+    """Reference membership of the rows of an (n, count, k, k) stack: eigvalsh
+    norms, left-to-right word products."""
     words = spec.required_words(p.l)
     targets = [spec.target(w) for w in words]
     out = []
-    for row in xstack:
+    for row in np.moveaxis(xstack, 1, 0):
         mats = list(row) + ([] if yarrs is None else list(yarrs))
         ok = all(np.abs(np.linalg.eigvalsh(a)).max() <= p.radius for a in mats)
         for w, tgt in zip(words, targets):
@@ -437,7 +456,7 @@ def _naive_member_mask(xstack, spec, p, yarrs=None):
 
 
 @given(
-    n=st.sampled_from([1, 2]),
+    n=st.sampled_from([1, 2, 3]),
     with_y=st.booleans(),
     k=st.integers(1, 6),
     l=st.integers(0, 4),
@@ -450,17 +469,17 @@ def _naive_member_mask(xstack, spec, p, yarrs=None):
 def test_member_mask_matches_the_naive_reference(n, with_y, k, l, eps, radius, variance, seed):
     # radii 0.8..3 put GUE draws at k <= 6 on every side of the Frobenius
     # bound, the x^4 certificate and the operator norm
-    factors = [semicircle(), two_atom(), semicircle()][: n + with_y]
+    factors = [semicircle(), two_atom(), semicircle(), two_atom()][: n + with_y]
     spec = TracialSpec.free_model(n, int(with_y), 4, factors, list(range(n + with_y)))
     p = MicrostateParams(k=k, l=l, eps=eps, radius=radius)
     count = 48
     xstack = np.stack(
-        [matcore.gue_stack(k, count, variance, rng.derive(seed, i)) for i in range(n)], axis=1
+        [matcore.gue_stack(k, count, variance, rng.derive(seed, i)) for i in range(n)]
     )
     yarrs = matcore.gue_stack(k, 1, 0.5, rng.derive(seed, 99)) if with_y else None
     test = ms._member_test(spec, p)(yarrs)  # None: a Y norm above R admits no row
-    expected = xstack[_naive_member_mask(xstack, spec, p, yarrs)]
-    got = test(xstack) if test else xstack[:0]  # moves the member rows to xstack's front
+    expected = xstack[:, _naive_member_mask(xstack, spec, p, yarrs)]
+    got = test(xstack) if test else xstack[:, :0]  # moves the member rows to xstack's front
     assert np.array_equal(got, expected)
 
 
@@ -651,6 +670,25 @@ def test_volume_is_bit_identical_across_sub_block_sizes(monkeypatch, case, sampl
     assert run(1, 1, 300) == run(ms._CHUNK, 1, 300)
 
 
+@pytest.mark.parametrize("sampler", ["importance", "ball"])
+def test_the_sampler_fills_each_letter_of_a_sub_block_in_place(monkeypatch, sampler):
+    # the X block is letter-major, (n, rows, k, k), so every letter's rows are
+    # one C-contiguous array: no sampler pass gathers into a strided slot
+    outs = []
+    for name in ("gue_stack", "ball_stack"):
+        def recording(*a, sample=getattr(matcore, name), **kw):
+            outs.append(kw["out"])
+            return sample(*a, **kw)
+
+        monkeypatch.setattr(matcore, name, recording)
+    spec, k = SPLIT_CASES["free-pair-k9"]
+    p = MicrostateParams(k=k, l=2, eps=0.4, radius=2.1)
+    ve = ms.estimate_volume(spec, p, sampler, nsamples=4096 + 157, seed=3, threads=1)
+    assert ve.accepted > 0
+    assert len(outs) > spec.n
+    assert all(out.flags.c_contiguous for out in outs)
+
+
 def _workspace_bytes():
     # tracemalloc does not see a workspace's buffer, an anonymous memory map
     return {id(ws): ws._buf.nbytes for ws in ms._WORKSPACES}
@@ -676,16 +714,23 @@ def test_estimate_volume_memory_does_not_grow_with_the_chunk(monkeypatch):
         assert peak + held[0] < 6 * 2**20, (spec.n, k, peak, held)
 
 
-@pytest.mark.parametrize("pair", [False, True], ids=["semicircle", "free-pair"])
+WARM_CASES = {
+    "semicircle": sc_spec(),
+    "free-pair": SPLIT_CASES["free-pair-k9"][0],
+    "free-triple": TracialSpec.free_model(3, 0, 4, [semicircle(), two_atom()], [0, 1, 0]),
+}
+
+
+@pytest.mark.parametrize("case", list(WARM_CASES))
 @pytest.mark.parametrize("threads", [1, 2])
-def test_a_warm_estimate_allocates_no_sub_block(monkeypatch, threads, pair):
+def test_a_warm_estimate_allocates_no_sub_block(monkeypatch, threads, case):
     # a sub-block at k=8 needs 1 MiB of X matrices and as much again of word
     # products and sampler scratch; a warm workspace lends all of it, so what
     # the call itself allocates (weights, traces, masks) stays under half an
-    # X.  A pair's letters are strided slots of X, which np.take would fill
-    # through a new copy; the sampler gathers them through the workspace too
+    # X.  Each letter of X is one contiguous array, which the sampler fills
+    # in place, with its own memory lending the sampler's scratch
     monkeypatch.setattr(ms, "_WORKSPACES", [])
-    spec = SPLIT_CASES["free-pair-k9"][0] if pair else sc_spec()
+    spec = WARM_CASES[case]
     p = MicrostateParams(k=8, l=4, eps=0.4, radius=4.0)
     ms.estimate_volume(spec, p, "importance", nsamples=2 * 4096, seed=0, threads=threads)
     warm = _workspace_bytes()
