@@ -1,4 +1,7 @@
-"""Self-adjoint matrix tuples, word traces, operator-norm tests, and samplers.
+"""Self-adjoint matrix tuples, word products, operator-norm tests, and samplers.
+
+Every product of a word's letter matrices goes through one prefix-cached
+kernel, :func:`_word_product`, which multiplies left to right.
 
 Volume element convention used throughout the package: on the real
 vector space of k x k Hermitian matrices we use the inner product
@@ -97,22 +100,19 @@ class MatrixTuple:
         return f"MatrixTuple(n={self.n}, dim={self.dim})"
 
 
-def eval_word_trace(t: MatrixTuple, word) -> complex:
-    """tau of the product x_{i_1} ... x_{i_p}; indices are 1-based.
-
-    The empty word is the unit: tau(1) = 1.  tau of a product of three or
-    more matrices can have a nonzero imaginary part.
-    """
-    word = tuple(word)
-    if not word:
-        return 1.0
-    for i in word:
-        if not 1 <= i <= t.n:
-            raise IndexError(f"variable index {i} outside 1..{t.n}")
-    acc = t.mats[word[0] - 1].array
-    for i in word[1:]:
-        acc = acc @ t.mats[i - 1].array
-    return complex(np.trace(acc) / t.dim)
+def _word_product(cache, word, ws=rng.FRESH):
+    """Product of the letters of ``word``, extending its longest prefix in
+    ``cache``, which holds every letter as a length-1 product; each prefix
+    formed on the way is cached, so words that share a prefix share its matmuls."""
+    j = len(word)
+    while word[:j] not in cache:
+        j -= 1
+    acc = cache[word[:j]]
+    for i in range(j, len(word)):
+        b = cache[word[i : i + 1]]
+        acc = np.matmul(acc, b, out=ws.take((max(len(acc), len(b)),) + acc.shape[1:], acc.dtype))
+        cache[word[: i + 1]] = acc
+    return acc
 
 
 def sa_basis(k: int, start: int, stop: int) -> np.ndarray:

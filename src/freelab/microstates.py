@@ -77,6 +77,17 @@ def _min_rotation(w: Tuple[int, ...]) -> Tuple[int, ...]:
     return min((w[s:] + w[:s] for s in range(len(w))), default=w)
 
 
+def canonical_words(letters: int, length: int) -> List[Tuple[int, ...]]:
+    """The canonical words of one length in letters 1..letters, sorted."""
+    return sorted({canonical_word(w) for w in product(range(1, letters + 1), repeat=length)})
+
+
+def _check_letters(word, letters: int) -> None:
+    """IndexError unless every letter of ``word`` lies in 1..letters."""
+    if word and not 1 <= min(word) <= max(word) <= letters:
+        raise IndexError(f"word {list(word)} has a letter outside 1..{letters}")
+
+
 # --- free-family moments ----------------------------------------------------
 
 
@@ -127,6 +138,7 @@ class FreeModel:
         if not word:
             return 1.0
         if word not in self._cache:
+            _check_letters(word, self.letters)
             p, letters = len(word), [self.assign[i - 1] for i in word]
             # every factor of w to order p: an overflow fails on the first word that long
             for fi in set(letters):
@@ -152,12 +164,16 @@ class MatrixModel:
         )
         self.letters = self.tuple.n
         self._cache: Dict[Tuple[int, ...], complex] = {}
+        # every letter as a length-1 product, and each prefix the kernel forms
+        self._products = {(i,): m.array for i, m in enumerate(self.tuple.mats, start=1)}
 
     def word_moment(self, word: Tuple[int, ...]) -> complex:
         if not word:
             return 1.0
         if word not in self._cache:
-            t = matcore.eval_word_trace(self.tuple, word)
+            _check_letters(word, self.letters)
+            acc = matcore._word_product(self._products, word)
+            t = complex(np.trace(acc) / self.tuple.dim)
             real = _min_rotation(word[::-1]) == _min_rotation(word)
             self._cache[word] = float(t.real) if real else t
         return self._cache[word]
@@ -281,8 +297,8 @@ class TracialSpec:
         # first length that lacks one, so a mistyped large l_max costs little
         if targets is not None and not problems:
             for length in range(1, self.l_max + 1):
-                words = {canonical_word(w) for w in product(range(1, letters + 1), repeat=length)}
-                missing = sorted(words - self.targets.keys())
+                words = canonical_words(letters, length)
+                missing = [w for w in words if w not in self.targets]
                 if missing:
                     problems.append(
                         f"targets: no value for word {list(missing[0])}; {len(missing)} of the "
@@ -311,8 +327,7 @@ class TracialSpec:
 
     def _canonical(self, word) -> Tuple[int, ...]:
         w = canonical_word(word)
-        if w and not 1 <= min(w) <= max(w) <= self.letters:
-            raise IndexError(f"word {list(word)} has a letter outside 1..{self.letters}")
+        _check_letters(w, self.letters)
         return w
 
     def target(self, word) -> complex:
@@ -339,13 +354,11 @@ class TracialSpec:
         return not w or w in self.targets
 
     def required_words(self, l: int) -> Tuple[Tuple[int, ...], ...]:
-        """Canonical representatives of all words of length 1..l."""
+        """canonical_words of each length 1..l in turn, cached."""
         if l not in self._words_cache:
-            seen = set()
-            for length in range(1, l + 1):
-                for w in product(range(1, self.letters + 1), repeat=length):
-                    seen.add(canonical_word(w))
-            self._words_cache[l] = tuple(sorted(seen, key=lambda w: (len(w), w)))
+            self._words_cache[l] = tuple(
+                w for length in range(1, l + 1) for w in canonical_words(self.letters, length)
+            )
         return self._words_cache[l]
 
     # serialization ------------------------------------------------------------
@@ -499,29 +512,14 @@ class Sweep:
         return MicrostateParams(k, self.l, self.eps, self.radius)
 
 
-def _product(cache, word, ws):
-    """Product of the letters of ``word``, extending its longest prefix in
-    ``cache``, which holds every letter as a length-1 product; each prefix
-    formed on the way is cached, so words that share a prefix share its matmuls."""
-    j = len(word)
-    while word[:j] not in cache:
-        j -= 1
-    acc = cache[word[:j]]
-    for i in range(j, len(word)):
-        b = cache[word[i : i + 1]]
-        acc = np.matmul(acc, b, out=ws.take((max(len(acc), len(b)),) + acc.shape[1:], acc.dtype))
-        cache[word[: i + 1]] = acc
-    return acc
-
-
 def _trace(cache, w, ws=rng.FRESH):
     """Trace of the word w = uv with |u| = ceil(|w|/2), as sum(u * v^T),
     so only products up to half the depth are formed."""
     h = (len(w) + 1) // 2
-    u = _product(cache, w[:h], ws)
+    u = matcore._word_product(cache, w[:h], ws)
     if len(w) == 1:
         return np.einsum("...ii->...", u)
-    return np.einsum("...ij,...ji->...", u, _product(cache, w[h:], ws))
+    return np.einsum("...ij,...ji->...", u, matcore._word_product(cache, w[h:], ws))
 
 
 def _compact(ok, a, ws):
@@ -662,11 +660,12 @@ def _ball(spec, p, seed):
     0, so the reduction is (acc, 0, acc, acc) and acc/N is binomial."""
     n, k = spec.n, p.k
     # the second-moment window already confines the set to the HS ball of
-    # radius sqrt(k (m2 + eps)), so shrink the sampling region to match
+    # radius sqrt(k (m2 + eps)), so shrink the sampling region to match (the
+    # member test, built first, has priced every word up to l)
     radii = []
     for i in range(1, n + 1):
         r = p.radius
-        if p.l >= 2 and spec.has_target((i, i)):
+        if p.l >= 2:
             r = min(r, math.sqrt(max(spec.target((i, i)), 0.0) + p.eps))
         radii.append(r)
     log_region = sum(matcore.ball_log_volume(k, r) for r in radii)

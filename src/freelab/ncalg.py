@@ -285,10 +285,11 @@ class NcBiPoly(_TermSum):
         return cls(left.n, _mul_terms(left, right, lambda a, b: (a, b)), alg, normal=True)
 
     def evaluate_pairs(self, t: matcore.MatrixTuple):
-        """Evaluated tensor legs [(a, b), ...] with scalars folded into a."""
-        mats = _letter_values(self.algebra, t)
+        """Evaluated tensor legs [(a, b), ...] with scalars folded into a; terms
+        share their right legs' products, which callers must not write to."""
+        cache = _letter_values(self.algebra, t)
         return [
-            (_word_value(lw, mats, t.dim) * s, _word_value(rw, mats, t.dim))
+            (matcore._word_product(cache, lw) * s, matcore._word_product(cache, rw))
             for (lw, rw), s in self.sorted_terms()
         ]
 
@@ -300,10 +301,12 @@ class NcBiPoly(_TermSum):
 
 
 def _letter_values(alg: CoefficientAlgebra, t: matcore.MatrixTuple) -> dict:
-    """Letter -> matrix at the tuple, in dimension k; a matrix coefficient g
-    of dimension d acts as g (x) 1_{k/d}."""
+    """The product cache of matcore._word_product at the tuple, in dimension
+    k: each letter as a word of length 1, and the empty word as 1_k.  A
+    matrix coefficient g of dimension d acts as g (x) 1_{k/d}."""
     k = t.dim
-    mats = {i + 1: m.array for i, m in enumerate(t.mats)}
+    cache = {(): np.eye(k, dtype=np.complex128)}
+    cache.update({(i + 1,): m.array for i, m in enumerate(t.mats)})
     if alg.gens:
         if k % alg.dim != 0:
             raise ValueError(
@@ -311,16 +314,9 @@ def _letter_values(alg: CoefficientAlgebra, t: matcore.MatrixTuple) -> dict:
             )
         rep = np.eye(k // alg.dim)
         for name, g in alg.gens.items():
-            mats[name] = np.kron(g, rep)
-            mats[name + "*"] = mats[name].conj().T
-    return mats
-
-
-def _word_value(word: Word, mats: dict, k: int) -> np.ndarray:
-    m = np.eye(k, dtype=np.complex128)
-    for letter in word:
-        m = m @ mats[letter]
-    return m
+            cache[name,] = np.kron(g, rep)
+            cache[name + "*",] = cache[name,].conj().T
+    return cache
 
 
 def evaluate(f: NcPoly, t: matcore.MatrixTuple):
@@ -331,10 +327,10 @@ def evaluate(f: NcPoly, t: matcore.MatrixTuple):
     """
     if f.n != t.n:
         raise ValueError(f"polynomial arity {f.n} vs tuple arity {t.n}")
-    mats = _letter_values(f.algebra, t)
+    cache = _letter_values(f.algebra, t)
     out = np.zeros((t.dim, t.dim), dtype=np.complex128)
     for word, s in f.terms.items():
-        out += s * _word_value(word, mats, t.dim)
+        out += s * matcore._word_product(cache, word)
     if f.is_selfadjoint():
         scale = max(1.0, float(np.max(np.abs(out))))
         gap = float(np.max(np.abs(out - out.conj().T)))

@@ -245,9 +245,10 @@ def _chk_gen(s):
     for j, p in enumerate(powers):
         expand[2 + j] = (2,) * p
     targets = {}
-    for word in ms.TracialSpec(1, len(powers), s.l).required_words(s.l):
-        flat = tuple(i for letter in word for i in expand[letter])
-        targets[word] = model.word_moment(ms.canonical_word(flat))
+    for length in range(1, s.l + 1):
+        for word in ms.canonical_words(1 + len(powers), length):
+            flat = tuple(i for letter in word for i in expand[letter])
+            targets[word] = model.word_moment(ms.canonical_word(flat))
     spec_z = ms.TracialSpec.from_targets(1, len(powers), s.l, targets)
 
     # one pool per k, proposed once: both sweeps measure it, Z each candidate's powers

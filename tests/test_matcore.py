@@ -2,12 +2,13 @@
 
 import hashlib
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freelab import matcore, microstates as ms, rng
+from freelab import matcore, microstates as ms, ncalg, rng
 from freelab.matcore import MatrixTuple, SelfAdjointMatrix
 
 
@@ -37,41 +38,76 @@ def test_tuple_rejects_mixed_dims():
         MatrixTuple([_rand_herm(2, 0), _rand_herm(3, 1)])
 
 
+def _model_spec(arrays):
+    return ms.TracialSpec(len(arrays), 0, 5, generator=ms.MatrixModel(arrays))
+
+
 def test_trace_of_unit_is_one():
     for k in (1, 2, 7):
-        assert matcore.eval_word_trace(MatrixTuple([SelfAdjointMatrix(np.eye(k))]), (1,)) == 1.0
+        assert ms.MatrixModel([np.eye(k)]).word_moment((1,)) == 1.0
 
 
 def test_empty_word_is_unit():
-    t = MatrixTuple([_rand_herm(3, 5)])
-    assert matcore.eval_word_trace(t, ()) == 1.0
+    spec = _model_spec([_rand_herm(3, 5).array])
+    assert spec.generator.word_moment(()) == 1.0
+    assert spec.target(()) == 1.0
 
 
 def test_word_trace_against_direct_product():
     # oracle: explicit matrix product and trace, k=2 complex entries
     a = np.array([[1.0, 2.0 - 1.0j], [2.0 + 1.0j, -0.5]])
     b = np.array([[0.25, 0.5j], [-0.5j, 3.0]])
-    t = MatrixTuple([SelfAdjointMatrix(a), SelfAdjointMatrix(b)])
+    spec = _model_spec([a, b])
     word = (1, 2, 2, 1)
     want = np.trace(a @ b @ b @ a).real / 2.0
-    assert abs(matcore.eval_word_trace(t, word) - want) < 1e-13
+    assert abs(spec.generator.word_moment(word) - want) < 1e-13
+    assert abs(spec.target(word) - want) < 1e-13
 
 
 def test_word_trace_cyclic_invariance():
-    t = MatrixTuple([_rand_herm(4, 11), _rand_herm(4, 12), _rand_herm(4, 13)])
+    model = ms.MatrixModel([_rand_herm(4, s).array for s in (11, 12, 13)])
     w = (1, 3, 2, 2, 1)
-    vals = [
-        matcore.eval_word_trace(t, w[i:] + w[:i]) for i in range(len(w))
-    ]
+    vals = [model.word_moment(w[i:] + w[:i]) for i in range(len(w))]
     assert max(abs(v - vals[0]) for v in vals) < 1e-12
 
 
 def test_word_trace_index_bounds():
-    t = MatrixTuple([_rand_herm(2, 1)])
-    with pytest.raises(IndexError):
-        matcore.eval_word_trace(t, (0,))
-    with pytest.raises(IndexError):
-        matcore.eval_word_trace(t, (2,))
+    spec = _model_spec([_rand_herm(2, 1).array])
+    for word in ((0,), (2,)):
+        with pytest.raises(IndexError):
+            spec.generator.word_moment(word)
+        with pytest.raises(IndexError):
+            spec.target(word)
+
+
+def test_word_products_are_the_naive_left_to_right_products_bit_for_bit():
+    # words that share prefixes, priced in random order, so that later words
+    # extend the products earlier ones cached: each must still equal the plain
+    # left-to-right product exactly, the order that keeps every output's bits
+    gen = np.random.default_rng(5)
+    for trial in range(4):
+        n, k = 2 + trial % 2, 3 + trial
+        arrays = [_rand_herm(k, 40 * trial + i).array for i in range(n)]
+        letters = gen.integers(1, n + 1, size=(24, 6)).tolist()
+        stems = letters[:3]
+        words = sorted({
+            tuple(stems[j % 3][: 1 + j % 3] + tail[: j % 4])
+            for j, tail in enumerate(letters[3:])
+        })
+        words = [words[j] for j in gen.permutation(len(words))]
+        model = ms.MatrixModel(arrays)
+        for w in words:
+            want = complex(np.trace(reduce(np.matmul, [arrays[i - 1] for i in w])) / k)
+            got = model.word_moment(w)
+            assert got == (want.real if isinstance(got, float) else want), w
+        # one polynomial over all the words: ncalg's sum, term by term, of the same products
+        tup = MatrixTuple([SelfAdjointMatrix(a) for a in arrays])
+        f = ncalg.NcPoly(n, {w: complex(gen.normal(), gen.normal()) for w in words})
+        want = np.zeros((k, k), dtype=np.complex128)
+        for w, s in f.terms.items():
+            want += s * reduce(np.matmul, [arrays[i - 1] for i in w])
+        got = ncalg.evaluate(f, tup)
+        assert not f.is_selfadjoint() and np.array_equal(got, want)
 
 
 def test_coords_roundtrip_and_parseval():

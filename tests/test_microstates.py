@@ -291,11 +291,13 @@ def test_a_word_with_a_letter_outside_the_spec_is_an_error(kind):
     }
     spec = specs[kind]()
     assert spec.has_target((2,)) and spec.target(()) == 1.0
+    lookups = [spec.target, spec.has_target]
+    if spec.generator is not None:  # the models check their own words the same way
+        lookups.append(spec.generator.word_moment)
     for word in [(0,), (0, 0), (3,), (3, 3), (1, 3), (2, -1)]:
-        with pytest.raises(IndexError, match=r"has a letter outside 1\.\.2"):
-            spec.target(word)
-        with pytest.raises(IndexError, match=r"has a letter outside 1\.\.2"):
-            spec.has_target(word)
+        for lookup in lookups:
+            with pytest.raises(IndexError, match=r"has a letter outside 1\.\.2"):
+                lookup(word)
 
 
 def test_target_lookup_depth_errors():
@@ -328,6 +330,23 @@ def test_a_table_must_price_every_word_up_to_l_max():
 def test_required_words_lists_canonical_classes():
     spec = TracialSpec(2, 0, 2)
     assert spec.required_words(2) == ((1,), (2,), (1, 1), (1, 2), (2, 2))
+
+
+# the number of bracelets (necklaces up to rotation and reversal) of length 1..7
+BRACELETS = {2: [2, 3, 4, 6, 8, 13, 18], 3: [3, 6, 10, 21, 39, 92, 198]}  # OEIS A000029, A027671
+
+
+@pytest.mark.parametrize("letters", sorted(BRACELETS))
+def test_canonical_words_are_the_bracelets(letters):
+    by_length = [ms.canonical_words(letters, n) for n in range(1, 8)]
+    assert [len(words) for words in by_length] == BRACELETS[letters]
+    for words in by_length:  # distinct canonical words, as many as the classes: all of them
+        assert words == sorted(set(words))
+        assert all(ms.canonical_word(w) == w for w in words)
+    for l in range(5):
+        concat = tuple(w for words in by_length[:l] for w in words)
+        assert TracialSpec(letters, 0, l).required_words(l) == concat
+        assert concat == tuple(sorted(concat, key=lambda w: (len(w), w)))
 
 
 def test_marginals_restrict_the_letter_set():
@@ -972,9 +991,16 @@ def test_chi_on_every_core_is_bit_identical_to_one_thread(monkeypatch):
 def _is_y_microstate(tup, spec, p):
     """Reference: eigvalsh norms, and left-to-right traces of every Y-only word."""
     ywords = [w for w in spec.required_words(p.l) if min(w) > spec.n]
-    return bool((matcore.operator_norms(tup.stack()) <= p.radius).all()) and all(
-        abs(matcore.eval_word_trace(tup, [i - spec.n for i in w]) - spec.target(w)) < p.eps
-        for w in ywords
+    ys = tup.stack()
+
+    def tau(w):
+        acc = np.eye(p.k)
+        for i in w:
+            acc = acc @ ys[i - spec.n - 1]
+        return np.trace(acc) / p.k
+
+    return bool((matcore.operator_norms(ys) <= p.radius).all()) and all(
+        abs(tau(w) - spec.target(w)) < p.eps for w in ywords
     )
 
 
