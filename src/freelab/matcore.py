@@ -103,15 +103,23 @@ class MatrixTuple:
 def _word_product(cache, word, ws=rng.FRESH):
     """Product of the letters of ``word``, extending its longest prefix in
     ``cache``, which holds every letter as a length-1 product; each prefix
-    formed on the way is cached, so words that share a prefix share its matmuls."""
+    formed on the way is cached, so words that share a prefix share its matmuls.
+    A letter that is one (1, k, k) matrix for every row, such as a fixed Y
+    letter, multiplies the prefix's rows as one (rows*k, k) GEMM; a row's
+    product has the same bits whatever rows share its batch."""
     j = len(word)
     while word[:j] not in cache:
         j -= 1
     acc = cache[word[:j]]
     for i in range(j, len(word)):
         b = cache[word[i : i + 1]]
-        acc = np.matmul(acc, b, out=ws.take((max(len(acc), len(b)),) + acc.shape[1:], acc.dtype))
-        cache[word[: i + 1]] = acc
+        out = ws.take((max(len(acc), len(b)),) + acc.shape[1:], acc.dtype)
+        if b.ndim == 3 and len(b) == 1 < len(acc):
+            k = acc.shape[-1]
+            np.matmul(acc.reshape(-1, k), b[0], out=out.reshape(-1, k))
+        else:
+            np.matmul(acc, b, out=out)
+        acc = cache[word[: i + 1]] = out
     return acc
 
 

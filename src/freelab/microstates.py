@@ -37,7 +37,9 @@ count (0 means every core).  Each chunk streams through sub-blocks of
 rows, each drawn (one sampler pass per letter), tested and weighed before
 the next in one workspace per worker, kept across calls; their size, 1 MiB
 of matrices per thread at any k, is the estimator's alone and only bounds
-memory, so it cannot change a result.
+memory, so it cannot change a result.  The filter's word traces are exact
+only to rounding, but each row's traces, and so its verdict, are a function
+of that row alone, so the draws, weights and log-volumes are bitwise too.
 """
 
 from __future__ import annotations
@@ -80,6 +82,11 @@ def _min_rotation(w: Tuple[int, ...]) -> Tuple[int, ...]:
 def canonical_words(letters: int, length: int) -> List[Tuple[int, ...]]:
     """The canonical words of one length in letters 1..letters, sorted."""
     return sorted({canonical_word(w) for w in product(range(1, letters + 1), repeat=length)})
+
+
+def _real_word(w: Tuple[int, ...]) -> bool:
+    """Whether w's reversal is one of its rotations, so that tau(w) is real."""
+    return _min_rotation(w[::-1]) == _min_rotation(w)
 
 
 def _check_letters(word, letters: int) -> None:
@@ -174,8 +181,7 @@ class MatrixModel:
             _check_letters(word, self.letters)
             acc = matcore._word_product(self._products, word)
             t = complex(np.trace(acc) / self.tuple.dim)
-            real = _min_rotation(word[::-1]) == _min_rotation(word)
-            self._cache[word] = float(t.real) if real else t
+            self._cache[word] = float(t.real) if _real_word(word) else t
         return self._cache[word]
 
 
@@ -512,14 +518,35 @@ class Sweep:
         return MicrostateParams(k, self.l, self.eps, self.radius)
 
 
-def _trace(cache, w, ws=rng.FRESH):
-    """Trace of the word w = uv with |u| = ceil(|w|/2), as sum(u * v^T),
-    so only products up to half the depth are formed."""
+def _trace(cache, w, ws=rng.FRESH, real=False):
+    """Trace of the word w = uv with |u| = ceil(|w|/2) per row, so only
+    products up to half the depth are formed.
+
+    A tail v that reads the same reversed is Hermitian, so tr(uv) =
+    sum(u * conj(v)): one contiguous inner product of the rows' float64 views
+    (a Y-only v of one row broadcasts), plus an imaginary part from their odd
+    and even columns unless ``real`` says the word's reversal is one of its
+    rotations; then the real trace alone is returned.  Other tails keep
+    sum(u * v^T).  Exact only to rounding, but a row's bits never depend on
+    the rows that share its batch (a BLAS gemv's would, so none is used).
+    """
     h = (len(w) + 1) // 2
     u = matcore._word_product(cache, w[:h], ws)
-    if len(w) == 1:
-        return np.einsum("...ii->...", u)
-    return np.einsum("...ij,...ji->...", u, matcore._word_product(cache, w[h:], ws))
+    tail = w[h:]
+    if not tail:
+        t = np.einsum("...ii->...", u)
+    elif tail != tail[::-1]:
+        t = np.einsum("...ij,...ji->...", u, matcore._word_product(cache, tail, ws))
+    else:
+        v = matcore._word_product(cache, tail, ws)
+        a, b = (p.reshape(len(p), -1).view(np.float64) for p in (u, v))
+        re = np.einsum("mi,mi->m", a, b)
+        if real:
+            return re
+        t = re.astype(np.complex128)
+        t.imag = np.einsum("mi,mi->m", a[:, 1::2], b[:, ::2])
+        t.imag -= np.einsum("mi,mi->m", a[:, ::2], b[:, 1::2])
+    return t.real if real else t
 
 
 def _compact(ok, a, ws):
@@ -550,8 +577,9 @@ def _compact(ok, a, ws):
     return a[:live]
 
 
-def _trace_filter(words, targets, xstack, eps, ycache, ws):
-    """Rows of the (n, count, k, k) xstack whose every word traces within eps.
+def _trace_filter(words, xstack, eps, ycache, ws):
+    """Rows of the (n, count, k, k) xstack whose every word traces within eps
+    of its target (``words``: (word, real, target) as _member_test prices them).
 
     Products start from ``ycache`` (Y letters and Y-only products) and the
     X letters xstack[i - 1] as products of length 1; the others are taken
@@ -566,8 +594,8 @@ def _trace_filter(words, targets, xstack, eps, ycache, ws):
     ok = np.ones(xstack.shape[1], dtype=bool)
     with ws:
         cache = {**ycache, **{(i,): x for i, x in enumerate(xstack, start=1)}}
-        for w, tgt in zip(words, targets):
-            ok &= np.abs(_trace(cache, w, ws) / k - tgt) < eps
+        for w, real, tgt in words:
+            ok &= np.abs(_trace(cache, w, ws, real) / k - tgt) < eps
             live = np.count_nonzero(ok)
             if not live:
                 return xstack[:, :0], [None] * n
@@ -602,11 +630,9 @@ def _member_test(spec, p):
     """
     if p.l > spec.l_max and spec.generator is None:
         raise SpecTooShallow([f"l={p.l} exceeds the table depth l_max={spec.l_max}"])
-    words = spec.required_words(p.l)
-    targets = np.array([spec.target(w) for w in words])
-    yonly = [(w, t) for w, t in zip(words, targets) if min(w) > spec.n]
-    keep = [j for j, w in enumerate(words) if min(w) <= spec.n]
-    words, targets = [words[j] for j in keep], targets[keep]
+    words = [(w, _real_word(w), spec.target(w)) for w in spec.required_words(p.l)]
+    yonly = [c for c in words if min(c[0]) > spec.n]
+    words = [c for c in words if min(c[0]) <= spec.n]
 
     def settle(yarrs=None):
         ycache = {}  # each Y letter as one (1, k, k) matrix
@@ -614,12 +640,12 @@ def _member_test(spec, p):
             if not matcore.norms_leq(yarrs, p.radius).all():
                 return None
             ycache = {(i,): y[None] for i, y in enumerate(yarrs, start=spec.n + 1)}
-            for w, tgt in yonly:
-                if not (np.abs(_trace(ycache, w) / p.k - tgt) < p.eps).all():
+            for w, real, tgt in yonly:
+                if not (np.abs(_trace(ycache, w, real=real) / p.k - tgt) < p.eps).all():
                     return None
 
         def member(xstack, ws=rng.FRESH):
-            xs, squares = _trace_filter(words, targets, xstack, p.eps, ycache, ws)
+            xs, squares = _trace_filter(words, xstack, p.eps, ycache, ws)
             inside = np.ones(xs.shape[1], dtype=bool)
             for x, sq in zip(xs, squares):
                 inside &= matcore.norms_leq(x, p.radius, sq)

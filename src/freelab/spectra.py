@@ -219,7 +219,16 @@ class SpectralMeasure:
                 m = p // 2
                 value = 0.0 if p % 2 else math.comb(2 * m, m) / (m + 1) * self.variance**m
             elif self.kind == "uniform":
-                value = (b ** (p + 1) - a ** (p + 1)) / ((p + 1) * (b - a))
+                try:
+                    value = (b ** (p + 1) - a ** (p + 1)) / ((p + 1) * (b - a))
+                except OverflowError:
+                    value = math.inf
+                if not math.isfinite(value):
+                    # a power overflowed, maybe not the moment: expand about the midpoint
+                    c, h = a / 2 + b / 2, b / 2 - a / 2
+                    value = math.fsum(
+                        math.comb(p, j) * c ** (p - j) * h**j / (j + 1) for j in range(0, p + 1, 2)
+                    )
             else:
                 x, w = _gl_panels(np.linspace(a, b, _X_PANELS + 1))
                 value = float(np.sum(w * self.density(x) * x**p))

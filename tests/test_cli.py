@@ -476,8 +476,7 @@ def test_chi_mc_non_finite_window_exits_2_before_sampling(tmp_path, capsys, monk
     ({"kind": "atomic", "atoms": [[1e300, 1.0]]}, "2"),
     ({"kind": "uniform", "interval": [-1e300, 1e300]}, "2"),
     ({"kind": "semicircle", "variance": 1e300}, "4"),
-    ({"kind": "uniform", "interval": [-5e102, 5e102]}, "2"),  # b^3 - a^3 is inf, no exception
-], ids=["atomic", "uniform", "semicircle", "uniform-silent"])
+], ids=["atomic", "uniform", "semicircle"])
 def test_chi_mc_overflowing_moment_exits_1(tmp_path, capsys, factor, l):
     spec = {"n": 1, "m": 0, "l_max": 4,
             "generator": {"kind": "free", "factors": [factor], "assign": [0]}}
@@ -488,6 +487,18 @@ def test_chi_mc_overflowing_moment_exits_1(tmp_path, capsys, factor, l):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: moment ") and "overflows a float" in err
+
+
+def test_chi_mc_on_a_uniform_whose_powers_overflow_runs(tmp_path, capsys):
+    # on [-5e102, 5e102], b^3 - a^3 is inf, but the second moment is 8.3e204
+    spec = {"n": 1, "m": 0, "l_max": 2, "generator": {
+        "kind": "free", "factors": [{"kind": "uniform", "interval": [-5e102, 5e102]}],
+        "assign": [0]}}
+    path = write_json(tmp_path / "spec.json", spec)
+    code, out, err = run(capsys, "chi-mc", "--spec", path, "--k", "2", "--samples", "200",
+                         "--l", "2", "--threads", "1")
+    assert code == 0 and err == ""
+    assert out.startswith("k=2: ")
 
 
 def test_chi_mc_missing_file(capsys):

@@ -6,12 +6,12 @@ import math
 import sys
 import tracemalloc
 from dataclasses import replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from freelab import matcore, microstates as ms, rng, spectra
 from freelab.microstates import MicrostateParams, Sweep, TracialSpec
@@ -514,6 +514,90 @@ def test_compaction_moves_the_kept_rows_to_the_front_in_order(ok, with_workspace
     assert np.array_equal(got, expected)
 
 
+def _letter_stacks(n, m, k, rows, seed):
+    """n X letters as (rows, k, k) GUE stacks, then m fixed Y letters as one
+    (1, k, k) matrix each, as the filter's product cache holds them."""
+    xs = [matcore.gue_stack(k, rows, 1.0, rng.derive(seed, i)) for i in range(n)]
+    return xs + [matcore.gue_stack(k, 1, 1.0, rng.derive(seed, 50 + j)) for j in range(m)]
+
+
+@pytest.mark.parametrize("m", [0, 1], ids=["x-only", "fixed-y"])
+@pytest.mark.parametrize("k", [1, 3, 4, 6])
+def test_each_row_is_traced_alone(k, m):
+    # every word up to length 4 in three letters, the last a fixed Y letter
+    # when m = 1: a row's trace and word product have the same bits in a
+    # batch of one as in batches of 2..9 rows at several offsets
+    rows = 16
+    letters = _letter_stacks(3 - m, m, k, rows, seed=k)
+
+    def batch(s, e):
+        return {(i,): a if len(a) == 1 else a[s:e] for i, a in enumerate(letters, start=1)}
+
+    spans = [(s, s + size) for size in range(2, 10) for s in (0, 3, rows - size)]
+    for w in (w for l in range(1, 5) for w in product(range(1, 4), repeat=l)):
+        if min(w) > 3 - m:
+            continue  # Y-only: one matrix, not a row per sample
+        real = ms._real_word(w)
+        alone = [
+            (ms._trace(batch(r, r + 1), w, real=real), matcore._word_product(batch(r, r + 1), w))
+            for r in range(rows)
+        ]
+        for s, e in spans:
+            trace = ms._trace(batch(s, e), w, real=real)
+            prod = matcore._word_product(batch(s, e), w)
+            for r in range(s, e):
+                assert trace[r - s].tobytes() == alone[r][0].tobytes(), (w, s, e, r)
+                assert prod[r - s].tobytes() == alone[r][1].tobytes(), (w, s, e, r)
+
+
+@given(
+    n=st.integers(1, 3),
+    m=st.integers(0, 1),
+    k=st.integers(1, 6),
+    rows=st.integers(1, 4),
+    word=st.lists(st.integers(1, 4), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=3, m=0, k=3, rows=1, word=[1, 2, 3], seed=0)  # complex-class
+@example(n=2, m=1, k=1, rows=1, word=[1, 2, 3, 3], seed=1)  # broadcast Y at k = 1
+@example(n=2, m=1, k=4, rows=3, word=[1, 3, 2, 2, 3], seed=2)  # complex, Y in both halves
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_traces_match_the_naive_product(n, m, k, rows, word, seed):
+    # a trace may differ from the left-to-right product's in its last bits,
+    # by at most 1e-13 times the product of its letters' Frobenius norms,
+    # which bounds |tr w| itself; a real-class word returns a real array
+    letters = _letter_stacks(n, m, k, rows, seed)
+    w = tuple(1 + (i - 1) % (n + m) for i in word)
+    real = ms._real_word(w)
+    got = ms._trace({(i,): a for i, a in enumerate(letters, start=1)}, w, real=real)
+    assert got.dtype == (np.float64 if real else np.complex128)
+    assert got.shape == ((1,) if min(w) > n else (rows,))
+    for r in range(rows):
+        mats = [letters[i - 1][min(r, len(letters[i - 1]) - 1)] for i in w]
+        want = np.trace(reduce(np.matmul, mats))
+        bound = 1e-13 * math.prod(np.linalg.norm(a) for a in mats)
+        assert abs(got[min(r, len(got) - 1)] - want) <= bound, (w, r)
+
+
+def test_a_three_letter_matrix_spec_traces_its_own_tuple():
+    # every word up to length 4 of a kind "matrix" spec, (1, 2, 3) complex:
+    # the filter's traces of the model's own matrices, as one-row stacks,
+    # are its targets
+    spec = TracialSpec.from_dict(
+        {"n": 3, "m": 0, "l_max": 4,
+         "generator": {"kind": "matrix", "matrices": [
+             [[[c.real, c.imag] for c in row] for row in a] for a in random_model(3, 3, 8)
+         ]}}
+    )
+    cache = {(i,): m.array[None] for i, m in enumerate(spec.generator.tuple, start=1)}
+    assert abs(spec.target((1, 2, 3)).imag) > 0.1
+    for w in spec.required_words(4):
+        real = ms._real_word(w)
+        got = ms._trace(cache, w, real=real) / 3
+        assert got.dtype == (np.float64 if real else np.complex128)
+        assert got[0] == pytest.approx(spec.target(w), rel=1e-13, abs=1e-13), w
+
+
 @given(
     k=st.integers(1, 5),
     l=st.integers(1, 4),
@@ -983,6 +1067,14 @@ def test_chi_on_every_core_is_bit_identical_to_one_thread(monkeypatch):
     assert workers == []
     assert ms.estimate_chi(spec, replace(sweep, threads=8)) == one
     assert workers == [2, 2]
+    # a pool: each k's Y candidates are settled, then each is measured on two
+    # threads, through the fixed-Y products and traces of every sub-block
+    spec, sweep = free_pair_spec(), replace(sweep, l=4, y_pool=2)
+    workers.clear()
+    one = ms.estimate_chi(spec, sweep)
+    assert workers == [] and all(math.isfinite(pt.log_volume) for pt in one.per_k)
+    assert ms.estimate_chi(spec, replace(sweep, threads=0)) == one
+    assert len(workers) >= 2 and set(workers) == {2}
 
 
 # --- relative chi -------------------------------------------------------------------

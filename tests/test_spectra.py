@@ -50,6 +50,25 @@ def test_semicircle_moments_catalan():
     assert abs(mu.moment(6) - 5.0 * 1.5**3) < 1e-12
 
 
+def test_uniform_moments_whose_powers_overflow_stay_finite():
+    # b^2 overflows on [1e200, 1.5e200], and b^3 - a^3 on [-5e102, 5e102]
+    assert SM.uniform(1e200, 1.5e200).moment(1) == pytest.approx(1.25e200, rel=1e-14)
+    assert SM.uniform(-5e102, 5e102).moment(2) == pytest.approx(5e102**2 / 3, rel=1e-14)
+    assert SM.uniform(-5e102, 5e102).moment(3) == 0.0
+    # a moment beyond float range still raises
+    for a, b, p in ((-1e300, 1e300, 2), (-5e102, 5e102, 4), (1e200, 1.5e200, 2)):
+        with pytest.raises(ValueError, match="overflows a float"):
+            SM.uniform(a, b).moment(p)
+    # a moment whose closed form is finite keeps its bits
+    for a, b in ((0.0, 1.0), (-2.0, 3.0), (1e-3, 7.5), (1e100, 2e100)):
+        for p in range(1, 7):
+            try:
+                want = (b ** (p + 1) - a ** (p + 1)) / ((p + 1) * (b - a))
+            except OverflowError:
+                continue
+            assert SM.uniform(a, b).moment(p) == want
+
+
 def test_gridded_mass_is_exactly_one():
     mu = SM.semicircle(1.0).to_grid()
     h = (mu.support[1] - mu.support[0]) / (mu.values.size - 1)
