@@ -105,8 +105,11 @@ def _word_product(cache, word, ws=rng.FRESH):
     ``cache``, which holds every letter as a length-1 product; each prefix
     formed on the way is cached, so words that share a prefix share its matmuls.
     A letter that is one (1, k, k) matrix for every row, such as a fixed Y
-    letter, multiplies the prefix's rows as one (rows*k, k) GEMM; a row's
-    product has the same bits whatever rows share its batch."""
+    letter, multiplies the prefix's rows, one or many, as one (rows*k, k)
+    GEMM.  That a row's product has the same bits whatever rows share its
+    batch holds for the BLAS build at hand, not by construction: a build
+    whose GEMM blocks its M dimension differently could break it, and
+    tests/test_microstates.py::test_each_row_is_traced_alone checks it."""
     j = len(word)
     while word[:j] not in cache:
         j -= 1
@@ -114,7 +117,7 @@ def _word_product(cache, word, ws=rng.FRESH):
     for i in range(j, len(word)):
         b = cache[word[i : i + 1]]
         out = ws.take((max(len(acc), len(b)),) + acc.shape[1:], acc.dtype)
-        if b.ndim == 3 and len(b) == 1 < len(acc):
+        if b.ndim == 3 and len(b) == 1 <= len(acc):
             k = acc.shape[-1]
             np.matmul(acc.reshape(-1, k), b[0], out=out.reshape(-1, k))
         else:

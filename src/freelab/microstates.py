@@ -522,30 +522,24 @@ def _trace(cache, w, ws=rng.FRESH, real=False):
     """Trace of the word w = uv with |u| = ceil(|w|/2) per row, so only
     products up to half the depth are formed.
 
-    A tail v that reads the same reversed is Hermitian, so tr(uv) =
-    sum(u * conj(v)): one contiguous inner product of the rows' float64 views
-    (a Y-only v of one row broadcasts), plus an imaginary part from their odd
-    and even columns unless ``real`` says the word's reversal is one of its
-    rotations; then the real trace alone is returned.  Other tails keep
-    sum(u * v^T).  Exact only to rounding, but a row's bits never depend on
-    the rows that share its batch (a BLAS gemv's would, so none is used).
+    When ``real`` says the word's reversal is one of its rotations, so its
+    trace is real, the real trace alone is returned; if the tail v also reads
+    the same reversed, v is Hermitian and tr(uv) = sum(u * conj(v)) is one
+    contiguous inner product of the rows' float64 views (a Y-only v of one
+    row broadcasts).  Other words keep sum(u * v^T).  Exact only to rounding,
+    but a row's bits never depend on the rows that share its batch (a BLAS
+    gemv's would, so none is used).
     """
     h = (len(w) + 1) // 2
     u = matcore._word_product(cache, w[:h], ws)
     tail = w[h:]
     if not tail:
         t = np.einsum("...ii->...", u)
-    elif tail != tail[::-1]:
-        t = np.einsum("...ij,...ji->...", u, matcore._word_product(cache, tail, ws))
-    else:
+    elif real and tail == tail[::-1]:
         v = matcore._word_product(cache, tail, ws)
-        a, b = (p.reshape(len(p), -1).view(np.float64) for p in (u, v))
-        re = np.einsum("mi,mi->m", a, b)
-        if real:
-            return re
-        t = re.astype(np.complex128)
-        t.imag = np.einsum("mi,mi->m", a[:, 1::2], b[:, ::2])
-        t.imag -= np.einsum("mi,mi->m", a[:, ::2], b[:, 1::2])
+        return np.einsum("mi,mi->m", *(p.reshape(len(p), -1).view(np.float64) for p in (u, v)))
+    else:
+        t = np.einsum("...ij,...ji->...", u, matcore._word_product(cache, tail, ws))
     return t.real if real else t
 
 
