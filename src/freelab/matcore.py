@@ -230,7 +230,7 @@ def frobenius_norms(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("mij,mij->m", re, re))
 
 
-def norms_leq(stack: np.ndarray, radius: float, sq_frob=None) -> np.ndarray:
+def norms_leq(stack: np.ndarray, radius: float, squares=None) -> np.ndarray:
     """Boolean mask: operator norm <= radius, per stack entry.
 
     Three tests in order, each taking only what the previous left open:
@@ -238,17 +238,17 @@ def norms_leq(stack: np.ndarray, radius: float, sq_frob=None) -> np.ndarray:
     ||x||_op <= (Tr x^4)^(1/4) = ||x^2||_F^(1/2), held to
     radius * (1 - _CERT_MARGIN) so that rounding in x^2 cannot certify a
     norm above the radius; and an eigen-solve of the band neither
-    resolves.  ``sq_frob`` gives ||x^2||_F per entry when the caller
-    already holds the squares; otherwise the band's squares are formed here.
+    resolves.  ``squares`` gives x x per entry when the caller already
+    holds them; otherwise the band's squares are formed here.
     """
     out = frobenius_norms(stack) <= radius
     band = np.flatnonzero(~out)
     if band.size:
-        if sq_frob is None:
+        if squares is None:
             sub = stack[band]
             sq = frobenius_norms(sub @ sub)
         else:
-            sq = sq_frob[band]
+            sq = frobenius_norms(squares)[band]
         cert = sq <= (radius * (1.0 - _CERT_MARGIN)) ** 2
         out[band[cert]] = True
         rest = band[~cert]

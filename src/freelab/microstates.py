@@ -14,10 +14,12 @@ inner product (matcore's lambda coordinates), and the reported
 extrapolation is max over k of (value - stderr).  ``estimate_chi`` is
 the one sweep over k, with every setting in one checked ``Sweep``: at
 each k the sup over a pool of fixed Y-candidates, where the plain
-estimate (m = 0) is the pool of one empty candidate.  An estimate
-settles the fixed Y tuple (its norms and its Y-only words) before any
-draw, by the one step that also keeps a Y candidate, and traces only the
-words with an X letter on the samples.
+estimate (m = 0) is the pool of one empty candidate.  One membership
+pass tests a block of rows, each word's trace and then each letter's
+norm: an estimate passes the fixed Y tuple through it, as one row of Y
+letters on the Y-only words, before any draw (the one step that also
+keeps a Y candidate), then each block of samples on the words with an X
+letter, starting from the Y tuple's products.
 
 Targets come from an explicit table (tracial symmetry enforced: values
 constant on cyclic rotations and reversals, words canonicalized by
@@ -44,6 +46,7 @@ of that row alone, so the draws, weights and log-volumes are bitwise too.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -79,9 +82,11 @@ def _min_rotation(w: Tuple[int, ...]) -> Tuple[int, ...]:
     return min((w[s:] + w[:s] for s in range(len(w))), default=w)
 
 
-def canonical_words(letters: int, length: int) -> List[Tuple[int, ...]]:
-    """The canonical words of one length in letters 1..letters, sorted."""
-    return sorted({canonical_word(w) for w in product(range(1, letters + 1), repeat=length)})
+@functools.cache
+def canonical_words(letters: int, length: int) -> Tuple[Tuple[int, ...], ...]:
+    """The canonical words of one length in letters 1..letters, sorted, memoized."""
+    words = {canonical_word(w) for w in product(range(1, letters + 1), repeat=length)}
+    return tuple(sorted(words))
 
 
 def _real_word(w: Tuple[int, ...]) -> bool:
@@ -313,7 +318,6 @@ class TracialSpec:
                     break
         if problems:
             raise SpecError(problems)
-        self._words_cache: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
 
     # factories -----------------------------------------------------------
 
@@ -360,12 +364,8 @@ class TracialSpec:
         return not w or w in self.targets
 
     def required_words(self, l: int) -> Tuple[Tuple[int, ...], ...]:
-        """canonical_words of each length 1..l in turn, cached."""
-        if l not in self._words_cache:
-            self._words_cache[l] = tuple(
-                w for length in range(1, l + 1) for w in canonical_words(self.letters, length)
-            )
-        return self._words_cache[l]
+        """canonical_words of each length 1..l in turn."""
+        return tuple(w for j in range(1, l + 1) for w in canonical_words(self.letters, j))
 
     # serialization ------------------------------------------------------------
 
@@ -571,39 +571,44 @@ def _compact(ok, a, ws):
     return a[:live]
 
 
-def _trace_filter(words, xstack, eps, ycache, ws):
-    """Rows of the (n, count, k, k) xstack whose every word traces within eps
-    of its target (``words``: (word, real, target) as _member_test prices them).
+def _trace_filter(words, block, first, p, cache, ws):
+    """The one membership pass: which rows of a letter-major (letters, count,
+    k, k) block, its letters numbered first, first + 1, ..., lie in window p.
 
-    Products start from ``ycache`` (Y letters and Y-only products) and the
-    X letters xstack[i - 1] as products of length 1; the others are taken
-    from the workspace ``ws`` and handed back on return.  Rejected rows are
-    dropped after each word, but moved (to the front of each X letter and
-    product, in place) only once the survivors are at most half the rows
-    held: a chunk that mostly survives moves once, at the end, letters only.
-    Returns the surviving rows in order, the front of xstack, and per X
-    letter the ||x_i^2||_F of those rows if the filter formed x_i^2, else None.
+    Each word of ``words`` ((word, real, target) as _member_test prices them)
+    must trace within eps of its target, then each letter's operator norm
+    must be <= R (matcore.norms_leq, given the letter's square when a word
+    formed it, for the x^4 certificate).  Products start from ``cache``
+    (earlier letters and their products) and the block's letters as products
+    of length 1, and each one formed is added to it: taken from the workspace
+    ``ws`` and handed back on return, or with rng.FRESH kept in ``cache`` for
+    a later pass.  Rejected rows are dropped after each test, but moved (to
+    the front of each letter and product with a letter of the block, in
+    place) only once the survivors are at most half the rows held: a block
+    that mostly survives moves once, at the end, letters only.  Returns the
+    surviving rows in order, the front of the block.
     """
-    n, k = len(xstack), xstack.shape[-1]
-    ok = np.ones(xstack.shape[1], dtype=bool)
+    k, last = block.shape[-1], first + len(block) - 1
+    ok = np.ones(block.shape[1], dtype=bool)
     with ws:
-        cache = {**ycache, **{(i,): x for i, x in enumerate(xstack, start=1)}}
+        cache.update({(i,): x for i, x in enumerate(block, start=first)})
         for w, real, tgt in words:
-            ok &= np.abs(_trace(cache, w, ws, real) / k - tgt) < eps
+            ok &= np.abs(_trace(cache, w, ws, real) / k - tgt) < p.eps
             live = np.count_nonzero(ok)
             if not live:
-                return xstack[:, :0], [None] * n
+                return block[:, :0]
             if 2 * live <= len(ok):
-                # X letters and products with one carry the rows; Y ones do not
-                cache = {
-                    key: _compact(ok, a, ws) if min(key) <= n else a for key, a in cache.items()
-                }
+                # letters from an earlier pass come after the block's (Y after X), so
+                # a product holds the rows exactly when its least letter is the block's
+                cache.update(
+                    {key: _compact(ok, a, ws) for key, a in cache.items() if min(key) <= last}
+                )
                 ok = np.ones(live, dtype=bool)
-        sq = [cache.get((i, i)) for i in range(1, n + 1)]
-        sq = [None if a is None else matcore.frobenius_norms(a)[ok] for a in sq]
-    for x in xstack:  # once the products are handed back: a copy reuses their memory
+        for i in range(first, last + 1):
+            ok &= matcore.norms_leq(cache[(i,)], p.radius, cache.get((i, i)))
+    for x in block:  # once the products are handed back: a copy reuses their memory
         _compact(ok, x[: len(ok)], ws)
-    return xstack[:, : np.count_nonzero(ok)], sq
+    return block[:, : np.count_nonzero(ok)]
 
 
 def _member_test(spec, p):
@@ -611,16 +616,13 @@ def _member_test(spec, p):
     targets, and the split into Y-only words and words with an X letter).
 
     ``settle(yarrs)`` is the one test of a Y-microstate, for an estimate's
-    fixed Y tuple (an (m, k, k) stack) and y_candidates alike: every Y
-    matrix has operator norm <= R and every Y-only word traces strictly
-    within eps of its target, traced as the filter would, its products kept
-    to seed the filter.  It returns None when the Y tuple fails, else
-    member(xstack, ws), the rows of an (n, count, k, k) stack of X letters,
-    in order, whose words with an X letter trace within eps too and whose X
-    matrices have operator norm <= R: matcore.norms_leq sees only the
-    filter's survivors, letter by letter, with the x^4 certificate ||x||_op
-    <= ||x^2||_F^(1/2) from their squares.  Each letter's member rows move
-    to its front, and xstack's front is returned, so xstack is scratch.
+    fixed Y tuple (an (m, k, k) stack) and y_candidates alike: _trace_filter
+    on the Y-only words, with the tuple as a one-row block of letters
+    n+1..n+m and rng.FRESH as its workspace, so the Y letters and their
+    products stay in the cache that seeds each X pass.  It returns None when
+    the Y tuple fails, else member(xstack, ws): the same pass on the words
+    with an X letter, over an (n, count, k, k) stack of X letters, whose
+    member rows it moves to xstack's front and returns, so xstack is scratch.
     """
     if p.l > spec.l_max and spec.generator is None:
         raise SpecTooShallow([f"l={p.l} exceeds the table depth l_max={spec.l_max}"])
@@ -629,23 +631,13 @@ def _member_test(spec, p):
     words = [c for c in words if min(c[0]) <= spec.n]
 
     def settle(yarrs=None):
-        ycache = {}  # each Y letter as one (1, k, k) matrix
+        ycache = {}
         if yarrs is not None:
-            if not matcore.norms_leq(yarrs, p.radius).all():
+            if not _trace_filter(yonly, yarrs[:, None], spec.n + 1, p, ycache, rng.FRESH).size:
                 return None
-            ycache = {(i,): y[None] for i, y in enumerate(yarrs, start=spec.n + 1)}
-            for w, real, tgt in yonly:
-                if not (np.abs(_trace(ycache, w, real=real) / p.k - tgt) < p.eps).all():
-                    return None
 
         def member(xstack, ws=rng.FRESH):
-            xs, squares = _trace_filter(words, xstack, p.eps, ycache, ws)
-            inside = np.ones(xs.shape[1], dtype=bool)
-            for x, sq in zip(xs, squares):
-                inside &= matcore.norms_leq(x, p.radius, sq)
-            for x in xs:
-                _compact(inside, x, ws)
-            return xs[:, : np.count_nonzero(inside)]
+            return _trace_filter(words, xstack, 1, p, dict(ycache), ws)
 
         return member
 

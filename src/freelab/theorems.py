@@ -237,7 +237,6 @@ def _chk_gen(s):
     powers = (2, 1)
     sc = _sc()
     tb = spectra.SpectralMeasure.atomic([(-1.0, 0.25), (0.0, 0.5), (1.0, 0.25)])
-    model = ms.FreeModel([sc, tb], [0, 1])
     spec_y = ms.TracialSpec.free_model(1, 1, s.l, [sc, tb], [0, 1])
 
     # targets for (X, Y^p1, ..., Y^pr) by expanding letters into ys, which keeps a word's class
@@ -248,7 +247,7 @@ def _chk_gen(s):
     for length in range(1, s.l + 1):
         for word in ms.canonical_words(1 + len(powers), length):
             flat = tuple(i for letter in word for i in expand[letter])
-            targets[word] = model.word_moment(ms.canonical_word(flat))
+            targets[word] = spec_y.generator.word_moment(ms.canonical_word(flat))
     spec_z = ms.TracialSpec.from_targets(1, len(powers), s.l, targets)
 
     # one pool per k, proposed once: both sweeps measure it, Z each candidate's powers

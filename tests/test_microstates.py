@@ -341,7 +341,7 @@ def test_canonical_words_are_the_bracelets(letters):
     by_length = [ms.canonical_words(letters, n) for n in range(1, 8)]
     assert [len(words) for words in by_length] == BRACELETS[letters]
     for words in by_length:  # distinct canonical words, as many as the classes: all of them
-        assert words == sorted(set(words))
+        assert words == tuple(sorted(set(words)))
         assert all(ms.canonical_word(w) == w for w in words)
     for l in range(5):
         concat = tuple(w for words in by_length[:l] for w in words)
@@ -945,6 +945,25 @@ def test_a_y_tuple_failing_a_y_only_word_draws_nothing(monkeypatch, sampler):
     assert (ve.log_volume, ve.stderr_log, ve.accepted) == (float("-inf"), float("inf"), 0)
     radius = p.radius if sampler == "importance" else math.sqrt(1.0 + p.eps)
     assert ve.upper_bound == matcore.ball_log_volume(3, radius) - math.log(1000)
+
+
+@pytest.mark.parametrize("sampler", ["importance", "ball"])
+def test_a_y_tuple_failing_only_the_norm_draws_nothing(monkeypatch, sampler):
+    # y = diag(1, -1) traces every Y-only word of the two-atom law exactly,
+    # but ||y|| = 1 > R = 0.9: the norm test, run after the words, rules it out
+    spec = free_pair_spec(4)
+    p = MicrostateParams(k=2, l=4, eps=0.2, radius=0.9)
+    y = tuple_of([np.diag([1.0, -1.0]).astype(complex)])
+    assert ms._member_test(spec, p)(y.stack()) is None
+    assert ms.y_candidates(spec, p, 2, seed=6) == []  # every two-atom Y at k=2 is y's orbit
+    draws = []
+    for name in ("gue_stack", "ball_stack"):
+        monkeypatch.setattr(matcore, name, lambda *a, name=name, **kw: draws.append(name))
+    ve = ms.estimate_volume(spec, p, sampler, y, nsamples=1000, seed=3)
+    assert draws == []
+    assert (ve.log_volume, ve.stderr_log, ve.accepted) == (float("-inf"), float("inf"), 0)
+    radius = p.radius if sampler == "importance" else min(p.radius, math.sqrt(1.0 + p.eps))
+    assert ve.upper_bound == matcore.ball_log_volume(2, radius) - math.log(1000)
 
 
 def test_volume_validation_errors():
