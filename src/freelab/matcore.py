@@ -13,7 +13,9 @@ coordinate system is
     sqrt(2) * Im x_ij         (i < j),
 
 k^2 real coordinates in total, and "lambda" always means Lebesgue
-measure in these coordinates.  Tuples carry the product measure.
+measure in these coordinates.  Tuples carry the product measure.  One
+gather index, :func:`_gather_index`, fixes their order for
+:func:`to_coords`, :func:`sa_basis` and the samplers alike.
 """
 
 import math
@@ -126,50 +128,8 @@ def _word_product(cache, word, ws=rng.FRESH):
     return acc
 
 
-def sa_basis(k: int, start: int, stop: int) -> np.ndarray:
-    """Elements start..stop-1 of the k^2-element orthonormal Hermitian
-    basis for <a,b> = Tr(ab), as a (stop - start, k, k) stack.
-
-    Order: diagonal units E_ii (i ascending), then for each i < j the
-    pair (E_ij + E_ji)/sqrt(2), (iE_ij - iE_ji)/sqrt(2), row-major in
-    (i, j).  Coordinates in this basis are exactly the lambda
-    coordinates of the module docstring.  Only the asked-for elements
-    are built, and nothing is kept: the whole basis at k = 32 is 16 MB.
-    """
-    c = np.arange(start, stop)
-    basis = np.zeros((c.size, k, k), dtype=np.complex128)
-    diag = c < k
-    pos = np.arange(c.size)
-    basis[pos[diag], c[diag], c[diag]] = 1.0
-    pair, imag = np.divmod(c[~diag] - k, 2)
-    iu, ju = np.triu_indices(k, 1)
-    i, j, pos = iu[pair], ju[pair], pos[~diag]
-    inv = 1.0 / math.sqrt(2.0)
-    basis[pos, i, j] = np.where(imag, 1j * inv, inv)
-    basis[pos, j, i] = np.where(imag, -1j * inv, inv)
-    return basis
-
-
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT2 = 1.0 / _SQRT2
-
-
-def to_coords(h: np.ndarray) -> np.ndarray:
-    """Lambda coordinates of a Hermitian matrix (or (..., k, k) stack).
-
-    Layout matches :func:`sa_basis`: k diagonal entries, then
-    (sqrt(2) Re x_ij, sqrt(2) Im x_ij) for i < j in row-major order.
-    """
-    h = np.asarray(h)
-    k = h.shape[-1]
-    lead = h.shape[:-2]
-    iu, ju = np.triu_indices(k, 1)
-    out = np.empty(lead + (k * k,))
-    out[..., :k] = np.einsum("...ii->...i", h).real
-    off = h[..., iu, ju]
-    out[..., k::2] = _SQRT2 * off.real
-    out[..., k + 1 :: 2] = _SQRT2 * off.imag
-    return out
 
 
 def _ext_width(k: int) -> int:
@@ -180,7 +140,10 @@ def _ext_width(k: int) -> int:
 @lru_cache(maxsize=64)
 def _gather_index(k: int) -> np.ndarray:
     """(k, 2k) index into the extended coordinate row, one per float of a row
-    of the complex (k, k) output: real and imaginary part of each entry."""
+    of the complex (k, k) output: real and imaginary part of each entry.
+    The one definition of the lambda layout: coordinate d < k is entry (d, d),
+    and k + 2p, k + 2p + 1 are Re and Im of the p-th entry above the diagonal,
+    row-major."""
     kk = k * k
     iu, ju = np.triu_indices(k, 1)
     pos = k + 2 * np.arange(iu.size)  # real part of pair p; the imaginary follows
@@ -212,6 +175,31 @@ def _hermitian_into(ext: np.ndarray, k: int, out: np.ndarray) -> None:
     ext[..., -1] = 0.0
     # the index is in range by construction; mode="raise" would buffer out
     np.take(ext, _gather_index(k), axis=-1, out=out.view(np.float64), mode="clip")
+
+
+def sa_basis(k: int, start: int, stop: int) -> np.ndarray:
+    """Elements start..stop-1 of the k^2-element orthonormal Hermitian
+    basis for <a,b> = Tr(ab), as a (stop - start, k, k) stack: element c has
+    the unit lambda coordinate vector e_c.  Only the asked-for elements are
+    built, and nothing is kept: the whole basis at k = 32 is 16 MB."""
+    ext = np.zeros((stop - start, _ext_width(k)))
+    ext[np.arange(stop - start), np.arange(start, stop)] = 1.0
+    basis = np.empty((stop - start, k, k), dtype=np.complex128)
+    _hermitian_into(ext, k, basis)
+    basis += 0.0  # the gather negates a zero imaginary part to -0.0
+    return basis
+
+
+def to_coords(h: np.ndarray) -> np.ndarray:
+    """Lambda coordinates of a Hermitian matrix (or (..., k, k) stack), each
+    read from its first float in :func:`_gather_index`, the diagonal or
+    upper-triangle entry, and scaled by sqrt(2) off the diagonal."""
+    h = np.ascontiguousarray(h, dtype=np.complex128)
+    k = h.shape[-1]
+    first = np.unique(_gather_index(k), return_index=True)[1][: k * k]
+    out = np.take(h.view(np.float64).reshape(h.shape[:-2] + (2 * k * k,)), first, axis=-1)
+    out[..., k:] *= _SQRT2
+    return out
 
 
 # ---------------------------------------------------------------------------

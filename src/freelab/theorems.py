@@ -377,8 +377,7 @@ def _brown_measure(t: float) -> spectra.SpectralMeasure:
     The Cauchy transform solves t^2 G^3 - 2tzG^2 + (z^2 - 1 + t)G - z = 0;
     the density is the imaginary part of the lower-half-plane root.  The
     roots are the eigenvalues of the companion matrices that np.roots
-    builds, solved in one batch; at z = 0 np.roots strips the zero
-    constant term, so that node keeps its own np.roots call.
+    builds, solved in one batch.
     """
     edge = 1.0 + 2.0 * math.sqrt(t) + 0.25
     xs = np.linspace(-edge, edge, _BROWN_N)
@@ -386,9 +385,7 @@ def _brown_measure(t: float) -> spectra.SpectralMeasure:
     comp = np.zeros((_BROWN_N, 3, 3))
     comp[:, 1, 0] = comp[:, 2, 1] = 1.0
     comp[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
-    imag = np.array(np.linalg.eigvals(comp).imag)  # writable even if every root is real
-    for i in np.flatnonzero(xs == 0.0):
-        imag[i] = np.roots(coeffs[i]).imag
+    imag = np.linalg.eigvals(comp).imag
     low = np.where(imag < -1e-10, imag, np.inf).min(axis=1)
     rho = np.where(np.isfinite(low), -low / math.pi, 0.0)
     mass = float(np.trapezoid(rho, xs))

@@ -479,6 +479,28 @@ def test_chi_mc_malformed_spec_exits_2_listing_every_problem(tmp_path, capsys, b
     assert listed == problems
 
 
+# an integer literal with 401 digits: valid JSON, but float() of it overflows
+HUGE = 10**400
+
+
+@pytest.mark.parametrize("body,problem", [
+    ({"l_max": 1, "targets": [{"word": [1], "value": HUGE}]},
+     f"targets[1]: value {HUGE!r} is not finite"),
+    ({"l_max": 2, "generator": {"kind": "matrix", "matrices": [[[[HUGE, 0]]]]}},
+     "generator: field 'matrices' must hold square matrices of [re, im] entries ("),
+], ids=["target-value", "matrix-entry"])
+def test_chi_mc_integer_too_large_for_a_float_exits_2(tmp_path, capsys, body, problem):
+    spec = write_json(tmp_path / "huge.json", {"n": 1, "m": 0, **body})
+    code, out, err = run(capsys, "chi-mc", "--spec", spec, "--k", "2", "--samples", "100",
+                         "--l", "1")
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert lines[0] == "error: invalid specification:"
+    assert len(lines) == 2 and lines[1].startswith(f"  - {problem}")
+
+
 @pytest.mark.parametrize("flag", ["--eps", "--radius"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_chi_mc_non_finite_window_exits_2_before_sampling(tmp_path, capsys, monkeypatch,
@@ -850,6 +872,27 @@ def test_check_bad_settings_exit_2_before_any_check(tmp_path, capsys, monkeypatc
     assert "Traceback" not in err
     for problem in problems:
         assert problem in err
+
+
+@pytest.mark.parametrize("key", ["eps", "radius"])
+def test_check_config_integer_too_large_for_a_float_exits_2(tmp_path, capsys, monkeypatch, key):
+    def no_check(cid, **cfg):
+        raise AssertionError("ran a check with bad settings")
+
+    monkeypatch.setattr(cli.theorems, "check", no_check)
+    config = write_json(tmp_path / "cfg.json", {key: HUGE})
+    code, out, err = run(capsys, "check", "T-BLOCK", "--config", config)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err == f"error: invalid settings:\n  - {key} must be positive and finite, not {HUGE!r}\n"
+
+
+@pytest.mark.parametrize("key", ["eps", "radius"])
+def test_sweep_rejects_an_integer_too_large_for_a_float(key):
+    window = {"l": 2, "eps": 0.1, "radius": 4.0, key: HUGE}
+    with pytest.raises(ms.SettingsError, match=f"{key} must be positive and finite"):
+        ms.Sweep((2,), **window)
 
 
 def test_check_statistical_failure_keeps_exit_zero(monkeypatch, capsys):

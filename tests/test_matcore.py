@@ -118,6 +118,37 @@ def test_coords_roundtrip_and_parseval():
         assert abs(np.sum(c * c) - np.trace(m @ m).real) < 1e-10
 
 
+def _to_coords_ref(h):
+    # the explicit formula: diagonal real parts, then sqrt(2) Re and
+    # sqrt(2) Im of each upper-triangle entry, row-major
+    h = np.asarray(h)
+    k = h.shape[-1]
+    iu, ju = np.triu_indices(k, 1)
+    out = np.empty(h.shape[:-2] + (k * k,))
+    out[..., :k] = np.einsum("...ii->...i", h).real
+    off = h[..., iu, ju]
+    out[..., k::2] = math.sqrt(2.0) * off.real
+    out[..., k + 1 :: 2] = math.sqrt(2.0) * off.imag
+    return out
+
+
+@given(k=st.integers(1, 16), lead=st.lists(st.integers(0, 3), max_size=2),
+       seed=st.integers(0, 999))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_to_coords_matches_the_explicit_formula_bits(k, lead, seed):
+    gen = np.random.default_rng(seed)
+    shape = tuple(lead) + (k, k)
+    raw = gen.normal(size=shape) + 1j * gen.normal(size=shape)
+    h = raw + np.conj(np.swapaxes(raw, -1, -2))
+    h[gen.random(shape) < 0.2] = -0.0  # signed zeros, and a lower triangle to ignore
+    wide = np.zeros(shape[:-1] + (2 * k,), dtype=np.complex128)
+    wide[..., ::2] = h
+    for x in (h, wide[..., ::2], h.real):  # contiguous, a strided view, a real input
+        got = matcore.to_coords(x)
+        assert got.shape == tuple(lead) + (k * k,) and got.dtype == np.float64
+        assert np.array_equal(_bits(got), _bits(_to_coords_ref(x)))
+
+
 def test_eigenvalues_satisfy_char_poly():
     # oracle: |det(m - lam I)| relative to the determinant scale
     for s in range(10):
