@@ -101,6 +101,8 @@ def _load_json(path: str, what: str) -> dict:
         raise UsageError(
             f"{what} parse failure at line {e.lineno}, column {e.colno}: {e.msg}"
         )
+    except ValueError as e:  # such as an integer past Python's digit limit
+        raise UsageError(f"{what} parse failure: {e}")
 
 
 # --- chi-single -----------------------------------------------------------------

@@ -249,12 +249,15 @@ def norms_leq(stack: np.ndarray, radius: float, squares=None) -> np.ndarray:
 # Samplers
 
 
-def _fill_stack(out, count, k, seed, start, block, finish, ws) -> np.ndarray:
+def _fill_stack(out, count, k, seed, start, block, finish, ws, rows=None) -> np.ndarray:
     """Sampler pass shared by :func:`gue_stack` and :func:`ball_stack`.
 
-    Sample ``index`` reads the counter block [B*(start+index), B*(start+index+1))
-    with B = ``block``.  In one pass over all ``count`` rows, the first
-    2*ceil(k^2/2) words of each block become normals in an extended row,
+    Row r is sample ``index`` = r, or rows[r] when ``rows``, an ascending
+    array of ``count`` distinct sample indices, is given, and reads the
+    counter block [B*(start+index), B*(start+index+1)) with B = ``block``, so
+    a row's draw never depends on the other rows.  In one pass over all
+    ``count`` rows, the first 2*ceil(k^2/2) words of each block become
+    normals in an extended row,
     ``finish(e, rest, ws)`` turns the first k^2 into lambda coordinates in
     place (``rest``: the block's other words), and :func:`_hermitian_into`
     writes the matrices into ``out``, or a new array if None.  The scratch
@@ -272,11 +275,13 @@ def _fill_stack(out, count, k, seed, start, block, finish, ws) -> np.ndarray:
         # normals read them all before writing e, and the words past each
         # block's pairs (the ball's radius word) are copied out first.  Until
         # the gather, a contiguous out lends its memory to the other temporaries
-        rows = ws.take((count, max(width, block)))
-        e = rows[:, :width]
+        ext = ws.take((count, max(width, block)))
+        e = ext[:, :width]
         tmp = rng.Workspace(out) if out.flags.c_contiguous else ws
-        w = rows.reshape(-1).view(np.uint64)[: block * count]
-        w = rng.words(seed, block * start, block * count, _out=w, _ws=tmp).reshape(count, block)
+        w = ext.reshape(-1).view(np.uint64)[: block * count]
+        rows = np.arange(count) if rows is None else rows  # no gap: drawn as one run
+        w = rng.words(seed, block * start, block, _rows=rows, _out=w, _ws=tmp)
+        w = w.reshape(count, block)
         rest = tmp.take((count, block - npairs), np.uint64)
         rest[...] = w[:, npairs:]
         rng.normals_from_words(w[:, :npairs], out=e[:, :npairs], _ws=tmp)
@@ -286,7 +291,8 @@ def _fill_stack(out, count, k, seed, start, block, finish, ws) -> np.ndarray:
 
 
 def gue_stack(
-    k: int, count: int, variance: float, seed: int, start: int = 0, out=None, *, _ws=rng.FRESH
+    k: int, count: int, variance: float, seed: int, start: int = 0, out=None, *,
+    _ws=rng.FRESH, _rows=None,
 ) -> np.ndarray:
     """(count, k, k) Hermitian GUE stack with E[tau(x^2)] = variance.
 
@@ -301,7 +307,9 @@ def gue_stack(
     through the same operations in the same order, so neither a split of
     ``[start, start+count)`` nor filling ``out`` (a complex128 (count, k, k)
     array or strided view) can change a draw.  The private
-    :class:`rng.Workspace` ``_ws`` lends the scratch.
+    :class:`rng.Workspace` ``_ws`` lends the scratch, and the private
+    ``_rows``, ``count`` ascending sample indices, draws row r as sample
+    start + _rows[r], with the bits that sample has in a contiguous call.
     """
     if variance <= 0:
         raise ValueError("variance must be positive")
@@ -311,7 +319,7 @@ def gue_stack(
     def finish(e, rest, ws):
         e[:, :kk] *= scale
 
-    return _fill_stack(out, count, k, seed, start, 2 * ((kk + 1) // 2), finish, _ws)
+    return _fill_stack(out, count, k, seed, start, 2 * ((kk + 1) // 2), finish, _ws, _rows)
 
 
 def sample_gue(k: int, variance: float, seed: int) -> SelfAdjointMatrix:
@@ -332,7 +340,8 @@ def ball_log_volume(k: int, radius: float) -> float:
 
 
 def ball_stack(
-    k: int, count: int, radius: float, seed: int, start: int = 0, out=None, *, _ws=rng.FRESH
+    k: int, count: int, radius: float, seed: int, start: int = 0, out=None, *,
+    _ws=rng.FRESH, _rows=None,
 ) -> np.ndarray:
     """(count, k, k) stack uniform in the HS ball of radius R*sqrt(k).
 
@@ -341,7 +350,8 @@ def ball_stack(
     word at offset B-2 feeds the radius uniform (B-1 is spare).  Each
     coordinate is g * (rho * u^(1/d) / |g|), then placed as in
     :func:`_hermitian_into` as for :func:`gue_stack`; a split of the counter
-    range, filling ``out`` or a workspace ``_ws`` cannot change a draw.
+    range, filling ``out``, a workspace ``_ws`` or the rows ``_rows`` cannot
+    change a draw.
     """
     d = k * k
     npairs = 2 * ((d + 1) // 2)
@@ -355,4 +365,4 @@ def ball_stack(
         r[r == 0.0] = 1.0  # measure-zero guard
         g *= (rho * u ** (1.0 / d) / r)[:, None]
 
-    return _fill_stack(out, count, k, seed, start, npairs + 2, finish, _ws)
+    return _fill_stack(out, count, k, seed, start, npairs + 2, finish, _ws, _rows)

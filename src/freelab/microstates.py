@@ -36,8 +36,9 @@ acceptances yield -inf with a recorded one-sided upper bound.  Sampling
 is chunked over fixed index ranges of the counter-based generator and
 reduced in chunk order, so results are bit-identical for any thread
 count (0 means every core).  Each chunk streams through sub-blocks of
-rows, each drawn (one sampler pass per letter), tested and weighed before
-the next in one workspace per worker, kept across calls; their size, 1 MiB
+rows, each tested and weighed before the next in one workspace per worker,
+kept across calls; a letter is drawn (one sampler pass) only for the rows
+that passed the words of the letters before it.  The sub-blocks' size, 1 MiB
 of matrices per thread at any k, is the estimator's alone and only bounds
 memory, so it cannot change a result.  The filter's word traces are exact
 only to rounding, but each row's traces, and so its verdict, are a function
@@ -572,40 +573,79 @@ def _compact(ok, a, ws):
     return a[:live]
 
 
-def _trace_filter(words, block, first, p, cache, ws):
+def _stages(words, first, last):
+    """``words`` split by their largest letter in first..last, one list per
+    letter in order, each keeping the words' order."""
+    stages = [[] for _ in range(first, last + 1)]
+    for c in words:
+        stages[max(i for i in c[0] if i <= last) - first].append(c)
+    return stages
+
+
+def _trace_filter(stages, block, first, p, cache, ws, fill=None, ids=None):
     """The one membership pass: which rows of a letter-major (letters, count,
     k, k) block, its letters numbered first, first + 1, ..., lie in window p.
 
-    Each word of ``words`` ((word, real, target) as _member_test prices them)
-    must trace within eps of its target, then each letter's operator norm
-    must be <= R (matcore.norms_leq, given the letter's square when a word
-    formed it, for the x^4 certificate).  Products start from ``cache``
-    (earlier letters and their products) and the block's letters as products
-    of length 1, and each one formed is added to it: taken from the workspace
-    ``ws`` and handed back on return, or with rng.FRESH kept in ``cache`` for
-    a later pass.  Rejected rows are dropped after each test, but moved (to
-    the front of each letter and product with a letter of the block, in
-    place) only once the survivors are at most half the rows held: a block
-    that mostly survives moves once, at the end, letters only.  Returns the
-    surviving rows in order, the front of the block.
+    It runs one stage per letter i of the block, in order: each word of
+    ``stages[i - first]`` ((word, real, target) as _member_test prices them,
+    every word whose largest letter of the block is i) must trace within eps
+    of its target, then letter i's operator norm must be <= R
+    (matcore.norms_leq, given the letter's square when a word formed it, for
+    the x^4 certificate).  A row's verdict is the AND of its tests, so their
+    order cannot change it.  Products start from ``cache`` (earlier letters
+    and their products) and the block's letters as products of length 1, and
+    each one formed is added to it: taken from the workspace ``ws`` and
+    handed back on return, or with rng.FRESH kept in ``cache`` for a later
+    pass.  With ``fill``, the block is scratch: letter i is drawn at stage i,
+    fill(i - first, ids, out, ws), for the rows still alive only, their
+    sample indices ``ids`` (an int array of the block's rows).  Rejected rows
+    are dropped after each test, but moved (to the front of ids and of each
+    letter and product with a letter of the block, in place) only once the
+    survivors are at most half the rows held, or before a letter is drawn:
+    a block that mostly survives moves once, at the end, letters only.  A
+    letter or product from an earlier stage holds the block's rows, unlike
+    the one-row Y letters of an earlier pass, so it moves with the block,
+    and the final move takes every letter of the block.  The stages after
+    the first hold only the survivors, and take their draws, products and
+    moves from one slab the size of the block's later letters, taken from
+    ``ws`` at the second stage, so the workspace's depth does not depend on
+    how many rows survive (a stage that outgrows the slab, which only many
+    survivors can, takes new arrays).  Returns the surviving rows in order,
+    the front of the block.
     """
     k, last = block.shape[-1], first + len(block) - 1
     ok = np.ones(block.shape[1], dtype=bool)
+
+    def drop(ok, ids, ws):
+        # letters from an earlier pass come after the block's (Y after X), so
+        # a product holds the rows exactly when its least letter is the block's
+        cache.update({key: _compact(ok, a, ws) for key, a in cache.items() if min(key) <= last})
+        ids = ids if ids is None else _compact(ok, ids, ws)
+        return np.ones(np.count_nonzero(ok), dtype=bool), ids
+
     with ws:
-        cache.update({(i,): x for i, x in enumerate(block, start=first)})
-        for w, real, tgt in words:
-            ok &= np.abs(_trace(cache, w, ws, real) / k - tgt) < p.eps
-            live = np.count_nonzero(ok)
-            if not live:
-                return block[:, :0]
-            if 2 * live <= len(ok):
-                # letters from an earlier pass come after the block's (Y after X), so
-                # a product holds the rows exactly when its least letter is the block's
-                cache.update(
-                    {key: _compact(ok, a, ws) for key, a in cache.items() if min(key) <= last}
-                )
-                ok = np.ones(live, dtype=bool)
-        for i in range(first, last + 1):
+        if fill is None:
+            cache.update({(i,): x for i, x in enumerate(block, start=first)})
+        scratch = ws
+        for i, words in enumerate(stages, start=first):
+            if fill is not None:
+                live = np.count_nonzero(ok)
+                if not live:
+                    return block[:, :0]
+                if i == first + 1:
+                    scratch = rng.Workspace(ws.take(block[1:].shape, block.dtype))
+                if live < len(ok):
+                    ok, ids = drop(ok, ids, scratch)
+                x = cache[(i,)] = block[i - first, :live]
+                fill(i - first, ids, x, scratch)
+                ids = ids if i < last else None  # no later letter reads them
+            for w, real, tgt in words:
+                ok &= np.abs(_trace(cache, w, scratch, real) / k - tgt) < p.eps
+                live = np.count_nonzero(ok)
+                if not live:
+                    return block[:, :0]
+                if 2 * live <= len(ok):
+                    ok, ids = drop(ok, ids, scratch)
             ok &= matcore.norms_leq(cache[(i,)], p.radius, cache.get((i, i)))
     for x in block:  # once the products are handed back: a copy reuses their memory
         _compact(ok, x[: len(ok)], ws)
@@ -621,15 +661,17 @@ def _member_test(spec, p):
     on the Y-only words, with the tuple as a one-row block of letters
     n+1..n+m and rng.FRESH as its workspace, so the Y letters and their
     products stay in the cache that seeds each X pass.  It returns None when
-    the Y tuple fails, else member(xstack, ws): the same pass on the words
-    with an X letter, over an (n, count, k, k) stack of X letters, whose
+    the Y tuple fails, else member(xstack, ws, fill, ids): the same pass on
+    the words with an X letter, staged by their largest X letter, over an
+    (n, count, k, k) stack of X letters (drawn by ``fill`` at the sample
+    indices ``ids`` as the pass reaches each letter, when given), whose
     member rows it moves to xstack's front and returns, so xstack is scratch.
     """
     if p.l > spec.l_max and spec.generator is None:
         raise SpecTooShallow([f"l={p.l} exceeds the table depth l_max={spec.l_max}"])
     words = [(w, _real_word(w), spec.target(w)) for w in spec.required_words(p.l)]
-    yonly = [c for c in words if min(c[0]) > spec.n]
-    words = [c for c in words if min(c[0]) <= spec.n]
+    yonly = _stages([c for c in words if min(c[0]) > spec.n], spec.n + 1, spec.letters)
+    xwords = _stages([c for c in words if min(c[0]) <= spec.n], 1, spec.n)
 
     def settle(yarrs=None):
         ycache = {}
@@ -637,8 +679,8 @@ def _member_test(spec, p):
             if not _trace_filter(yonly, yarrs[:, None], spec.n + 1, p, ycache, rng.FRESH).size:
                 return None
 
-        def member(xstack, ws=rng.FRESH):
-            return _trace_filter(words, xstack, 1, p, dict(ycache), ws)
+        def member(xstack, ws=rng.FRESH, fill=None, ids=None):
+            return _trace_filter(xwords, xstack, 1, p, dict(ycache), ws, fill, ids)
 
         return member
 
@@ -684,8 +726,8 @@ def _ball(spec, p, seed):
     log_region = sum(matcore.ball_log_volume(k, r) for r in radii)
     seeds = [rng.derive(seed, 0xBA11, i) for i in range(n)]
 
-    def fill(i, start, out, ws):
-        matcore.ball_stack(k, len(out), radii[i], seeds[i], start=start, out=out, _ws=ws)
+    def fill(i, ids, out, ws):
+        matcore.ball_stack(k, len(out), radii[i], seeds[i], out=out, _ws=ws, _rows=ids)
 
     def weigh(xs, ws):
         return np.zeros(xs.shape[1])
@@ -708,8 +750,8 @@ def _importance(spec, p, seed):
     log_norm = sum(0.5 * k * k * math.log(2.0 * math.pi * v / k) for v in variances)
     seeds = [rng.derive(seed, 0x6A55, i) for i in range(n)]
 
-    def fill(i, start, out, ws):
-        matcore.gue_stack(k, len(out), variances[i], seeds[i], start=start, out=out, _ws=ws)
+    def fill(i, ids, out, ws):
+        matcore.gue_stack(k, len(out), variances[i], seeds[i], out=out, _ws=ws, _rows=ids)
 
     def weigh(xs, ws):
         logw = np.full(xs.shape[1], log_norm)
@@ -754,16 +796,19 @@ def _volume(spec, p, proposal, member, nsamples, threads) -> VolumeEstimate:
     Each chunk of _CHUNK samples streams through the fewest sub-blocks of
     equal rows that hold at most _SUBBLOCK_ENTRIES entries over all n
     letters.  Each worker holds one workspace (rng.Workspace) for the
-    chunk: ``fill(i, start, out, ws)`` draws a sub-block into the
-    workspace's (n, rows, k, k) buffer x, one sampler pass into each X
-    letter's contiguous rows x[i], and ``weigh(xs, ws)`` gives the
-    log-weights of its member rows, member(x, ws), before the next; every
-    temporary of the sampler, the filter and the weights is taken from the
-    workspace and handed back after its phase, so a warm workspace
-    allocates nothing per sub-block.  ``member`` None accepts no row, and
-    nothing is drawn.  Each row is drawn from its own counter block, tested
-    and weighed alone, and the chunks are reduced whole, in chunk order, so
-    neither the sub-blocks nor the thread count can change a result.  The
+    chunk, with an (n, rows, k, k) buffer x and the sample indices ids of a
+    sub-block's rows.  member(x, ws, fill, ids) draws X letter i + 1 only for
+    the rows that passed the words and norms of the letters before it:
+    ``fill(i, ids, out, ws)`` is one sampler pass into the front of the
+    letter's contiguous rows x[i], at the counter blocks of the live rows'
+    ids.  ``weigh(xs, ws)`` gives the log-weights of the member rows before
+    the next sub-block; every temporary of the sampler, the filter and the
+    weights is taken from the workspace and handed back after its phase, so
+    a warm workspace allocates nothing per sub-block.  ``member`` None
+    accepts no row, and nothing is drawn.  Each row is drawn from its own
+    counter block, tested and weighed alone, and the chunks are reduced
+    whole, in chunk order, so neither the sub-blocks, the stages nor the
+    thread count can change a result.  The
     log-weights w (volume over proposal density) of the accepted rows
     stream into (acc, mx = max w, s1 = sum e^(w - mx), s2 = sum e^(2(w -
     mx))), which ``close(acc, mx, s1, s2, N)`` turns into (log volume,
@@ -780,12 +825,12 @@ def _volume(spec, p, proposal, member, nsamples, threads) -> VolumeEstimate:
         parts = []
         with _workspace() as ws:
             buf = ws.take((n, rows, k, k), np.complex128)
+            ids = ws.take((rows,), np.intp)
             for r0 in range(0, count, rows):
-                x = buf[:, : min(rows, count - r0)]
-                for i in range(n):
-                    fill(i, c0 + r0, x[i], ws)
+                m = min(rows, count - r0)
+                np.add(np.arange(m), c0 + r0, out=ids[:m])
                 with ws:
-                    parts.append(weigh(member(x, ws), ws))
+                    parts.append(weigh(member(buf[:, :m], ws, fill, ids[:m]), ws))
         return np.concatenate(parts)
 
     chunks = [] if member is None else _run_chunks(work, range(0, nsamples, _CHUNK), threads)

@@ -102,30 +102,50 @@ def _mix64(z: np.ndarray, ws=FRESH) -> np.ndarray:
     return z
 
 
-def words(seed: int, start: int, count: int, *, _out=None, _ws=FRESH) -> np.ndarray:
+def words(seed: int, start: int, count: int, *, _rows=None, _out=None, _ws=FRESH) -> np.ndarray:
     """Raw stream words ``start .. start+count-1`` as uint64.
 
     The hash inputs z[i] = seed + GOLDEN_GAMMA * (start + 1 + i) mod 2**64
     are built from a short ramp by doubling, z[j:2j] = z[:j] + j *
-    GOLDEN_GAMMA, so no counter array is formed.  The samplers pass the
-    private ``_out``, a C-contiguous uint64 array of ``count`` words that
-    receives them instead of a new array, and ``_ws``, a
-    :class:`Workspace` that lends the finalizer's temporary.
+    GOLDEN_GAMMA, so no counter array is formed.  With the private
+    ``_rows``, an ascending array of distinct nonnegative row indices, the
+    stream is read as rows of ``count`` words instead: the result is
+    (len(_rows), count), and its row r holds words start + count * _rows[r]
+    onward, each hash input the row's offset plus the ramp of one row (or,
+    when the rows have no gap, one run built by doubling), so every word has
+    the bits it has in a contiguous call.  The samplers pass the private
+    ``_out``, a C-contiguous uint64 array of as many words, which receives
+    them instead of a new array, and ``_ws``, a :class:`Workspace` that
+    lends the temporaries.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    out = np.empty(count, dtype=np.uint64) if _out is None else _out
-    if out.size != count or out.dtype != np.uint64 or not out.flags.c_contiguous:
-        raise ValueError(f"_out must be a C-contiguous uint64 array of {count} words")
-    z = out.reshape(-1)
-    j = min(count, 1024)
-    np.multiply(np.arange(j, dtype=np.uint64), _U64(GOLDEN_GAMMA), out=z[:j])
-    z[:j] += _U64((seed + GOLDEN_GAMMA * (start + 1)) & _MASK)
-    while j < count:
-        m = min(j, count - j)
-        np.add(z[:m], _U64(GOLDEN_GAMMA * j & _MASK), out=z[j : j + m])
-        j += m
-    _mix64(z, _ws)
+    shape = (count,) if _rows is None else (len(_rows), count)
+    out = np.empty(shape, dtype=np.uint64) if _out is None else _out
+    if out.size != math.prod(shape) or out.dtype != np.uint64 or not out.flags.c_contiguous:
+        raise ValueError(f"_out must be a C-contiguous uint64 array of {math.prod(shape)} words")
+    z, gap = out.reshape(-1), False
+    if _rows is not None and len(_rows):  # the rows from _rows[0] on: one run unless a gap
+        start += count * int(_rows[0])
+        gap = int(_rows[-1] - _rows[0]) != len(_rows) - 1
+    base = _U64((seed + GOLDEN_GAMMA * (start + 1)) & _MASK)
+    with _ws:
+        if gap:
+            offset = _ws.take((len(_rows),), np.uint64)
+            np.subtract(_rows, _rows[0], out=offset, casting="unsafe")
+            offset *= _U64(GOLDEN_GAMMA * count & _MASK)
+            offset += base
+            ramp = np.multiply(np.arange(count, dtype=np.uint64), _U64(GOLDEN_GAMMA))
+            np.add(offset[:, None], ramp, out=z.reshape(shape))
+        else:
+            j = min(z.size, 1024)
+            np.multiply(np.arange(j, dtype=np.uint64), _U64(GOLDEN_GAMMA), out=z[:j])
+            z[:j] += base
+            while j < z.size:
+                m = min(j, z.size - j)
+                np.add(z[:m], _U64(GOLDEN_GAMMA * j & _MASK), out=z[j : j + m])
+                j += m
+        _mix64(z, _ws)
     return out
 
 

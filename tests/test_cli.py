@@ -888,6 +888,31 @@ def test_check_config_integer_too_large_for_a_float_exits_2(tmp_path, capsys, mo
     assert err == f"error: invalid settings:\n  - {key} must be positive and finite, not {HUGE!r}\n"
 
 
+@pytest.mark.parametrize("argv,what,doc", [
+    (["chi-mc", "--spec", "FILE", "--k", "2", "--samples", "100", "--l", "1"], "specification",
+     '{"n": 1, "m": 0, "l_max": 1, "targets": [{"word": [1], "value": DIGITS}]}'),
+    (["check", "T-BLOCK", "--config", "FILE"], "config", '{"eps": DIGITS}'),
+], ids=["chi-mc-spec", "check-config"])
+def test_an_integer_past_the_digit_limit_is_a_parse_failure(tmp_path, capsys, monkeypatch,
+                                                            argv, what, doc):
+    # json.load raises a plain ValueError for an integer literal of more than
+    # 4,300 digits, which exited 1 as a failed computation
+    def no_computation(*args, **kwargs):
+        raise AssertionError("computed from an input that does not parse")
+
+    monkeypatch.setattr(cli.ms, "estimate_volume", no_computation)
+    monkeypatch.setattr(cli.theorems, "check", no_computation)
+    path = tmp_path / "input.json"
+    path.write_text(doc.replace("DIGITS", "1" + "0" * 5000))
+    code, out, err = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {what} parse failure: ")
+    assert "4300" in err
+
+
 @pytest.mark.parametrize("key", ["eps", "radius"])
 def test_sweep_rejects_an_integer_too_large_for_a_float(key):
     window = {"l": 2, "eps": 0.1, "radius": 4.0, key: HUGE}

@@ -792,6 +792,105 @@ def test_the_sampler_fills_each_letter_of_a_sub_block_in_place(monkeypatch, samp
     assert all(out.flags.c_contiguous for out in outs)
 
 
+FREE_TRIPLE = TracialSpec.free_model(3, 0, 4, [semicircle(), two_atom(), semicircle()], [0, 1, 2])
+STAGED_CASES = {
+    # (sampler, k, l, radius): ball draws fail a depth-4 window at k = 2
+    "ball-k2": ("ball", 2, 2, 2.1),
+    "importance-k3": ("importance", 3, 3, 4.0),
+    "importance-k8": ("importance", 8, 4, 4.0),
+}
+
+
+def _recording_proposal(monkeypatch, weighed):
+    """Copy the rows each sub-block hands to weigh, in order."""
+    for name in ("_ball", "_importance"):
+        def proposal(spec, p, seed, make=getattr(ms, name)):
+            method, fill, weigh, close, region = make(spec, p, seed)
+
+            def recording(xs, ws):
+                weighed.append(xs.copy())
+                return weigh(xs, ws)
+
+            return method, fill, recording, close, region
+
+        monkeypatch.setattr(ms, name, proposal)
+
+
+@pytest.mark.parametrize("case", list(STAGED_CASES))
+@pytest.mark.parametrize("spec", [SPLIT_CASES["free-pair-k9"][0], FREE_TRIPLE],
+                         ids=["free-pair", "free-triple"])
+def test_staged_draws_equal_all_rows_draws(monkeypatch, spec, case):
+    # the filter draws X letter i only for the rows that passed the words of
+    # the letters before it; each staged row must have the bits of an all-rows
+    # draw, and the estimate and its member rows those of the all-rows pass
+    sampler, k, l, radius = STAGED_CASES[case]
+    p = MicrostateParams(k=k, l=l, eps=0.4, radius=radius)
+    nsamples = 4096 + 157  # two chunks, the second short
+
+    draws = []
+    for name in ("gue_stack", "ball_stack"):
+        def recording(k, count, param, seed, *a, sample=getattr(matcore, name), **kw):
+            out = sample(k, count, param, seed, *a, **kw)
+            draws.append((sample, k, param, seed, kw["_rows"].copy(), out.copy()))
+            return out
+
+        monkeypatch.setattr(matcore, name, recording)
+    weighed = []
+    _recording_proposal(monkeypatch, weighed)
+    staged = ms.estimate_volume(spec, p, sampler, nsamples=nsamples, seed=3, threads=1)
+    staged_rows, weighed[:] = weighed[:], []
+    assert 0 < staged.accepted < staged.samples
+    assert any(len(ids) < ids[-1] - ids[0] + 1 for *_, ids, _ in draws)  # some rows dropped
+    for sample, k, param, seed, ids, out in draws:
+        whole = sample(k, int(ids[-1]) + 1, param, seed)
+        assert out.tobytes() == whole[ids].tobytes()
+
+    # the all-rows pass: every letter drawn for every row, then the same filter
+    filter_rows = ms._trace_filter
+
+    def all_rows(stages, block, first, p, cache, ws, fill=None, ids=None):
+        if fill is not None:
+            for i, x in enumerate(block):
+                fill(i, ids, x, ws)
+        return filter_rows(stages, block, first, p, cache, ws)
+
+    monkeypatch.setattr(ms, "_trace_filter", all_rows)
+    assert ms.estimate_volume(spec, p, sampler, nsamples=nsamples, seed=3, threads=1) == staged
+    assert len(weighed) == len(staged_rows)
+    for a, b in zip(staged_rows, weighed):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("radius", [4.0, 1.4], ids=["words", "words-and-norm"])
+def test_a_letter_is_drawn_only_for_the_rows_that_passed_the_letters_before_it(
+        monkeypatch, radius):
+    # free pair at k = 3: X1 is drawn for every row, X2 only for the rows that
+    # pass X1's words and norm (about 3% of them), so an estimate draws far
+    # fewer than the 2 N B words of drawing both letters for every row.  At
+    # R = 1.4 the norm test rejects a fifth of the rows that pass X1's words
+    spec = SPLIT_CASES["free-pair-k9"][0]
+    k, nsamples, seed = 3, 4096, 5
+    p = MicrostateParams(k=k, l=4, eps=0.4, radius=radius)
+    block = 2 * ((k * k + 1) // 2)  # words per GUE row
+    # the rows that pass stage 1, by the one-letter test of the semicircle X1
+    x1 = matcore.gue_stack(k, nsamples, 1.0, rng.derive(seed, 0x6A55, 0))
+    survivors = ms._member_test(sc_spec(), p)()(x1[None]).shape[1]
+    assert 0 < survivors < nsamples // 10
+
+    drawn = []
+    words = rng.words
+
+    def counting(*a, **kw):
+        w = words(*a, **kw)
+        drawn.append(w.size)
+        return w
+
+    monkeypatch.setattr(rng, "words", counting)
+    ve = ms.estimate_volume(spec, p, "importance", nsamples=nsamples, seed=seed, threads=1)
+    assert ve.accepted > 0
+    assert sum(drawn) == nsamples * block + block * survivors < 2 * nsamples * block
+
+
 def _workspace_bytes():
     # tracemalloc does not see a workspace's buffer, an anonymous memory map
     return {id(ws): ws._buf.nbytes for ws in ms._WORKSPACES}

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+from hypothesis import example, given, settings, strategies as st
 
 from freelab import rng
 
@@ -65,3 +66,33 @@ def test_derive_gives_distinct_streams():
     a = rng.uniforms_from_words(rng.words(rng.derive(11, 3), 0, 64))
     b = rng.uniforms_from_words(rng.words(rng.derive(11, 4), 0, 64))
     assert not (a == b).all()
+
+
+@given(
+    seed=st.integers(0, MASK),
+    start=st.integers(0, MASK),
+    count=st.integers(0, 12),
+    rows=st.lists(st.integers(0, 60), unique=True, max_size=16).map(sorted),
+    lent=st.booleans(),
+)
+@example(seed=MASK, start=MASK - 10, count=4, rows=[0, 1, 2, 5], lent=False)  # counters wrap
+@example(seed=MASK, start=MASK - 10, count=4, rows=[1, 2, 3], lent=True)  # a run that wraps
+@example(seed=0, start=0, count=0, rows=[3, 9], lent=False)
+@example(seed=1, start=2, count=3, rows=[], lent=True)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_row_words_are_the_rows_of_a_contiguous_call(seed, start, count, rows, lent):
+    # the samplers' row-index form: row r is the counter block of row rows[r]
+    # in a stream of count-word rows, with the bits of a contiguous call,
+    # whether the rows have gaps or not, and whatever lends the scratch
+    idx = np.array(rows, dtype=np.intp)
+    span = rows[-1] + 1 if rows else 0
+    whole = rng.words(seed, start, count * span).reshape(span, count)
+    ws = rng.Workspace() if lent else rng.FRESH
+    got = rng.words(seed, start, count, _rows=idx, _out=np.empty(len(rows) * count, np.uint64),
+                    _ws=ws)
+    assert np.array_equal(got.reshape(len(rows), count), whole[idx])
+    assert np.array_equal(rng.words(seed, start, count, _rows=idx), whole[idx])
+    if rows and count:  # and the oracle's, past 2**64 too
+        r = rows[-1]
+        want = [_splitmix_oracle(seed, start + count * r + j) for j in range(count)]
+        assert [int(x) for x in got.reshape(-1, count)[-1]] == want

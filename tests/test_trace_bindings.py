@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from freelab import cli, ncalg, rng, spectra, theorems
+from freelab import cli, matcore, ncalg, rng, spectra, theorems
 from freelab import microstates as ms
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -83,19 +83,32 @@ def test_samplers_draw_through_the_rng_words_attribute(monkeypatch):
     # the tracer's rng.words and rng.busy_s read the spans of rng.words: a
     # sampler that drew its words some other way would leave them at 0.  One
     # sample of one letter reads a counter block of 2 ceil(k^2/2) words, two
-    # more for the ball sampler (auto at k <= 2)
+    # more for the ball sampler (auto at k <= 2).  The first letter is drawn
+    # for every sample, a later one only for the samples that passed the
+    # words of the letters before it
     monkeypatch.chdir(ROOT)
     words = record(monkeypatch, rng, "words")
     volumes = record(monkeypatch, ms, "estimate_volume")
-    chi_mc("semicircle", "2,3", 1)
-    chi_mc("free_pair", "2,3", 1)
-    expected = 0
-    for args, est in volumes:
-        k, n = args["p"].k, args["spec"].n
-        block = 2 * ((k * k + 1) // 2) + (2 if est.method == "ball-rejection" else 0)
-        expected += est.samples * n * block
-    assert [a["p"].k for a, _ in volumes] == [2, 3, 2, 3]
-    assert sum(w.size for _, w in words) == expected
+    passes = {name: record(monkeypatch, matcore, name) for name in ("gue_stack", "ball_stack")}
+
+    def block(k, ball):
+        return 2 * ((k * k + 1) // 2) + (2 if ball else 0)
+
+    for spec, n in (("semicircle", 1), ("free_pair", 2)):
+        for calls in (words, volumes, *passes.values()):
+            calls.clear()
+        chi_mc(spec, "2,3", 1)
+        assert [(a["p"].k, a["spec"].n) for a, _ in volumes] == [(2, n), (3, n)]
+        every_row = sum(
+            est.samples * block(a["p"].k, est.method == "ball-rejection") for a, est in volumes
+        )
+        drawn = sum(w.size for _, w in words)
+        assert drawn == every_row if n == 1 else every_row < drawn < n * every_row
+        # each sampler pass read its rows' counter blocks through rng.words
+        assert drawn == sum(
+            len(out) * block(a["k"], name == "ball_stack")
+            for name, calls in passes.items() for a, out in calls
+        )
 
 
 def test_t_gen_sweeps_and_estimates_through_the_module_attributes(monkeypatch):
