@@ -161,21 +161,41 @@ def _cmd_chi_single(args) -> int:
 
 # --- chi-mc ---------------------------------------------------------------------
 
+# the sweep flags of chi-mc and check, each None unless given: (Sweep field, flag, type, help)
+_SWEEP_FLAGS = (
+    ("k_list", "--k", str, "comma-separated ascending k sweep"),
+    ("l", "--l", int, "word-length depth"),
+    ("eps", "--eps", float, "moment window half-width"),
+    ("radius", "--radius", float,
+     "operator-norm cutoff; chi-mc derives an unset one from the moment targets"),
+    ("nsamples", "--samples", int, "samples per k"),
+    ("seed", "--seed", int, "base seed"),
+    ("y_pool", "--y-pool", int, "candidate pool size for conditioned runs"),
+    ("threads", "--threads", int, "0 = all cores (the default)"),
+)
 
-def _parse_k_list(text: str):
-    try:
-        return [int(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise UsageError(f"bad k list {text!r}; expected comma-separated integers")
+# chi-mc's own defaults; samples, seed and y-pool are Sweep's
+_CHI_MC_DEFAULTS = {"k_list": (2, 3, 4, 5), "l": 4, "eps": 0.4, "threads": 0}
+
+
+def _given_sweep(args) -> dict:
+    """The sweep flags given on the command line, keyed by Sweep field."""
+    given = {f: vars(args)[f] for f, *_ in _SWEEP_FLAGS if vars(args)[f] is not None}
+    if "k_list" in given:
+        text = given["k_list"]
+        try:
+            given["k_list"] = [int(v) for v in text.split(",") if v.strip()]
+        except ValueError:
+            raise UsageError(f"bad k list {text!r}; expected comma-separated integers")
+    return given
 
 
 def _cmd_chi_mc(args) -> int:
     spec = ms.TracialSpec.from_dict(_load_json(args.spec, "specification"))
-    sweep = ms.Sweep(
-        k_list=_parse_k_list(args.k), l=args.l, eps=args.eps,
-        radius=args.radius if args.radius is not None else ms.suggested_radius(spec),
-        nsamples=args.samples, seed=args.seed, threads=args.threads, y_pool=args.y_pool,
-    )
+    settings = {**_CHI_MC_DEFAULTS, **_given_sweep(args)}
+    if "radius" not in settings:
+        settings["radius"] = ms.suggested_radius(spec)
+    sweep = ms.Sweep(**settings)
     est = ms.estimate_chi(spec, sweep)
 
     per_k, lines = [], []
@@ -255,16 +275,7 @@ def _cmd_check(args) -> int:
     if not isinstance(cfg, dict):
         raise UsageError(f"config must be a JSON object, not {type(cfg).__name__}")
     # flags win over the config file; threads defaults to every core (0)
-    if args.k is not None:
-        cfg["k_list"] = _parse_k_list(args.k)
-    for key, val in (
-        ("nsamples", args.samples), ("l", args.l), ("eps", args.eps),
-        ("radius", args.radius), ("seed", args.seed), ("y_pool", args.y_pool),
-        ("threads", args.threads),
-    ):
-        if val is not None:
-            cfg[key] = val
-    cfg.setdefault("threads", 0)
+    cfg = {"threads": 0, **cfg, **_given_sweep(args)}
     theorems._mc_cfg(cfg)  # every bad setting exits 2 before any check runs
 
     reports = [theorems.check(i, **cfg) for i in ids]
@@ -293,7 +304,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, sweep=False):
+        """The sweep flags, or a --seed that changes nothing; then --format and --out."""
+        if sweep:
+            for field, flag, type_, help_ in _SWEEP_FLAGS:
+                p.add_argument(flag, dest=field, type=type_, help=help_,
+                               metavar=flag[2:].upper().replace("-", "_"))  # K, not K_LIST
+        else:
+            p.add_argument("--seed", type=int, default=0,
+                           help="accepted for uniformity; this command is deterministic")
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
         p.add_argument("--out", default=None, help="write output to a file")
 
@@ -301,43 +320,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("measure", help="measure JSON file")
     p.add_argument("--field", default=None,
                    help="also report the change-of-variables correction for this field")
-    p.add_argument("--seed", type=int, default=0,
-                   help="accepted for uniformity; this command is deterministic")
     common(p)
 
     p = sub.add_parser("chi-mc", help="Monte Carlo microstate sweep")
     p.add_argument("--spec", required=True, help="tracial specification JSON file")
-    p.add_argument("--k", default="2,3,4,5", help="comma-separated ascending k sweep")
-    p.add_argument("--l", type=int, default=4, help="word-length depth")
-    p.add_argument("--eps", type=float, default=0.4, help="moment window half-width")
-    p.add_argument("--radius", type=float, default=None,
-                   help="operator-norm cutoff (default: derived from the moment targets)")
-    p.add_argument("--samples", type=int, default=100_000, help="samples per k")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--y-pool", type=int, default=32, dest="y_pool",
-                   help="candidate pool size for conditioned runs")
-    p.add_argument("--threads", type=int, default=0, help="0 = all cores")
-    common(p)
+    common(p, sweep=True)
 
     p = sub.add_parser("dq", help="difference quotient of a polynomial")
     p.add_argument("poly", help="polynomial text, e.g. '0.5 - t2 + 2 t1 t2'")
     p.add_argument("index", type=int, help="variable index i >= 1")
-    p.add_argument("--seed", type=int, default=0,
-                   help="accepted for uniformity; this command is deterministic")
     common(p)
 
     p = sub.add_parser("check", help="run checks from the battery")
     p.add_argument("id", help="check id, comma list, or all|deterministic|statistical")
-    p.add_argument("--config", default=None, help="JSON file with check configuration")
-    p.add_argument("--k", default=None, help="comma-separated ascending k sweep")
-    p.add_argument("--l", type=int, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--samples", type=int, default=None, help="samples per k")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--y-pool", type=int, default=None, dest="y_pool")
-    p.add_argument("--threads", type=int, default=None, help="0 = all cores (default)")
-    common(p)
+    p.add_argument("--config", default=None,
+                   help="JSON file of settings over the registry's; the flags win over both")
+    common(p, sweep=True)
 
     return ap
 

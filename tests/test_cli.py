@@ -92,6 +92,17 @@ def test_dq_non_finite_scalar_exits_2(capsys, poly, token):
     assert token in err and "not finite" in err
 
 
+def test_dq_leading_minus_negates_the_first_term(capsys):
+    code, out, _ = run(capsys, "dq", "- t1 t2", "1")
+    assert (code, out) == (0, "- 1 (x) t2\n")
+
+
+def test_dq_minus_after_a_sign_is_dangling(capsys):
+    code, out, err = run(capsys, "dq", "t1 + - t2", "1")
+    assert (code, out) == (2, "")
+    assert "dangling '-'" in err
+
+
 def test_dq_rejects_bad_index(capsys):
     code, _, err = run(capsys, "dq", "t1", "0")
     assert code == 2
@@ -605,6 +616,15 @@ def test_an_out_file_is_written_only_on_success(tmp_path, capsys):
     assert dest.read_text() == "1 (x) 1\n"
 
 
+def test_an_out_file_replaces_a_longer_one(tmp_path, capsys):
+    # the writability check opens an existing file for appending; the output replaces it
+    dest = tmp_path / "report.txt"
+    dest.write_text("old report\n" * 100)
+    code, _, _ = run(capsys, "dq", "t1", "1", "--out", str(dest))
+    assert code == 0
+    assert dest.read_text() == "1 (x) 1\n"
+
+
 def test_an_out_dangling_symlink_keeps_its_link(tmp_path, capsys):
     # the check leaves the link in place, and its target appears only with
     # the output
@@ -644,6 +664,15 @@ def test_chi_mc_rejects_bad_k_list(tmp_path, capsys):
     code, _, err = run(capsys, "chi-mc", "--spec", spec, "--k", "3,2")
     assert code == 2
     assert "ascending" in err
+
+
+@pytest.mark.parametrize("command", ["chi-mc", "check"])
+def test_a_k_list_that_is_not_integers_exits_2(tmp_path, capsys, command):
+    argv = (["chi-mc", "--spec", write_json(tmp_path / "spec.json", SC_SPEC)]
+            if command == "chi-mc" else ["check", "T-BLOCK"])
+    code, out, err = run(capsys, *argv, "--k", "2,x")
+    assert (code, out) == (2, "")
+    assert err == "error: bad k list '2,x'; expected comma-separated integers\n"
 
 
 def test_chi_mc_empty_pool_reports_minus_inf(tmp_path, capsys):
@@ -721,6 +750,26 @@ def test_chi_mc_relative_y_id_column(tmp_path, capsys):
     assert rows[0]["y_id"] != ""
 
 
+class _Captured(Exception):
+    """Raised by a stand-in to stop a command once its settings are seen."""
+
+
+def test_chi_mc_effective_defaults(monkeypatch, capsys):
+    # chi-mc's own k, l, eps and threads, the spec's derived radius (6 for a
+    # variance-1 semicircle), and Sweep's samples, seed and y-pool
+    def capture(spec, sweep):
+        raise _Captured(sweep)
+
+    monkeypatch.setattr(cli.ms, "estimate_chi", capture)
+    spec_path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "specs",
+                             "semicircle.json")
+    with pytest.raises(_Captured) as got:
+        cli.main(["chi-mc", "--spec", spec_path])
+    assert got.value.args[0] == ms.Sweep(
+        (2, 3, 4, 5), 4, 0.4, 6.0, nsamples=100_000, seed=0, threads=0, y_pool=32
+    )
+
+
 # --- check ------------------------------------------------------------------
 
 
@@ -754,7 +803,8 @@ def test_check_csv_format(capsys):
     assert rows[0]["passed"] == "True"
 
 
-def test_check_group_tokens(monkeypatch, capsys):
+@pytest.mark.parametrize("token", ["deterministic", "statistical", "all"])
+def test_check_group_tokens(monkeypatch, capsys, token):
     seen = []
 
     def fake(cid, **cfg):
@@ -765,9 +815,33 @@ def test_check_group_tokens(monkeypatch, capsys):
         )
 
     monkeypatch.setattr(cli.theorems, "check", fake)
-    code, _, _ = run(capsys, "check", "deterministic")
+    code, _, _ = run(capsys, "check", token)
     assert code == 0
-    assert seen == [i for i in theorems.CHECK_IDS if i in theorems.DETERMINISTIC_IDS]
+    tiers = {"deterministic": [True], "statistical": [False], "all": [True, False]}[token]
+    assert seen == [i for i in theorems.CHECK_IDS if (i in theorems.DETERMINISTIC_IDS) in tiers]
+
+
+def test_check_empty_id_list_exits_2(capsys):
+    code, out, err = run(capsys, "check", ",")
+    assert (code, out) == (2, "")
+    assert err == "error: no check id in ','\n"
+
+
+def test_check_effective_defaults(monkeypatch, capsys):
+    # a bare check passes only threads 0 (every core); the registry supplies the rest
+    captured = []
+
+    def fake(cid, **cfg):
+        captured.append(cfg)
+        return theorems.CheckReport(
+            id=cid, relation="==", lhs=0.0, rhs=0.0, tolerance=1.0,
+            passed=True, statistical=False, seed=0, diagnostics={},
+        )
+
+    monkeypatch.setattr(cli.theorems, "check", fake)
+    code, _, _ = run(capsys, "check", "T-BLOCK")
+    assert code == 0
+    assert captured == [{"threads": 0}]
 
 
 def test_check_failed_deterministic_exits_3(monkeypatch, capsys):

@@ -155,6 +155,9 @@ def test_change_of_variables_identity_grid():
             spectra.affine_field(1.7, 0.3, dom),
             spectra.polynomial_field([0.0, 1.0, 0.0, 1.0], dom),
             spectra.arctan_field(2.0, dom),
+            # decreasing: the pushforward turns the image grid round before inverting
+            spectra.affine_field(-2.0, 0.5, dom),
+            spectra.polynomial_field([0.0, -1.0, 0.0, -1.0], dom),  # -x - x^3
         ):
             lhs = spectra.chi_single(spectra.pushforward(mu, f))
             rhs = spectra.chi_single(mu) + spectra.cov_correction(mu, f)

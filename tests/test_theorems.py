@@ -22,6 +22,15 @@ def test_registry_names_every_check():
     assert len(th.DETERMINISTIC_IDS) == 6
 
 
+def test_one_sided_at_minus_infinity():
+    # an empty microstate set reads -inf: as the lhs it is below any rhs,
+    # as the rhs no lhs is below it
+    inf = float("inf")
+    assert th._one_sided(-inf, 0.1, 1.0, 0.2) == (True, pytest.approx(0.9))
+    assert th._one_sided(1.0, 0.1, -inf, 0.2) == (False, pytest.approx(0.9))
+    assert th._one_sided(-100.0, 0.0, -inf, 50.0)[0] is False
+
+
 def test_unknown_id_lists_the_registry():
     with pytest.raises(ValueError, match="T-CHAIN"):
         th.check("T-NOPE")
